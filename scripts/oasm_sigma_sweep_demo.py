@@ -33,7 +33,7 @@ def main():
     print(f"true sigma: {args.true_sigma}")
     print(f"selected sigma: {sweep.best_sigma:.2f}")
     print("\nsigma  score")
-    for sigma, score in sweep.as_table():
+    for sigma, score in zip(sweep.sigmas, sweep.scores):
         marker = " <-- best" if sigma == sweep.best_sigma else ""
         print(f"{sigma:5.2f}  {score:.4f}{marker}")
 

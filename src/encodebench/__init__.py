@@ -6,7 +6,6 @@ __version__ = "0.1.0"
 from .errors import DataError, ManifestError, MatrixDataError, MatrixFormatError
 from .features import (
     FeatureSpace,
-    OasmConfig,
     build_oasm,
     build_sentence_length,
     build_sentence_position,

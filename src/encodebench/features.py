@@ -46,17 +46,6 @@ class FeatureSpace:
         return self.data.shape[1]
 
 
-@dataclass
-class OasmConfig:
-    sigma: float
-    block_ids: np.ndarray
-
-    def __post_init__(self):
-        if self.sigma <= 0:
-            raise DataError("OASM sigma must be > 0")
-        self.block_ids = np.asarray(self.block_ids, dtype=np.int64)
-
-
 def block_runs(block_ids) -> list[tuple[int, int]]:
     """(start, stop) pairs for each contiguous run of equal block ids.
 
@@ -131,9 +120,6 @@ class SigmaSweepResult:
     best_sigma: float
     sigmas: np.ndarray
     scores: np.ndarray  # mean clipped validation R^2 per sigma
-
-    def as_table(self) -> list[tuple[float, float]]:
-        return [(float(s), float(v)) for s, v in zip(self.sigmas, self.scores)]
 
 
 def sweep_oasm_sigma(recording, block_ids, plan, ridge_cfg=None,

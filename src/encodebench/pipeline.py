@@ -19,7 +19,6 @@ import itertools
 import json
 import logging
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Mapping, Optional, Sequence
@@ -36,7 +35,7 @@ from .metrics import (
     clip_and_average,
     r2_oos,
 )
-from .ridge import BandedSearchConfig, RidgeConfig, banded_search
+from .ridge import BandedSearchConfig, RidgeConfig, _map_ordered, banded_search
 from .splits import (
     SplitPlan,
     plan_blank,
@@ -45,7 +44,7 @@ from .splits import (
     plan_pereira,
     shuffle_plan,
 )
-from .stats import TestResult, bh_fdr, paired_squared_error_ttest
+from .stats import TestResult, chance_level_test
 
 logger = logging.getLogger(__name__)
 
@@ -404,14 +403,8 @@ class RunReport:
                           newline="") as fh:
                     writer = csv.writer(fh)
                     writer.writerow(["unit", "participant", "subset", "r2"])
-                    for key in sorted(fr.subset_r2,
-                                      key=lambda k: (len(k), sorted(k))):
-                        name = "+".join(sorted(key))
-                        for unit, value in enumerate(fr.subset_r2[key]):
-                            writer.writerow([
-                                unit, int(participants[unit]), name,
-                                repr(float(value)),
-                            ])
+                    writer.writerows(
+                        fr.comparison.csv_rows(fr.subset_r2, participants))
                 self._write_corrected_csv(
                     out / "tables" / f"{stem}__corrected.csv", fr, participants)
                 if fr.tests:
@@ -537,7 +530,7 @@ def run_analysis(config: AnalysisConfig, threads: int = 1,
                     time.time() - t0)
         return fit, time.time() - t0
 
-    results = _map_jobs(run_job, jobs, threads)
+    results = _map_ordered(run_job, jobs, threads)
     fits = {}
     durations = {}
     for (mode, subset), (fit, elapsed) in zip(jobs, results):
@@ -606,13 +599,6 @@ def run_analysis(config: AnalysisConfig, threads: int = 1,
     return report
 
 
-def _map_jobs(fn, jobs, threads):
-    if threads <= 1 or len(jobs) <= 1:
-        return [fn(job) for job in jobs]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, jobs))
-
-
 def _run_tests(config: AnalysisConfig, fam: FamilySpec, Y, fam_preds,
                fam_subsets, intercept_pred, participants) -> list[TestOutcome]:
     outcomes = []
@@ -624,17 +610,13 @@ def _run_tests(config: AnalysisConfig, fam: FamilySpec, Y, fam_preds,
                                    intercept_pred)
         except KeyError:
             continue  # pair refers to subsets outside this family
-        t, p = paired_squared_error_ttest(Y, pred_a, pred_b)
-        rejected = bh_fdr(p, participants, config.alpha_level)
-        result = TestResult(
-            t=t, p=p, rejected=rejected, n_samples=Y.shape[0],
-            participant_ids=np.asarray(participants), level=config.alpha_level,
-        )
+        result = chance_level_test(Y, pred_a, pred_b, participants,
+                                   config.alpha_level)
         outcomes.append(TestOutcome(
             name=test.name,
             result=result,
-            n_rejected_raw=int((p < config.alpha_level).sum()),
-            n_rejected_fdr=int(rejected.sum()),
+            n_rejected_raw=int((result.p < config.alpha_level).sum()),
+            n_rejected_fdr=int(result.rejected.sum()),
         ))
     return outcomes
 

@@ -3,14 +3,20 @@ per-unit hyperparameter search.
 
 Solver notes
 ------------
-One factorization of the (scaled, standardized) design serves the whole
-alpha grid. Tall problems use an economy SVD of X; wide problems use the
-eigendecomposition of the Gram matrix X X^T, which gives identical
-predictions through the push-through identity
-``X_ev (X^T X + aI)^-1 X^T Y = K_ev (K + aI)^-1 Y``. ``alpha = 0`` is the
-pseudo-inverse (minimum-norm least squares) limit. The intercept is never
-penalized: features and targets are centered on training rows and the
-training target mean is added back to predictions.
+Every solve goes through one spectral core, ``_Spectral``: it factors a
+centered problem once and filters the spectrum per alpha. One rule,
+``_uses_gram``, picks the factorization: an economy SVD of the design X
+while X has no more columns than rows, else ``eigh`` of the smaller Gram
+matrix K = X X^T, which gives identical predictions through the
+push-through identity ``X_ev (X^T X + aI)^-1 X^T Y = K_ev (K + aI)^-1 Y``.
+``alpha = 0`` is the pseudo-inverse (minimum-norm least squares) limit.
+The intercept is never penalized: features and targets are centered on
+training rows and the training target mean is added back to predictions.
+
+In the banded search a scaled Gram is the gamma^2-weighted sum of band
+Grams. Each split builds every band's train Gram and eval-by-train Gram up
+front whenever the bands together are wider than its training set, so the
+search threads only read them and need no lock.
 
 Search notes
 ------------
@@ -86,43 +92,81 @@ def _check_finite(name, arr):
         raise DataError(f"{name} contains non-finite values")
 
 
-def _primal_grid(Xc_tr, Yc_tr, Xc_ev, alphas):
-    """Predictions per alpha from one SVD of the centered design."""
-    U, S, Vt = np.linalg.svd(Xc_tr, full_matrices=False)
-    UTY = U.T @ Yc_tr
-    G = Xc_ev @ Vt.T
-    smax = S[0] if S.size else 0.0
-    cutoff = smax * max(Xc_tr.shape) * _RCOND
-    D = np.empty((len(alphas), S.size))
-    for i, a in enumerate(alphas):
-        if a == 0.0:
-            keep = S > cutoff
-            D[i] = np.where(keep, 1.0 / np.where(keep, S, 1.0), 0.0)
-        else:
-            D[i] = S / (S ** 2 + a)
-    scaled = G[None, :, :] * D[:, None, :]
-    preds = scaled.reshape(-1, S.size) @ UTY
-    return preds.reshape(len(alphas), G.shape[0], Yc_tr.shape[1])
+def _uses_gram(n_dims: int, n_rows: int) -> bool:
+    """The solver-path rule: factor the Gram once the design is wider than tall."""
+    return n_dims > n_rows
 
 
-def _dual_grid(K_tr, K_ev, Yc_tr, alphas):
-    """Predictions per alpha from one eigendecomposition of the Gram matrix."""
-    lam, V = np.linalg.eigh(K_tr)
-    lam = np.maximum(lam, 0.0)
-    T = V.T @ Yc_tr
-    G = K_ev @ V
-    lmax = lam[-1] if lam.size else 0.0
-    cutoff = lmax * (K_tr.shape[0] * _RCOND) ** 2
-    D = np.empty((len(alphas), lam.size))
-    for i, a in enumerate(alphas):
-        if a == 0.0:
-            keep = lam > cutoff
-            D[i] = np.where(keep, 1.0 / np.where(keep, lam, 1.0), 0.0)
+class _Spectral:
+    """One factorization of a centered ridge problem, from its design (eval
+    rows are design rows) or its Gram (eval rows are eval-by-train Gram rows)."""
+
+    def __init__(self, Yc, design=None, gram=None):
+        self.design = None
+        if gram is None and _uses_gram(design.shape[1], design.shape[0]):
+            self.design, gram = design, design @ design.T
+        if gram is None:
+            U, s, Vt = np.linalg.svd(design, full_matrices=False)
+            self.spectrum, self.numerator, self.denominator = s, s, s ** 2
+            smax = s[0] if s.size else 0.0
+            self.cutoff = smax * max(design.shape) * _RCOND
+            self.right = Vt.T
         else:
-            D[i] = 1.0 / (lam + a)
-    scaled = G[None, :, :] * D[:, None, :]
-    preds = scaled.reshape(-1, lam.size) @ T
-    return preds.reshape(len(alphas), G.shape[0], Yc_tr.shape[1])
+            lam, U = np.linalg.eigh(gram)
+            lam = np.maximum(lam, 0.0)
+            self.spectrum, self.numerator, self.denominator = lam, 1.0, lam
+            lmax = lam[-1] if lam.size else 0.0
+            self.cutoff = lmax * (gram.shape[0] * _RCOND) ** 2
+            self.right = U
+        self.UTY = U.T @ Yc
+
+    def filter(self, alphas) -> np.ndarray:
+        """(n_alphas, rank) filter factors; ``alpha = 0`` is the pseudo-inverse."""
+        D = np.empty((len(alphas), self.spectrum.size))
+        for i, a in enumerate(alphas):
+            if a == 0.0:
+                keep = self.spectrum > self.cutoff
+                D[i] = np.where(keep, 1.0 / np.where(keep, self.spectrum, 1.0), 0.0)
+            else:
+                D[i] = self.numerator / (self.denominator + a)
+        return D
+
+    def predict(self, eval_side, alphas) -> np.ndarray:
+        """Centered predictions per alpha: (n_alphas, n_eval, n_units)."""
+        if self.design is not None:
+            eval_side = eval_side @ self.design.T
+        G = eval_side @ self.right
+        scaled = G[None, :, :] * self.filter(alphas)[:, None, :]
+        preds = scaled.reshape(-1, self.spectrum.size) @ self.UTY
+        return preds.reshape(len(alphas), G.shape[0], self.UTY.shape[1])
+
+    def weights(self, alphas) -> np.ndarray:
+        """Weights per alpha of a design-built core: (n_alphas, n_dims, n_units)."""
+        basis = self.right if self.design is None else self.design.T @ self.right
+        return np.stack([(basis * d) @ self.UTY for d in self.filter(alphas)])
+
+
+def _centered(X_train, Y_train, alphas):
+    """Checked float inputs, centered on the training rows: (Xc, Yc, (feature
+    means, target means), alphas); a 1-D target becomes one column."""
+    X = np.asarray(X_train, dtype=np.float64)
+    Y = np.asarray(Y_train, dtype=np.float64)
+    if Y.ndim == 1:
+        Y = Y[:, None]
+    if X.ndim != 2:
+        raise DataError("X_train must be 2-D")
+    if X.shape[0] != Y.shape[0]:
+        raise DataError("X_train and Y_train row counts differ")
+    if X.shape[0] < 2:
+        raise DataError("need at least 2 training rows")
+    _check_finite("X_train", X)
+    _check_finite("Y_train", Y)
+    alphas = [float(a) for a in alphas]
+    if any(a < 0 for a in alphas):
+        raise DataError("alphas must be non-negative")
+    x_mean = X.mean(axis=0)
+    y_mean = Y.mean(axis=0)
+    return X - x_mean, Y - y_mean, (x_mean, y_mean), alphas
 
 
 def ridge_solve(X_train, Y_train, X_eval, alphas) -> np.ndarray:
@@ -130,80 +174,21 @@ def ridge_solve(X_train, Y_train, X_eval, alphas) -> np.ndarray:
 
     A 1-D target collapses the unit axis: the result is (n_alphas, n_eval).
     """
-    X = np.asarray(X_train, dtype=np.float64)
-    Y = np.asarray(Y_train, dtype=np.float64)
+    Xc, Yc, (x_mean, y_mean), alphas = _centered(X_train, Y_train, alphas)
     Xe = np.asarray(X_eval, dtype=np.float64)
-    squeeze = Y.ndim == 1
-    if squeeze:
-        Y = Y[:, None]
-    if X.ndim != 2 or Xe.ndim != 2 or X.shape[1] != Xe.shape[1]:
+    if Xe.ndim != 2 or Xe.shape[1] != Xc.shape[1]:
         raise DataError("X_train and X_eval must be 2-D with equal column counts")
-    if X.shape[0] != Y.shape[0]:
-        raise DataError("X_train and Y_train row counts differ")
-    if X.shape[0] < 2:
-        raise DataError("need at least 2 training rows")
-    for name, arr in (("X_train", X), ("Y_train", Y), ("X_eval", Xe)):
-        _check_finite(name, arr)
-    alphas = [float(a) for a in alphas]
-    if any(a < 0 for a in alphas):
-        raise DataError("alphas must be non-negative")
-
-    x_mean = X.mean(axis=0)
-    y_mean = Y.mean(axis=0)
-    Xc = X - x_mean
-    Yc = Y - y_mean
-    Xec = Xe - x_mean
-    if X.shape[1] <= X.shape[0]:
-        preds = _primal_grid(Xc, Yc, Xec, alphas)
-    else:
-        preds = _dual_grid(Xc @ Xc.T, Xec @ Xc.T, Yc, alphas)
+    _check_finite("X_eval", Xe)
+    preds = _Spectral(Yc, design=Xc).predict(Xe - x_mean, alphas)
     preds += y_mean
-    return preds[:, :, 0] if squeeze else preds
+    return preds[:, :, 0] if np.ndim(Y_train) == 1 else preds
 
 
 def ridge_weights(X_train, Y_train, alphas):
     """Weights per alpha on centered data: (n_alphas, n_dims, n_units),
     plus the (feature means, target means) used for centering."""
-    X = np.asarray(X_train, dtype=np.float64)
-    Y = np.asarray(Y_train, dtype=np.float64)
-    if Y.ndim == 1:
-        Y = Y[:, None]
-    _check_finite("X_train", X)
-    _check_finite("Y_train", Y)
-    x_mean = X.mean(axis=0)
-    y_mean = Y.mean(axis=0)
-    Xc = X - x_mean
-    Yc = Y - y_mean
-    alphas = [float(a) for a in alphas]
-    if X.shape[1] <= X.shape[0]:
-        U, S, Vt = np.linalg.svd(Xc, full_matrices=False)
-        UTY = U.T @ Yc
-        smax = S[0] if S.size else 0.0
-        cutoff = smax * max(Xc.shape) * _RCOND
-        W = np.empty((len(alphas), X.shape[1], Y.shape[1]))
-        for i, a in enumerate(alphas):
-            if a == 0.0:
-                keep = S > cutoff
-                d = np.where(keep, 1.0 / np.where(keep, S, 1.0), 0.0)
-            else:
-                d = S / (S ** 2 + a)
-            W[i] = (Vt.T * d) @ UTY
-        return W, (x_mean, y_mean)
-    lam, V = np.linalg.eigh(Xc @ Xc.T)
-    lam = np.maximum(lam, 0.0)
-    T = V.T @ Yc
-    lmax = lam[-1] if lam.size else 0.0
-    cutoff = lmax * (Xc.shape[0] * _RCOND) ** 2
-    XtV = Xc.T @ V
-    W = np.empty((len(alphas), X.shape[1], Y.shape[1]))
-    for i, a in enumerate(alphas):
-        if a == 0.0:
-            keep = lam > cutoff
-            d = np.where(keep, 1.0 / np.where(keep, lam, 1.0), 0.0)
-        else:
-            d = 1.0 / (lam + a)
-        W[i] = (XtV * d) @ T
-    return W, (x_mean, y_mean)
+    Xc, Yc, means, alphas = _centered(X_train, Y_train, alphas)
+    return _Spectral(Yc, design=Xc).weights(alphas), means
 
 
 def group_bands(spaces: Sequence[FeatureSpace]):
@@ -303,10 +288,10 @@ class FitResult:
 
 
 class _FoldData:
-    """Standardized per-band matrices and Gram caches for one train/eval split."""
+    """Standardized per-band matrices, and band Grams whenever some scaling
+    vector can take the Gram path, for one train/eval split."""
 
     def __init__(self, band_mats, Y, train_idx, eval_idx):
-        self.train_idx = train_idx
         self.eval_idx = eval_idx
         self.n_train = len(train_idx)
         self.Ztr = []
@@ -317,33 +302,28 @@ class _FoldData:
             self.Zev.append(zev)
         self.y_mean = Y[train_idx].mean(axis=0)
         self.Yc = Y[train_idx] - self.y_mean
-        self._gram: dict[int, np.ndarray] = {}
-        self._cross: dict[int, np.ndarray] = {}
-
-    def _band_gram(self, b):
-        if b not in self._gram:
-            self._gram[b] = self.Ztr[b] @ self.Ztr[b].T
-            self._cross[b] = self.Zev[b] @ self.Ztr[b].T
-        return self._gram[b], self._cross[b]
+        self.grams = self.cross = None
+        if _uses_gram(sum(Z.shape[1] for Z in self.Ztr), self.n_train):
+            self.grams = [Z @ Z.T for Z in self.Ztr]
+            self.cross = [Ze @ Z.T for Z, Ze in zip(self.Ztr, self.Zev)]
 
     def predict_grid(self, gamma, alphas, unit_slice=None):
         """(n_alphas, n_eval, n_units) predictions for one scaling vector."""
         Yc = self.Yc if unit_slice is None else self.Yc[:, unit_slice]
         active = np.flatnonzero(np.asarray(gamma) > 0)
         dims = sum(self.Ztr[b].shape[1] for b in active)
-        if dims <= self.n_train:
-            Xtr = np.hstack([gamma[b] * self.Ztr[b] for b in active])
-            Xev = np.hstack([gamma[b] * self.Zev[b] for b in active])
-            preds = _primal_grid(Xtr, Yc, Xev, alphas)
-        else:
+        if _uses_gram(dims, self.n_train):
             K = np.zeros((self.n_train, self.n_train))
             C = np.zeros((len(self.eval_idx), self.n_train))
             for b in active:
                 g2 = gamma[b] ** 2
-                Kb, Cb = self._band_gram(b)
-                K += g2 * Kb
-                C += g2 * Cb
-            preds = _dual_grid(K, C, Yc, alphas)
+                K += g2 * self.grams[b]
+                C += g2 * self.cross[b]
+            preds = _Spectral(Yc, gram=K).predict(C, alphas)
+        else:
+            Xtr = np.hstack([gamma[b] * self.Ztr[b] for b in active])
+            Xev = np.hstack([gamma[b] * self.Zev[b] for b in active])
+            preds = _Spectral(Yc, design=Xtr).predict(Xev, alphas)
         y_mean = self.y_mean if unit_slice is None else self.y_mean[unit_slice]
         return preds + y_mean
 
@@ -496,6 +476,7 @@ def banded_search(features: Sequence[FeatureSpace], responses, plan: SplitPlan,
                     w = refit.weights_for(gamma, alphas[ai], units[sel])
                     fold_weights[units[sel], :] = w.T
         intercept_pred[fold.test, :] = refit.y_mean
+        del inner, refit  # free this fold's Grams before the next fold's are built
 
         chosen_gamma[fold_pos] = np.stack([candidates[c] for c in best_cand])
         chosen_alpha[fold_pos] = np.asarray(alphas)[best_alpha_idx]

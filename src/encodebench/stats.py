@@ -97,7 +97,8 @@ class TestResult:
 
 def chance_level_test(y_true, pred_model, intercept_preds, participant_ids,
                       level: float = 0.05) -> TestResult:
-    """Does the model beat the per-fold training-mean baseline anywhere?"""
+    """Per unit, does the model beat the baseline model? The baseline is the
+    per-fold training means for a chance-level test, or any other model."""
     t, p = paired_squared_error_ttest(y_true, pred_model, intercept_preds)
     rejected = bh_fdr(p, participant_ids, level)
     return TestResult(

@@ -1,9 +1,16 @@
+import time
+
 import numpy as np
 import pytest
 
 import encodebench as eb
 from encodebench.errors import DataError
-from encodebench.ridge import BandedSearchConfig, RidgeConfig
+from encodebench.ridge import (
+    BandedSearchConfig,
+    RidgeConfig,
+    _FoldData,
+    _map_ordered,
+)
 from oracles import (
     block_penalty_oracle,
     ridge_normal_eq_oracle,
@@ -59,29 +66,32 @@ class TestRidgeSolve:
         X = rng.standard_normal((10, 40))
         Y = rng.standard_normal((10, 2))
         Xe = rng.standard_normal((3, 40))
-        mine = eb.ridge_solve(X, Y, Xe, [3.5])[0]
-        np.testing.assert_allclose(
-            mine, ridge_normal_eq_oracle(X, Y, Xe, 3.5), atol=1e-8)
+        mine = eb.ridge_solve(X, Y, Xe, [3.5, 0.0])
+        for pos, alpha in enumerate([3.5, 0.0]):  # 0.0: min-norm lstsq
+            np.testing.assert_allclose(
+                mine[pos], ridge_normal_eq_oracle(X, Y, Xe, alpha), atol=1e-8)
 
     def test_non_finite_rejected(self):
         with pytest.raises(DataError):
             eb.ridge_solve([[1.0], [float("inf")]], [1.0, 2.0], [[1.0]], [1.0])
 
     def test_monotone_shrinkage(self, rng):
-        X = rng.standard_normal((30, 6))
-        Y = rng.standard_normal((30, 4))
-        W, _ = eb.ridge_weights(X, Y, eb.default_alpha_grid())
-        norms = np.linalg.norm(W, axis=1)  # (n_alphas, units)
-        assert (np.diff(norms, axis=0) <= 1e-12).all()
+        for n, p in ((30, 6), (10, 25)):  # tall, then wide (Gram path)
+            X = rng.standard_normal((n, p))
+            Y = rng.standard_normal((n, 4))
+            W, _ = eb.ridge_weights(X, Y, eb.default_alpha_grid())
+            norms = np.linalg.norm(W, axis=1)  # (n_alphas, units)
+            assert (np.diff(norms, axis=0) <= 1e-12).all()
 
     def test_weights_consistent_with_predictions(self, rng):
-        X = rng.standard_normal((15, 4))
-        Y = rng.standard_normal((15, 2))
-        Xe = rng.standard_normal((5, 4))
-        W, (xm, ym) = eb.ridge_weights(X, Y, [1.0])
-        np.testing.assert_allclose(
-            (Xe - xm) @ W[0] + ym, eb.ridge_solve(X, Y, Xe, [1.0])[0],
-            atol=1e-10)
+        for n, p in ((15, 4), (8, 20)):  # tall, then wide (Gram path)
+            X = rng.standard_normal((n, p))
+            Y = rng.standard_normal((n, 2))
+            Xe = rng.standard_normal((5, p))
+            W, (xm, ym) = eb.ridge_weights(X, Y, [1.0, 0.0])
+            np.testing.assert_allclose(
+                (Xe - xm) @ W + ym, eb.ridge_solve(X, Y, Xe, [1.0, 0.0]),
+                atol=1e-10)
 
 
 class TestBandScaling:
@@ -110,6 +120,15 @@ class TestBandScaling:
             mine = eb.ridge_solve(scaled_tr, Y, scaled_ev, [alpha])[0]
             oracle = block_penalty_oracle([Xa, Xb], Y, [Ea, Eb], alpha, gamma)
             np.testing.assert_allclose(mine, oracle, atol=1e-8)
+        # wide: 2 bands, 28 columns on 12 rows take the Gram path
+        Xa, Xb = rng.standard_normal((12, 4)), rng.standard_normal((12, 24))
+        Ea, Eb = rng.standard_normal((6, 4)), rng.standard_normal((6, 24))
+        Y = rng.standard_normal((12, 3))
+        gamma = np.array([0.8, 0.2])
+        mine = eb.ridge_solve(eb.apply_band_scaling([Xa, Xb], gamma), Y,
+                              eb.apply_band_scaling([Ea, Eb], gamma), [2.0])[0]
+        oracle = block_penalty_oracle([Xa, Xb], Y, [Ea, Eb], 2.0, gamma)
+        np.testing.assert_allclose(mine, oracle, atol=1e-8)
 
     def test_length_mismatch_rejected(self, rng):
         with pytest.raises(DataError):
@@ -194,6 +213,30 @@ class TestBandedSearch:
         np.testing.assert_array_equal(a.test_predictions, b.test_predictions)
         np.testing.assert_array_equal(a.chosen_gamma, b.chosen_gamma)
         np.testing.assert_array_equal(a.chosen_alpha, b.chosen_alpha)
+
+    def test_gram_path_safe_across_threads(self, rng):
+        class SlowMatmul(np.ndarray):
+            # widens any window between building a band Gram and its cross Gram
+            def __matmul__(self, other):
+                time.sleep(0.2)
+                return np.asarray(self) @ other
+
+        bands = [rng.standard_normal((40, 3)), rng.standard_normal((40, 30))]
+        Y = rng.standard_normal((40, 5))
+        fold = _FoldData(bands, Y, np.arange(24), np.arange(24, 40))
+        assert sum(Z.shape[1] for Z in fold.Ztr) > fold.n_train
+        fold.Zev = [Z.view(SlowMatmul) for Z in fold.Zev]
+        gamma = np.array([0.6, 0.4])
+        alphas = [0.0, 1.0, 100.0]
+
+        def predict(delay):
+            time.sleep(delay)
+            return fold.predict_grid(gamma, alphas)
+
+        # the second call starts while a lazy cache would be mid-build
+        first, second = _map_ordered(predict, [0.0, 0.05], 2)
+        np.testing.assert_array_equal(first, second)
+        np.testing.assert_array_equal(first, fold.predict_grid(gamma, alphas))
 
     def test_never_worse_than_best_single_band(self, rng, small_plan):
         bands = [
