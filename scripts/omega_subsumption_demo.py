@@ -25,11 +25,7 @@ def main():
         spec, extras = eb.preset("subsumption-demo", seed=seed)
         llm = extras[0]
         recording, _ = eb.generate(spec)
-        categories = [
-            int(spec.categories[np.flatnonzero(spec.block_ids == b)[0]])
-            for b in np.unique(spec.block_ids)
-        ]
-        plan = eb.plan_pereira(categories, 4, spec.block_ids)
+        plan = eb.plan_pereira(spec.categories, spec.block_ids)
 
         spsl = [eb.FeatureSpace(fs.name, fs.data, "spsl")
                 for fs in spec.signal_features]

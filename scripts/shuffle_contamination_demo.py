@@ -27,11 +27,7 @@ def main():
     for seed in range(args.seeds):
         spec, _ = eb.preset("shuffle-demo", seed=seed, n_units=args.units)
         recording, _ = eb.generate(spec)
-        categories = [
-            int(spec.categories[np.flatnonzero(spec.block_ids == b)[0]])
-            for b in np.unique(spec.block_ids)
-        ]
-        plan = eb.plan_pereira(categories, 4, spec.block_ids)
+        plan = eb.plan_pereira(spec.categories, spec.block_ids)
         shuffled = eb.shuffle_plan(plan, seed)
         oasm = eb.build_oasm(spec.n_samples, spec.block_ids, args.oasm_sigma)
 

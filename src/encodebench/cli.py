@@ -22,13 +22,18 @@ from .features import (
     build_sentence_length,
     build_sentence_position,
     build_word_position,
-    oasm_sigma_grid,
     sweep_oasm_sigma,
 )
 from .matrixio import load_manifest, save_matrix
-from .pipeline import AnalysisConfig, SplitSpec, build_plan, run_analysis
+from .pipeline import (
+    SCHEMES,
+    AnalysisConfig,
+    SplitSpec,
+    feature_matrices,
+    run_analysis,
+    split_plans,
+)
 from .ridge import BandedSearchConfig, banded_search
-from .splits import shuffle_plan
 from .synthgen import preset, write_dataset
 
 logger = logging.getLogger("encodebench")
@@ -67,6 +72,14 @@ def build_parser() -> _Parser:
     common.add_argument("--threads", type=int, default=None)
     common.add_argument("--output", type=Path, default=None)
 
+    planned = _Parser(add_help=False)
+    planned.add_argument("--manifest", type=Path, required=True)
+    planned.add_argument("--scheme", required=True, choices=SCHEMES)
+    planned.add_argument("--mode", default="contiguous",
+                         choices=("contiguous", "shuffled"))
+    planned.add_argument("--n-outer", type=int, default=5)
+    planned.add_argument("--n-inner", type=int, default=4)
+
     parser = _Parser(prog="encodebench")
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -93,43 +106,22 @@ def build_parser() -> _Parser:
     p.add_argument("--sentences", type=int, default=None)
     p.set_defaults(handler=cmd_features)
 
-    p = sub.add_parser("split", parents=[common],
+    p = sub.add_parser("split", parents=[common, planned],
                        help="emit a fold plan as JSON")
-    p.add_argument("--manifest", type=Path, required=True)
-    p.add_argument("--scheme", required=True,
-                   choices=("pereira", "fedorenko", "blank", "grouped"))
-    p.add_argument("--mode", default="contiguous",
-                   choices=("contiguous", "shuffled"))
-    p.add_argument("--n-outer", type=int, default=5)
-    p.add_argument("--n-inner", type=int, default=4)
     p.set_defaults(handler=cmd_split)
 
-    p = sub.add_parser("fit", parents=[common],
+    p = sub.add_parser("fit", parents=[common, planned],
                        help="banded ridge fit of selected feature spaces")
-    p.add_argument("--manifest", type=Path, required=True)
     p.add_argument("--spaces", default=None,
                    help="comma-separated feature-space names (default: all)")
-    p.add_argument("--scheme", required=True,
-                   choices=("pereira", "fedorenko", "blank", "grouped"))
-    p.add_argument("--mode", default="contiguous",
-                   choices=("contiguous", "shuffled"))
-    p.add_argument("--n-outer", type=int, default=5)
-    p.add_argument("--n-inner", type=int, default=4)
     p.add_argument("--oasm-sigma", type=float, default=None)
     p.add_argument("--max-iters", type=int, default=1000)
     p.add_argument("--patience", type=int, default=50)
     p.add_argument("--min-improvement", type=float, default=1e-4)
     p.set_defaults(handler=cmd_fit)
 
-    p = sub.add_parser("oasm-sweep", parents=[common],
+    p = sub.add_parser("oasm-sweep", parents=[common, planned],
                        help="sweep the OASM smoothing width")
-    p.add_argument("--manifest", type=Path, required=True)
-    p.add_argument("--scheme", required=True,
-                   choices=("pereira", "fedorenko", "blank", "grouped"))
-    p.add_argument("--mode", default="contiguous",
-                   choices=("contiguous", "shuffled"))
-    p.add_argument("--n-outer", type=int, default=5)
-    p.add_argument("--n-inner", type=int, default=4)
     p.set_defaults(handler=cmd_oasm_sweep)
 
     p = sub.add_parser("compare", parents=[common],
@@ -226,10 +218,7 @@ def _plan_from_args(args):
     split = SplitSpec(scheme=args.scheme, mode=args.mode,
                       shuffle_seed=args.seed, n_outer=args.n_outer,
                       n_inner=args.n_inner)
-    plan = build_plan(split, dataset.recording)
-    if args.mode == "shuffled":
-        plan = shuffle_plan(plan, args.seed)
-    return dataset, plan
+    return dataset, split_plans(split, dataset.recording)[args.mode]
 
 
 def cmd_split(args) -> int:
@@ -249,18 +238,14 @@ def cmd_split(args) -> int:
 def cmd_fit(args) -> int:
     out = _require_output(args)
     dataset, plan = _plan_from_args(args)
-    features = list(dataset.features)
-    if args.oasm_sigma is not None:
-        features.append(build_oasm(dataset.recording.n_samples,
-                                   dataset.recording.block_ids,
-                                   args.oasm_sigma))
+    matrices = feature_matrices(dataset, args.oasm_sigma)
+    features = list(matrices.values())
     if args.spaces:
         wanted = [name.strip() for name in args.spaces.split(",")]
-        by_name = {fs.name: fs for fs in features}
-        missing = [w for w in wanted if w not in by_name]
+        missing = [w for w in wanted if w not in matrices]
         if missing:
             raise DataError(f"unknown feature spaces: {missing}")
-        features = [by_name[w] for w in wanted]
+        features = [matrices[w] for w in wanted]
     if not features:
         raise DataError("no feature spaces selected")
 
@@ -285,7 +270,7 @@ def cmd_oasm_sweep(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     doc = {
         "best_sigma": result.best_sigma,
-        "grid": oasm_sigma_grid().tolist(),
+        "grid": result.sigmas.tolist(),
         "scores": result.scores.tolist(),
     }
     with open(out / "sweep.json", "w") as fh:

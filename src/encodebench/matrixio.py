@@ -169,20 +169,6 @@ class Manifest:
             base_dir=path.parent,
         )
 
-    def to_dict(self) -> dict:
-        doc = {
-            "dataset_name": self.dataset_name,
-            "feature_spaces": self.feature_specs,
-            "responses_path": self.responses_path,
-            "sample_blocks": self.sample_blocks,
-            "unit_participants": self.unit_participants,
-        }
-        if self.sample_categories is not None:
-            doc["sample_categories"] = self.sample_categories
-        if self.token_map is not None:
-            doc["token_map"] = self.token_map
-        return doc
-
 
 @dataclass
 class LoadedDataset:

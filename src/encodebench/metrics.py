@@ -170,7 +170,6 @@ def phi(r2_oasm_llm_star, r2_oasm, participants) -> PartitionResult:
 
 @dataclass
 class ComparisonReport:
-    subset_names: list[str]
     r2_corrected: np.ndarray                      # max over all subsets
     r2_corrected_with_llm: Optional[np.ndarray]   # max over LLM-containing subsets
     r2_corrected_without_llm: Optional[np.ndarray]
@@ -225,7 +224,6 @@ def build_comparison_report(subset_scores: Mapping, participants,
         summaries[name] = clip_and_average(table[key], participants)
 
     return ComparisonReport(
-        subset_names=list(summaries),
         r2_corrected=corrected,
         r2_corrected_with_llm=with_llm,
         r2_corrected_without_llm=without_llm,

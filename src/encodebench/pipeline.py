@@ -49,6 +49,7 @@ from .stats import TestResult, chance_level_test
 logger = logging.getLogger(__name__)
 
 MAX_FAMILY_SPACES = 6
+SCHEMES = ("pereira", "fedorenko", "blank", "grouped")
 
 
 @dataclass
@@ -174,7 +175,7 @@ class AnalysisConfig:
     def validate(self) -> None:
         if self.split.mode not in ("contiguous", "shuffled", "both"):
             raise DataError(f"unknown split mode {self.split.mode!r}")
-        if self.split.scheme not in ("pereira", "fedorenko", "blank", "grouped"):
+        if self.split.scheme not in SCHEMES:
             raise DataError(f"unknown split scheme {self.split.scheme!r}")
         names = [s.name for s in self.spaces]
         if len(set(names)) != len(names):
@@ -208,42 +209,66 @@ class AnalysisConfig:
     def _validate_side(side, declared) -> None:
         if side == "intercept":
             return
-        if isinstance(side, dict) and "spaces" in side:
-            unknown = set(side["spaces"]) - declared
-        elif isinstance(side, dict) and "family" in side:
-            unknown = set(side["family"]) - declared
+        if not (isinstance(side, dict) and ("spaces" in side or "family" in side)):
+            raise DataError(f"unintelligible test side: {side!r}")
+        if "spaces" not in side:
             required = side.get("required")
             if required is not None and required not in side["family"]:
                 raise DataError(f"required space {required!r} not in test family")
-        else:
-            raise DataError(f"unintelligible test side: {side!r}")
-        if unknown:
-            raise DataError(f"test references unknown spaces {sorted(unknown)}")
+        named = _side_spaces(side)
+        if not named:
+            raise DataError(f"test side names no spaces: {side!r}")
+        if named - declared:
+            raise DataError(
+                f"test references unknown spaces {sorted(named - declared)}")
+
+
+def _side_spaces(side) -> set:
+    """The spaces a test side names; the intercept names none."""
+    if side == "intercept":
+        return set()
+    return set(side["spaces"] if "spaces" in side else side["family"])
 
 
 def build_plan(split: SplitSpec, recording) -> SplitPlan:
+    """The contiguous plan of the split's scheme over the recording's blocks."""
     blocks = recording.block_ids
     if split.scheme == "pereira":
         if recording.categories is None:
             raise DataError("pereira scheme needs sample_categories in the manifest")
-        passage_cats = []
-        seen = []
-        for b, c in zip(blocks, recording.categories):
-            if not seen or seen[-1] != b:
-                seen.append(int(b))
-                passage_cats.append(int(c))
-        counts = {c: passage_cats.count(c) for c in set(passage_cats)}
-        sizes = set(counts.values())
-        if len(sizes) != 1:
-            raise DataError(f"unequal passages per category: {counts}")
-        return plan_pereira(passage_cats, sizes.pop(), blocks,
+        return plan_pereira(recording.categories, blocks,
                             seed=split.selection_seed)
     if split.scheme == "fedorenko":
-        n_sentences = np.unique(blocks).size
-        return plan_fedorenko(n_sentences, blocks)
+        return plan_fedorenko(blocks)
     if split.scheme == "blank":
         return plan_blank(blocks)
     return plan_grouped(blocks, split.n_outer, split.n_inner)
+
+
+def split_plans(split: SplitSpec, recording) -> dict[str, SplitPlan]:
+    """The plans the split's mode asks for, keyed by mode: the contiguous
+    plan, its seeded shuffle, or both."""
+    plan = build_plan(split, recording)
+    plans = {}
+    if split.mode in ("contiguous", "both"):
+        plans["contiguous"] = plan
+    if split.mode in ("shuffled", "both"):
+        plans["shuffled"] = shuffle_plan(plan, split.shuffle_seed)
+    return plans
+
+
+def feature_matrices(dataset: LoadedDataset,
+                     oasm_sigma: Optional[float] = None) -> dict[str, FeatureSpace]:
+    """The named feature matrices of a run: the manifest's, plus ``OASM``
+    built from the block ids when ``oasm_sigma`` is set."""
+    matrices = {fs.name: fs for fs in dataset.features}
+    if oasm_sigma is not None:
+        if "OASM" in matrices:
+            raise DataError("manifest already provides a matrix named OASM")
+        recording = dataset.recording
+        matrices["OASM"] = build_oasm(
+            recording.n_samples, recording.block_ids, oasm_sigma)
+    return matrices
 
 
 def layered_best(subset_scores: Mapping, complexity_order: Sequence[str]):
@@ -309,14 +334,12 @@ class TestOutcome:
 
 @dataclass
 class FamilyResult:
-    name: str
-    mode: str
-    subset_names: list[str]
     subset_r2: dict            # frozenset -> per-unit r2
     subset_preds: dict         # frozenset -> pooled test predictions
     comparison: ComparisonReport
     layered: list
     tests: list[TestOutcome]
+    skipped_tests: list[str]   # pairs naming a space outside the family
 
 
 @dataclass
@@ -355,6 +378,7 @@ class RunReport:
                         }
                         for t in fr.tests
                     ],
+                    "skipped_tests": fr.skipped_tests,
                 }
                 if fr.comparison.omega is not None:
                     doc["omega"] = {
@@ -483,12 +507,7 @@ def run_analysis(config: AnalysisConfig, threads: int = 1,
     recording = dataset.recording
     Y = recording.responses
 
-    matrices = {fs.name: fs for fs in dataset.features}
-    if config.oasm_sigma is not None:
-        if "OASM" in matrices:
-            raise DataError("manifest already provides a matrix named OASM")
-        matrices["OASM"] = build_oasm(
-            recording.n_samples, recording.block_ids, config.oasm_sigma)
+    matrices = feature_matrices(dataset, config.oasm_sigma)
     spaces = {s.name: s for s in config.spaces}
     for spec in config.spaces:
         for member in spec.members:
@@ -498,12 +517,7 @@ def run_analysis(config: AnalysisConfig, threads: int = 1,
                     "which the manifest does not provide"
                 )
 
-    base_plan = build_plan(config.split, recording)
-    plans = {}
-    if config.split.mode in ("contiguous", "both"):
-        plans["contiguous"] = base_plan
-    if config.split.mode in ("shuffled", "both"):
-        plans["shuffled"] = shuffle_plan(base_plan, config.split.shuffle_seed)
+    plans = split_plans(config.split, recording)
 
     # one fit per distinct (mode, subset), shared across families
     jobs = []
@@ -563,18 +577,17 @@ def run_analysis(config: AnalysisConfig, threads: int = 1,
                 for key, values in fam_subsets.items()
             }
             layered = layered_best(scalar_scores, fam.complexity_order)
-            tests = _run_tests(
+            tests, skipped = _run_tests(
                 config, fam, Y, fam_preds, fam_subsets,
                 intercepts[mode], participants,
             )
             report_results[mode][fam.name] = FamilyResult(
-                name=fam.name, mode=mode,
-                subset_names=["+".join(sorted(k)) for k in fam_subsets],
                 subset_r2=fam_subsets,
                 subset_preds=fam_preds,
                 comparison=comparison,
                 layered=layered,
                 tests=tests,
+                skipped_tests=skipped,
             )
 
     provenance = {
@@ -600,16 +613,21 @@ def run_analysis(config: AnalysisConfig, threads: int = 1,
 
 
 def _run_tests(config: AnalysisConfig, fam: FamilySpec, Y, fam_preds,
-               fam_subsets, intercept_pred, participants) -> list[TestOutcome]:
+               fam_subsets, intercept_pred, participants):
+    """Outcomes of the pairs that apply to the family, and the names of the
+    skipped ones: a pair applies only if every space either side names is
+    in the family."""
     outcomes = []
+    skipped = []
     for test in config.tests:
-        try:
-            pred_a = _resolve_side(test.model_a, fam, fam_preds, fam_subsets,
-                                   intercept_pred)
-            pred_b = _resolve_side(test.model_b, fam, fam_preds, fam_subsets,
-                                   intercept_pred)
-        except KeyError:
-            continue  # pair refers to subsets outside this family
+        named = _side_spaces(test.model_a) | _side_spaces(test.model_b)
+        if not named <= set(fam.spaces):
+            skipped.append(test.name)
+            continue
+        pred_a = _resolve_side(test.model_a, fam_preds, fam_subsets,
+                               intercept_pred)
+        pred_b = _resolve_side(test.model_b, fam_preds, fam_subsets,
+                               intercept_pred)
         result = chance_level_test(Y, pred_a, pred_b, participants,
                                    config.alpha_level)
         outcomes.append(TestOutcome(
@@ -618,11 +636,10 @@ def _run_tests(config: AnalysisConfig, fam: FamilySpec, Y, fam_preds,
             n_rejected_raw=int((result.p < config.alpha_level).sum()),
             n_rejected_fdr=int(result.rejected.sum()),
         ))
-    return outcomes
+    return outcomes, skipped
 
 
-def _resolve_side(side, fam: FamilySpec, fam_preds, fam_subsets,
-                  intercept_pred):
+def _resolve_side(side, fam_preds, fam_subsets, intercept_pred):
     if side == "intercept":
         return intercept_pred
     if "spaces" in side:

@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -77,54 +77,68 @@ class SplitPlan:
         return cls(folds, doc["mode"], doc["scheme"], doc["n_samples"])
 
 
-def _as_index_array(values) -> np.ndarray:
-    return np.sort(np.asarray(list(values), dtype=np.int64))
+def _blocks(block_ids) -> tuple[np.ndarray, list[int]]:
+    """Per-sample block ids as int64, and the blocks in order of first
+    appearance; raises unless every block is one contiguous run."""
+    ids = np.asarray(block_ids, dtype=np.int64)
+    return ids, [int(ids[start]) for start, _ in block_runs(ids)]
 
 
-def _block_samples(block_ids) -> dict[int, np.ndarray]:
-    ids = np.asarray(block_ids)
-    return {int(ids[start]): np.arange(start, stop, dtype=np.int64)
-            for start, stop in block_runs(ids)}
+def _nested_plan(ids, blocks, scheme: str, outer, inner=None) -> SplitPlan:
+    """The one fold builder behind every scheme.
+
+    ``outer(blocks)`` groups the blocks into test sets; ``inner(remaining)``,
+    by default ``outer``, groups each test set's remaining blocks into
+    validation sets. Training takes every other remaining block, so no block
+    is ever split across a boundary.
+    """
+    inner = inner or outer
+    outer_folds = []
+    for test in outer(blocks):
+        in_test = np.isin(ids, test)
+        remaining = [b for b in blocks if b not in test]
+        inner_folds = []
+        for val in inner(remaining):
+            in_val = np.isin(ids, val)
+            inner_folds.append(InnerFold(train=np.flatnonzero(~(in_test | in_val)),
+                                         validation=np.flatnonzero(in_val)))
+        outer_folds.append(OuterFold(np.flatnonzero(in_test), inner_folds))
+    return SplitPlan(outer_folds, "contiguous", scheme, int(ids.size))
 
 
-def _samples_of(blocks, lookup) -> np.ndarray:
-    if not blocks:
-        return np.empty(0, dtype=np.int64)
-    return _as_index_array(np.concatenate([lookup[b] for b in blocks]))
+def _chunks(size: int):
+    """Groups of ``size`` consecutive blocks, the last one possibly shorter."""
+    return lambda blocks: [blocks[i:i + size] for i in range(0, len(blocks), size)]
 
 
-def plan_pereira(categories: Sequence[int], passages_per_category: int,
-                 block_ids, seed: Optional[int] = None) -> SplitPlan:
+def plan_pereira(sample_categories, block_ids,
+                 seed: Optional[int] = None) -> SplitPlan:
     """Category-balanced passage folds.
 
-    Each outer fold selects one passage per category and designates the
-    passages of one category half as the test set; inner folds repeat the
-    construction on the remaining passages. With P passages per category
-    this yields 2P outer folds of 2P-1 inner folds each (8/7 for P=4,
-    6/5 for P=3). Selection order is round-robin by passage index unless a
-    seed is given.
+    Every sample of a passage (block) must carry the same category, and
+    every category must hold the same number P of passages. Each outer fold
+    selects one passage per category and designates the passages of one
+    category half as the test set; inner folds repeat the construction on
+    the remaining passages. This yields 2P outer folds of 2P-1 inner folds
+    each (8/7 for P=4, 6/5 for P=3). Selection order is round-robin by
+    passage index unless a seed is given.
     """
-    block_ids = np.asarray(block_ids, dtype=np.int64)
-    lookup = _block_samples(block_ids)
-    passage_order = list(lookup.keys())  # order of first appearance
-    if len(categories) != len(passage_order):
-        raise DataError(
-            f"{len(categories)} category labels for {len(passage_order)} passages"
-        )
-
+    ids, blocks = _blocks(block_ids)
+    sample_categories = np.asarray(sample_categories, dtype=np.int64)
+    if sample_categories.shape != ids.shape:
+        raise DataError(f"{sample_categories.size} category labels for "
+                        f"{ids.size} samples")
     by_category: dict[int, list[int]] = {}
-    for passage, cat in zip(passage_order, categories):
-        by_category.setdefault(int(cat), []).append(passage)
+    for passage in blocks:
+        cats = np.unique(sample_categories[ids == passage])
+        if cats.size != 1:
+            raise DataError(f"passage {passage} carries categories "
+                            f"{cats.tolist()}")
+        by_category.setdefault(int(cats[0]), []).append(passage)
     cat_order = sorted(by_category)
     sizes = {c: len(v) for c, v in by_category.items()}
     if len(set(sizes.values())) != 1:
         raise DataError(f"unequal passages per category: {sizes}")
-    n_per_cat = next(iter(sizes.values()))
-    if n_per_cat != passages_per_category:
-        raise DataError(
-            f"expected {passages_per_category} passages per category, "
-            f"found {n_per_cat}"
-        )
 
     if seed is not None:
         rng = np.random.default_rng(seed)
@@ -138,125 +152,55 @@ def plan_pereira(categories: Sequence[int], passages_per_category: int,
     if not halves[1]:
         raise DataError("need at least two categories")
 
-    outer_folds = []
-    for idx in range(passages_per_category):
-        for half in halves:
-            test_passages = {by_category[c][idx] for c in half}
-            remaining = {
-                c: [p for p in by_category[c] if p not in test_passages]
-                for c in cat_order
-            }
-            inner_folds = []
-            for inner_half in halves:
-                n_slots = len(remaining[inner_half[0]])
-                for j in range(n_slots):
-                    val_passages = {remaining[c][j] for c in inner_half}
-                    train_passages = [
-                        p for c in cat_order for p in remaining[c]
-                        if p not in val_passages
-                    ]
-                    inner_folds.append(InnerFold(
-                        train=_samples_of(train_passages, lookup),
-                        validation=_samples_of(val_passages, lookup),
-                    ))
-            outer_folds.append(OuterFold(
-                test=_samples_of(test_passages, lookup),
-                inner_folds=inner_folds,
-            ))
-    return SplitPlan(outer_folds, "contiguous", "pereira", int(block_ids.size))
+    def groups(blocks, slot_major):
+        # slot j of a half: the j-th remaining passage of each of its categories
+        kept = set(blocks)
+        slots = {c: [p for p in by_category[c] if p in kept] for c in cat_order}
+        cells = [(h, j) for h, half in enumerate(halves)
+                 for j in range(len(slots[half[0]]))]
+        if slot_major:
+            cells.sort(key=lambda cell: cell[1])
+        return [[slots[c][j] for c in halves[h]] for h, j in cells]
+
+    return _nested_plan(ids, blocks, "pereira", lambda b: groups(b, True),
+                        lambda b: groups(b, False))
 
 
-def plan_fedorenko(n_sentences: int, sentence_blocks) -> SplitPlan:
+def plan_fedorenko(sentence_blocks) -> SplitPlan:
     """Four whole sentences per test fold; inner folds likewise."""
-    sentence_blocks = np.asarray(sentence_blocks, dtype=np.int64)
-    lookup = _block_samples(sentence_blocks)
-    sentences = list(lookup.keys())
-    if len(sentences) != n_sentences:
-        raise DataError(
-            f"declared {n_sentences} sentences but found {len(sentences)} blocks"
-        )
-    if n_sentences < 8:
+    ids, sentences = _blocks(sentence_blocks)
+    if len(sentences) < 8:
         raise DataError("need at least 8 sentences")
-
-    outer_folds = []
-    for start in range(0, n_sentences, 4):
-        test_sentences = sentences[start:start + 4]
-        remaining = [s for s in sentences if s not in test_sentences]
-        inner_folds = []
-        for istart in range(0, len(remaining), 4):
-            val = remaining[istart:istart + 4]
-            train = [s for s in remaining if s not in val]
-            inner_folds.append(InnerFold(
-                train=_samples_of(train, lookup),
-                validation=_samples_of(val, lookup),
-            ))
-        outer_folds.append(OuterFold(
-            test=_samples_of(test_sentences, lookup),
-            inner_folds=inner_folds,
-        ))
-    return SplitPlan(outer_folds, "contiguous", "fedorenko",
-                     int(sentence_blocks.size))
+    return _nested_plan(ids, sentences, "fedorenko", _chunks(4))
 
 
 def plan_blank(story_ids) -> SplitPlan:
     """Leave-one-story-out outer folds, leave-one-remaining-story-out inner."""
-    story_ids = np.asarray(story_ids, dtype=np.int64)
-    lookup = _block_samples(story_ids)
-    stories = list(lookup.keys())
+    ids, stories = _blocks(story_ids)
     if len(stories) < 3:
         raise DataError("need at least 3 stories")
-
-    outer_folds = []
-    for test_story in stories:
-        remaining = [s for s in stories if s != test_story]
-        inner_folds = []
-        for val_story in remaining:
-            train = [s for s in remaining if s != val_story]
-            inner_folds.append(InnerFold(
-                train=_samples_of(train, lookup),
-                validation=_samples_of([val_story], lookup),
-            ))
-        outer_folds.append(OuterFold(
-            test=_samples_of([test_story], lookup),
-            inner_folds=inner_folds,
-        ))
-    return SplitPlan(outer_folds, "contiguous", "blank", int(story_ids.size))
+    return _nested_plan(ids, stories, "blank", _chunks(1))
 
 
 def plan_grouped(block_ids, n_outer: int = 5, n_inner: int = 4) -> SplitPlan:
     """Group k-fold over blocks for datasets without category, sentence,
     or story structure."""
-    block_ids = np.asarray(block_ids, dtype=np.int64)
-    lookup = _block_samples(block_ids)
-    blocks = list(lookup.keys())
-    if n_outer < 2 or n_outer > len(blocks):
-        raise DataError(f"n_outer must be in [2, {len(blocks)}]")
-    min_remaining = len(blocks) - math.ceil(len(blocks) / n_outer)
+    ids, blocks = _blocks(block_ids)
+    n_blocks = len(blocks)
+    if n_outer < 2 or n_outer > n_blocks:
+        raise DataError(f"n_outer must be in [2, {n_blocks}]")
+    min_remaining = n_blocks - math.ceil(n_blocks / n_outer)
     if n_inner < 2 or n_inner > min_remaining:
         raise DataError(
             f"n_inner must be in [2, {min_remaining}] so every inner fold "
             "keeps training blocks"
         )
 
-    outer_chunks = np.array_split(np.asarray(blocks), n_outer)
-    outer_folds = []
-    for chunk in outer_chunks:
-        test_blocks = chunk.tolist()
-        remaining = [b for b in blocks if b not in test_blocks]
-        inner_folds = []
-        for inner_chunk in np.array_split(np.asarray(remaining), n_inner):
-            val = inner_chunk.tolist()
-            train = [b for b in remaining if b not in val]
-            inner_folds.append(InnerFold(
-                train=_samples_of(train, lookup),
-                validation=_samples_of(val, lookup),
-            ))
-        outer_folds.append(OuterFold(
-            test=_samples_of(test_blocks, lookup),
-            inner_folds=inner_folds,
-        ))
-    return SplitPlan(outer_folds, "contiguous", "generic-grouped",
-                     int(block_ids.size))
+    def split(n):
+        return lambda blocks: [c.tolist() for c in np.array_split(blocks, n)]
+
+    return _nested_plan(ids, blocks, "generic-grouped", split(n_outer),
+                        split(n_inner))
 
 
 def shuffle_plan(plan: SplitPlan, seed: int) -> SplitPlan:

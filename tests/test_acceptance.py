@@ -41,13 +41,6 @@ def criterion(number, name, budget_seconds=None):
     print(f"[acceptance] {number:2d} {name}: PASS ({elapsed:.1f}s)")
 
 
-def _pereira_plan_from_spec(spec):
-    categories = [int(spec.categories[np.flatnonzero(spec.block_ids == b)[0]])
-                  for b in np.unique(spec.block_ids)]
-    per_category = len(categories) // len(set(categories))
-    return eb.plan_pereira(categories, per_category, spec.block_ids)
-
-
 def test_criterion_1_ridge_oracle_equivalence():
     with criterion(1, "ridge oracle equivalence", budget_seconds=10):
         grid = eb.default_alpha_grid()
@@ -106,11 +99,11 @@ def test_criterion_4_fold_count_replication():
         }
         for preset_name, (outer, inner) in expectations.items():
             spec, _ = eb.preset(preset_name, n_units=4)
-            plan = _pereira_plan_from_spec(spec)
+            plan = eb.plan_pereira(spec.categories, spec.block_ids)
             assert len(plan.outer_folds) == outer
             assert all(len(f.inner_folds) == inner for f in plan.outer_folds)
         spec, _ = eb.preset("fedorenko", n_units=4)
-        plan = eb.plan_fedorenko(52, spec.block_ids)
+        plan = eb.plan_fedorenko(spec.block_ids)
         assert len(plan.outer_folds) == 13
         assert all(len(f.inner_folds) == 12 for f in plan.outer_folds)
         spec, _ = eb.preset("blank", n_units=4)
@@ -128,7 +121,7 @@ def test_criterion_5_shuffled_split_contamination():
             assert np.unique(spec.block_ids).size == 96
             recording, _ = eb.generate(spec)
             oasm = eb.build_oasm(spec.n_samples, spec.block_ids, 2.0)
-            plan = _pereira_plan_from_spec(spec)
+            plan = eb.plan_pereira(spec.categories, spec.block_ids)
             shuffled = eb.shuffle_plan(plan, seed)
             r2 = {}
             for mode, mode_plan in (("contiguous", plan),
@@ -150,7 +143,7 @@ def test_criterion_6_omega_subsumption():
             llm = extras[0]
             assert llm.n_dims == 512
             recording, _ = eb.generate(spec)
-            plan = _pereira_plan_from_spec(spec)
+            plan = eb.plan_pereira(spec.categories, spec.block_ids)
             spsl = [eb.FeatureSpace(fs.name, fs.data, "spsl")
                     for fs in spec.signal_features]
             fits = {

@@ -85,6 +85,22 @@ class TestSplit:
         plan = eb.SplitPlan.from_dict(doc)
         eb.validate_plan(plan)
 
+    def test_passage_with_two_categories_exits_2(self, tmp_path, capsys):
+        assert main(["synth", "--preset", "pereira-exp2", "--units", "4",
+                     "--output", str(tmp_path / "d")]) == 0
+        manifest = tmp_path / "d" / "manifest.json"
+        doc = json.loads(manifest.read_text())
+        assert doc["sample_blocks"][1] == doc["sample_blocks"][0]
+        cats = doc["sample_categories"]
+        cats[1] = next(c for c in cats if c != cats[0])
+        manifest.write_text(json.dumps(doc))
+        out = tmp_path / "plan.json"
+        code = main(["split", "--manifest", str(manifest),
+                     "--scheme", "pereira", "--output", str(out)])
+        assert code == 2
+        assert "carries categories" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestExitCodes:
     def test_usage_error_is_1(self, capsys):
@@ -114,6 +130,25 @@ class TestFit:
         line = _lines(capsys)[-1]
         assert line["event"] == "fit"
         assert set(line["bands"]) == {"spsl"}
+
+    def test_oasm_sigma_refuses_manifest_oasm(self, tmp_path, capsys):
+        assert main(["synth", "--preset", "pereira-exp2", "--units", "4",
+                     "--output", str(tmp_path / "d")]) == 0
+        manifest = tmp_path / "d" / "manifest.json"
+        doc = json.loads(manifest.read_text())
+        blocks = doc["sample_blocks"]
+        eb.save_matrix(tmp_path / "d" / "oasm.bbsm",
+                       eb.build_oasm(len(blocks), blocks, 1.0).data)
+        doc["feature_spaces"].append(
+            {"name": "OASM", "path": "oasm.bbsm", "band_group": "oasm"})
+        manifest.write_text(json.dumps(doc))
+        out = tmp_path / "fit"
+        code = main(["fit", "--manifest", str(manifest), "--scheme", "pereira",
+                     "--oasm-sigma", "2.0", "--max-iters", "1",
+                     "--patience", "1", "--output", str(out)])
+        assert code == 2
+        assert "already provides a matrix named OASM" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestCompare:

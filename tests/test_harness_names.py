@@ -1,0 +1,52 @@
+"""The benchmark harness under perfbench/ looks encodebench functions up by
+name; these tests fail when a rename or a signature change would break it."""
+
+import importlib
+import json
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+import encodebench as eb
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+@pytest.fixture
+def harness(monkeypatch):
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    return importlib.import_module("tracer"), importlib.import_module("child")
+
+
+def test_traced_names_resolve(harness):
+    tracer, _ = harness
+    for span, (module, attr) in tracer.TRACED.items():
+        assert callable(getattr(importlib.import_module(module), attr, None)), span
+    assert callable(eb.pipeline.RunReport.save)
+
+
+def test_sweep_runs_as_the_harness_runs_it(harness, tmp_path):
+    """child.py's sweep: build_plan(SplitSpec(scheme=...), recording),
+    shuffle_plan, then sweep_oasm_sigma(..., sigmas=...), all traced."""
+    tracer, child = harness
+    blocks = np.repeat(np.arange(12), 4)
+    spec = eb.SynthSpec(n_samples=48, n_units=4, block_ids=blocks,
+                        signal_scale=0.0, autocorr_sigma=1.0, seed=3,
+                        participants=np.arange(4) % 2)
+    eb.write_dataset(spec, tmp_path / "data", dataset_name="harness")
+    config = {"manifest": "manifest.json", "sigma_stride": 25,
+              "split": {"scheme": "fedorenko", "shuffle_seed": 0}}
+    recorder = tracer.Recorder()
+    recorder.install()
+    try:
+        code = child._sweep(config, str(tmp_path / "data" / "config.json"),
+                            str(tmp_path / "out"))
+    finally:
+        _, restored = recorder.restore()
+    assert code == 0 and restored
+    names = {span.name for span in recorder.spans}
+    assert {"splits.build_plan", "splits.plan_fedorenko", "splits.shuffle_plan",
+            "features.sweep_oasm_sigma", "ridge.banded_search"} <= names
+    doc = json.loads((tmp_path / "out" / "sweep.json").read_text())
+    assert len(doc["grid"]) == len(doc["scores"]) == 2

@@ -163,6 +163,14 @@ class TestConfig:
         with pytest.raises(DataError):
             AnalysisConfig.from_dict(doc, base_dir=tmp_path)
 
+    @pytest.mark.parametrize("side", [{"spaces": []}, {"family": []}])
+    def test_empty_test_side_rejected(self, tmp_path, rng, side):
+        manifest = _make_dataset(tmp_path, rng)
+        doc = _base_config(manifest, tests=[
+            {"name": "empty", "model_a": side, "model_b": "intercept"}])
+        with pytest.raises(DataError, match="names no spaces"):
+            AnalysisConfig.from_dict(doc, base_dir=tmp_path)
+
     def test_llm_must_be_in_family(self, tmp_path, rng):
         manifest = _make_dataset(tmp_path, rng)
         doc = _base_config(manifest)
@@ -285,3 +293,26 @@ class TestRunAnalysis:
         report = eb.run_analysis(config)
         fam = report.results["contiguous"]["main"]
         assert frozenset(["OASM"]) in fam.subset_r2
+
+    @pytest.mark.parametrize("side", [{"spaces": ["WP", "OASM"]},
+                                      {"family": ["WP", "OASM"]}])
+    def test_pair_outside_family_is_skipped_and_listed(self, tmp_path, rng,
+                                                       side):
+        manifest = _make_dataset(tmp_path, rng, n_spaces=1)
+        doc = _base_config(manifest, n_spaces=0, oasm_sigma=1.5)
+        doc["spaces"] = [{"name": "WP", "members": ["F0"], "band": "wp"},
+                         {"name": "OASM", "members": ["OASM"], "band": "oasm"}]
+        doc["families"] = [{"name": "wp", "spaces": ["WP"]},
+                           {"name": "wp-oasm", "spaces": ["WP", "OASM"]}]
+        doc["tests"] = [{"name": "wp-oasm-vs-chance", "model_a": side,
+                         "model_b": "intercept"}]
+        config = AnalysisConfig.from_dict(doc, base_dir=tmp_path)
+        out = tmp_path / "report"
+        eb.run_analysis(config, output_dir=out)
+        families = json.loads(
+            (out / "report.json").read_text())["modes"]["contiguous"]
+        assert families["wp"]["tests"] == []
+        assert families["wp"]["skipped_tests"] == ["wp-oasm-vs-chance"]
+        assert [t["name"] for t in families["wp-oasm"]["tests"]] == [
+            "wp-oasm-vs-chance"]
+        assert families["wp-oasm"]["skipped_tests"] == []

@@ -51,9 +51,7 @@ class TestGenerate:
                             n_participants=4)
         recording, _ = eb.generate(spec)
         oasm = eb.build_oasm(spec.n_samples, spec.block_ids, 2.0)
-        cats = [int(spec.categories[np.flatnonzero(spec.block_ids == b)[0]])
-                for b in np.unique(spec.block_ids)]
-        plan = eb.plan_pereira(cats, 4, spec.block_ids)
+        plan = eb.plan_pereira(spec.categories, spec.block_ids)
         shuffled = eb.shuffle_plan(plan, 0)
         contiguous_fit = eb.banded_search([oasm], recording.responses, plan)
         shuffled_fit = eb.banded_search([oasm], recording.responses, shuffled)
