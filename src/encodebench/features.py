@@ -170,12 +170,9 @@ def build_sentence_length(word_counts: Sequence[int],
     return FeatureSpace("SL", counts[:, None], band_group)
 
 
-def build_word_position(n_sentences: int, words_per_sentence: int = 8,
-                        band_group: str = "wp") -> FeatureSpace:
-    """Per-word 9-D position code: a [0, 1] linear ramp plus an 8-D one-hot
-    smoothed along the position axis (sigma=1)."""
-    if words_per_sentence != 8:
-        raise DataError("word-position features are defined for 8-word sentences")
+def build_word_position(n_sentences: int, band_group: str = "wp") -> FeatureSpace:
+    """Per-word 9-D position code for 8-word sentences: a [0, 1] linear ramp
+    plus an 8-D one-hot smoothed along the position axis (sigma=1)."""
     if n_sentences < 1:
         raise DataError("need at least one sentence")
     ramp = np.arange(8, dtype=np.float64) / 7.0

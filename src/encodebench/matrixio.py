@@ -176,12 +176,6 @@ class LoadedDataset:
     features: list[FeatureSpace]
     recording: NeuralRecording
 
-    def feature(self, name: str) -> FeatureSpace:
-        for fs in self.features:
-            if fs.name == name:
-                return fs
-        raise ManifestError(f"unknown feature space {name!r}")
-
 
 def load_manifest(path) -> LoadedDataset:
     """Load a manifest and every matrix it references, validating consistency."""

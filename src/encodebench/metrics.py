@@ -77,13 +77,12 @@ def _normalize_key(key) -> frozenset:
     return frozenset(key)
 
 
-def _expected_family(universe: frozenset, required: Optional[str]):
-    names = sorted(universe)
-    for size in range(1, len(names) + 1):
-        for combo in itertools.combinations(names, size):
-            subset = frozenset(combo)
-            if required is None or required in subset:
-                yield subset
+def subsets(spaces, required: Optional[str] = None) -> list[tuple]:
+    """Every nonempty subset of ``spaces``, smallest first, then in the given
+    order; with ``required``, only the subsets that contain it."""
+    return [combo for size in range(1, len(spaces) + 1)
+            for combo in itertools.combinations(spaces, size)
+            if required is None or required in combo]
 
 
 def submodel_max(subset_scores: Mapping, required: Optional[str] = None):
@@ -100,10 +99,10 @@ def submodel_max(subset_scores: Mapping, required: Optional[str] = None):
     if required is not None and required not in universe:
         raise DataError(f"required space {required!r} not present in any subset")
     stack = []
-    for subset in _expected_family(universe, required):
-        if subset not in table:
-            raise DataError(f"missing subset {sorted(subset)} in score table")
-        stack.append(table[subset])
+    for combo in subsets(sorted(universe), required):
+        if frozenset(combo) not in table:
+            raise DataError(f"missing subset {list(combo)} in score table")
+        stack.append(table[frozenset(combo)])
     return np.max(np.stack(stack), axis=0)
 
 
@@ -111,26 +110,27 @@ def submodel_max(subset_scores: Mapping, required: Optional[str] = None):
 class PartitionResult:
     per_unit: np.ndarray          # percent per unit; NaN where excluded
     participant_ids: np.ndarray
-    participant_values: np.ndarray
-    mean: float
+    participant_values: np.ndarray  # NaN for a participant with every unit excluded
+    mean: float                   # over the defined participants; NaN if none
     sem: float
     n_excluded: int
 
 
-def _per_participant(per_unit, included, participants, clip_at=None):
+def _partition(per_unit, included, participants, clip_at=None) -> PartitionResult:
+    """Per-participant means of the included units, and their summary."""
     participants = np.asarray(participants)
     ids = np.unique(participants)
-    values = np.empty(ids.size)
+    values = np.full(ids.size, np.nan)
     for i, p in enumerate(ids):
         mask = (participants == p) & included
-        if not mask.any():
-            raise DataError(
-                f"all units excluded for participant {p}: denominator <= 0"
-            )
-        values[i] = per_unit[mask].mean()
+        if mask.any():
+            values[i] = per_unit[mask].mean()
     if clip_at is not None:
         values = np.minimum(values, clip_at)
-    return ids, values
+    defined = values[~np.isnan(values)]
+    mean = float(defined.mean()) if defined.size else float("nan")
+    return PartitionResult(per_unit, ids, values, mean, _sem(defined),
+                           int((~included).sum()))
 
 
 def omega(r2_m_star, r2_m_llm_star, r2_llm, participants) -> PartitionResult:
@@ -148,9 +148,7 @@ def omega(r2_m_star, r2_m_llm_star, r2_llm, participants) -> PartitionResult:
     per_unit[included] = (
         1.0 - (r2_m_llm_star[included] - r2_m_star[included]) / r2_llm[included]
     ) * 100.0
-    ids, values = _per_participant(per_unit, included, participants, clip_at=100.0)
-    return PartitionResult(per_unit, ids, values, float(values.mean()),
-                           _sem(values), int((~included).sum()))
+    return _partition(per_unit, included, participants, clip_at=100.0)
 
 
 def phi(r2_oasm_llm_star, r2_oasm, participants) -> PartitionResult:
@@ -163,9 +161,7 @@ def phi(r2_oasm_llm_star, r2_oasm, participants) -> PartitionResult:
     per_unit[included] = (
         r2_oasm_llm_star[included] / r2_oasm[included] - 1.0
     ) * 100.0
-    ids, values = _per_participant(per_unit, included, participants)
-    return PartitionResult(per_unit, ids, values, float(values.mean()),
-                           _sem(values), int((~included).sum()))
+    return _partition(per_unit, included, participants)
 
 
 @dataclass
@@ -175,19 +171,7 @@ class ComparisonReport:
     r2_corrected_without_llm: Optional[np.ndarray]
     omega: Optional[PartitionResult]
     phi: Optional[PartitionResult]
-    submodel_table: dict[str, ParticipantSummary]
-
-    def csv_rows(self, subset_scores: Mapping, participants) -> list[tuple]:
-        """Flat (unit, participant, subset, r2) rows."""
-        participants = np.asarray(participants)
-        rows = []
-        for key in sorted(subset_scores, key=lambda k: (len(_normalize_key(k)),
-                                                        sorted(_normalize_key(k)))):
-            name = "+".join(sorted(_normalize_key(key)))
-            values = np.asarray(subset_scores[key])
-            for unit, r2 in enumerate(values):
-                rows.append((unit, int(participants[unit]), name, float(r2)))
-        return rows
+    submodel_table: dict[frozenset, ParticipantSummary]
 
 
 def build_comparison_report(subset_scores: Mapping, participants,
@@ -218,10 +202,8 @@ def build_comparison_report(subset_scores: Mapping, participants,
             phi_result = phi(oasm_llm_star, table[frozenset([oasm])],
                              participants)
 
-    summaries = {}
-    for key in sorted(table, key=lambda k: (len(k), sorted(k))):
-        name = "+".join(sorted(key))
-        summaries[name] = clip_and_average(table[key], participants)
+    summaries = {key: clip_and_average(values, participants)
+                 for key, values in table.items()}
 
     return ComparisonReport(
         r2_corrected=corrected,

@@ -15,7 +15,6 @@ runs the configured paired tests, and writes a report directory:
 from __future__ import annotations
 
 import csv
-import itertools
 import json
 import logging
 import time
@@ -29,12 +28,7 @@ from . import __version__
 from .errors import DataError, ManifestError
 from .features import FeatureSpace, build_oasm
 from .matrixio import LoadedDataset, load_manifest, save_matrix
-from .metrics import (
-    ComparisonReport,
-    build_comparison_report,
-    clip_and_average,
-    r2_oos,
-)
+from .metrics import ComparisonReport, build_comparison_report, subsets
 from .ridge import BandedSearchConfig, RidgeConfig, _map_ordered, banded_search
 from .splits import (
     SplitPlan,
@@ -305,15 +299,10 @@ def layered_best(subset_scores: Mapping, complexity_order: Sequence[str]):
 def star_predictions(subset_preds: Mapping, subset_r2: Mapping,
                      family: Sequence[str], required: Optional[str] = None):
     """Per-unit predictions of each unit's best-scoring subset."""
-    keys = []
-    for size in range(1, len(family) + 1):
-        for combo in itertools.combinations(family, size):
-            key = frozenset(combo)
-            if required is not None and required not in key:
-                continue
-            if key not in subset_r2:
-                raise DataError(f"missing fitted subset {sorted(key)}")
-            keys.append(key)
+    keys = [frozenset(combo) for combo in subsets(family, required)]
+    for key in keys:
+        if key not in subset_r2:
+            raise DataError(f"missing fitted subset {sorted(key)}")
     scores = np.stack([subset_r2[k] for k in keys])
     best = np.argmax(scores, axis=0)  # first max -> smaller subset wins ties
     out = np.empty_like(subset_preds[keys[0]])
@@ -328,18 +317,41 @@ def star_predictions(subset_preds: Mapping, subset_r2: Mapping,
 class TestOutcome:
     name: str
     result: TestResult
-    n_rejected_raw: int
-    n_rejected_fdr: int
 
 
 @dataclass
 class FamilyResult:
     subset_r2: dict            # frozenset -> per-unit r2
-    subset_preds: dict         # frozenset -> pooled test predictions
     comparison: ComparisonReport
     layered: list
     tests: list[TestOutcome]
     skipped_tests: list[str]   # pairs naming a space outside the family
+
+
+def _subset_name(key) -> str:
+    return "+".join(sorted(key))
+
+
+def _none_if_nan(value):
+    return None if np.isnan(value) else value
+
+
+def _cell(value) -> str:
+    """A float table cell, blank where the value is undefined."""
+    return "" if np.isnan(value) else repr(float(value))
+
+
+def _write_csv(path, header, rows) -> None:
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
+def _write_json(path, doc) -> None:
+    with open(path, "w") as fh:
+        json.dump(doc, fh, sort_keys=True, indent=2)
+        fh.write("\n")
 
 
 @dataclass
@@ -347,57 +359,15 @@ class RunReport:
     dataset_name: str
     config_echo: dict
     results: dict              # mode -> family name -> FamilyResult
-    intercepts: dict           # mode -> pooled intercept predictions
+    predictions: dict          # mode -> subset name or "intercept" -> pooled predictions
     participants: np.ndarray
     provenance: dict
 
     def summary_dict(self) -> dict:
-        modes = {}
-        for mode, families in self.results.items():
-            fam_docs = {}
-            for fam_name, fr in families.items():
-                subsets = {}
-                for key in sorted(fr.subset_r2, key=lambda k: (len(k), sorted(k))):
-                    name = "+".join(sorted(key))
-                    summary = fr.comparison.submodel_table[name]
-                    subsets[name] = {
-                        "mean_r2": summary.mean,
-                        "sem": _none_if_nan(summary.sem),
-                        "participant_means": summary.participant_means.tolist(),
-                    }
-                doc = {
-                    "subsets": subsets,
-                    "layered": fr.layered,
-                    "mean_r2_corrected": float(
-                        np.maximum(fr.comparison.r2_corrected, 0).mean()),
-                    "tests": [
-                        {
-                            "name": t.name,
-                            "n_rejected_raw": t.n_rejected_raw,
-                            "n_rejected_fdr": t.n_rejected_fdr,
-                        }
-                        for t in fr.tests
-                    ],
-                    "skipped_tests": fr.skipped_tests,
-                }
-                if fr.comparison.omega is not None:
-                    doc["omega"] = {
-                        "mean": fr.comparison.omega.mean,
-                        "sem": _none_if_nan(fr.comparison.omega.sem),
-                        "per_participant":
-                            fr.comparison.omega.participant_values.tolist(),
-                        "n_excluded": fr.comparison.omega.n_excluded,
-                    }
-                if fr.comparison.phi is not None:
-                    doc["phi"] = {
-                        "mean": fr.comparison.phi.mean,
-                        "sem": _none_if_nan(fr.comparison.phi.sem),
-                        "per_participant":
-                            fr.comparison.phi.participant_values.tolist(),
-                        "n_excluded": fr.comparison.phi.n_excluded,
-                    }
-                fam_docs[fam_name] = doc
-            modes[mode] = fam_docs
+        modes = {
+            mode: {name: _family_doc(fr) for name, fr in families.items()}
+            for mode, families in self.results.items()
+        }
         return {
             "dataset": self.dataset_name,
             "config": self.config_echo,
@@ -405,82 +375,82 @@ class RunReport:
         }
 
     def save(self, out_dir) -> Path:
+        """Write the report directory. This sets every table's layout, and the
+        names and row order of the subsets."""
         out = Path(out_dir)
-        (out / "tables").mkdir(parents=True, exist_ok=True)
-        (out / "predictions").mkdir(parents=True, exist_ok=True)
+        tables, preds_dir = out / "tables", out / "predictions"
+        tables.mkdir(parents=True, exist_ok=True)
+        preds_dir.mkdir(parents=True, exist_ok=True)
+        _write_json(out / "report.json", self.summary_dict())
+        _write_json(out / "provenance.json", self.provenance)
 
-        with open(out / "report.json", "w") as fh:
-            json.dump(self.summary_dict(), fh, sort_keys=True, indent=2)
-            fh.write("\n")
-        with open(out / "provenance.json", "w") as fh:
-            json.dump(self.provenance, fh, sort_keys=True, indent=2)
-            fh.write("\n")
-
-        participants = self.participants
+        units = [(unit, int(pid)) for unit, pid in enumerate(self.participants)]
         for mode, families in self.results.items():
-            dumped = set()
-            save_matrix(out / "predictions" / f"{mode}__intercept.bbsm",
-                        self.intercepts[mode])
+            for name, preds in self.predictions[mode].items():
+                save_matrix(preds_dir / f"{mode}__{name}.bbsm", preds)
             for fam_name, fr in families.items():
-                stem = f"{mode}__{fam_name}"
-                with open(out / "tables" / f"{stem}__r2.csv", "w",
-                          newline="") as fh:
-                    writer = csv.writer(fh)
-                    writer.writerow(["unit", "participant", "subset", "r2"])
-                    writer.writerows(
-                        fr.comparison.csv_rows(fr.subset_r2, participants))
-                self._write_corrected_csv(
-                    out / "tables" / f"{stem}__corrected.csv", fr, participants)
+                stem = tables / f"{mode}__{fam_name}"
+                # smallest subsets first, then alphabetical
+                by_size = sorted(fr.subset_r2, key=lambda k: (len(k), sorted(k)))
+                _write_csv(f"{stem}__r2.csv", ["unit", "participant", "subset", "r2"], [
+                    (unit, pid, _subset_name(key), _cell(fr.subset_r2[key][unit]))
+                    for key in by_size for unit, pid in units
+                ])
+                c = fr.comparison
+                optional = [c.r2_corrected_with_llm, c.r2_corrected_without_llm] + [
+                    None if part is None else part.per_unit for part in (c.omega, c.phi)]
+                _write_csv(f"{stem}__corrected.csv", [
+                    "unit", "participant", "r2_corrected", "r2_corrected_with_llm",
+                    "r2_corrected_without_llm", "omega", "phi",
+                ], [
+                    (unit, pid, _cell(c.r2_corrected[unit]),
+                     *("" if col is None else _cell(col[unit]) for col in optional))
+                    for unit, pid in units
+                ])
                 if fr.tests:
-                    with open(out / "tables" / f"{stem}__tests.csv", "w",
-                              newline="") as fh:
-                        writer = csv.writer(fh)
-                        writer.writerow(
-                            ["pair", "unit", "participant", "t", "p", "rejected"])
-                        for t in fr.tests:
-                            for unit, pid, tval, pval, rej in t.result.csv_rows():
-                                writer.writerow([
-                                    t.name, unit, pid, repr(tval), repr(pval), rej,
-                                ])
-                for key in sorted(fr.subset_preds,
-                                  key=lambda k: (len(k), sorted(k))):
-                    name = "+".join(sorted(key))
-                    if (mode, name) in dumped:
-                        continue
-                    dumped.add((mode, name))
-                    save_matrix(out / "predictions" / f"{mode}__{name}.bbsm",
-                                fr.subset_preds[key])
+                    header = ["pair", "unit", "participant", "t", "p", "rejected"]
+                    _write_csv(f"{stem}__tests.csv", header, [
+                        (t.name, unit, pid, _cell(t.result.t[unit]),
+                         _cell(t.result.p[unit]), bool(t.result.rejected[unit]))
+                        for t in fr.tests for unit, pid in units
+                    ])
         return out / "report.json"
 
-    @staticmethod
-    def _write_corrected_csv(path, fr: FamilyResult, participants) -> None:
-        comparison = fr.comparison
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow([
-                "unit", "participant", "r2_corrected", "r2_corrected_with_llm",
-                "r2_corrected_without_llm", "omega", "phi",
-            ])
-            n_units = comparison.r2_corrected.size
-            for unit in range(n_units):
-                def cell(arr):
-                    if arr is None:
-                        return ""
-                    value = arr[unit] if not hasattr(arr, "per_unit") \
-                        else arr.per_unit[unit]
-                    return "" if np.isnan(value) else repr(float(value))
-                writer.writerow([
-                    unit, int(participants[unit]),
-                    repr(float(comparison.r2_corrected[unit])),
-                    cell(comparison.r2_corrected_with_llm),
-                    cell(comparison.r2_corrected_without_llm),
-                    cell(comparison.omega),
-                    cell(comparison.phi),
-                ])
 
-
-def _none_if_nan(value: float):
-    return None if np.isnan(value) else value
+def _family_doc(fr: FamilyResult) -> dict:
+    comparison = fr.comparison
+    doc = {
+        "subsets": {
+            _subset_name(key): {
+                "mean_r2": summary.mean,
+                "sem": _none_if_nan(summary.sem),
+                "participant_means": summary.participant_means.tolist(),
+            }
+            for key, summary in comparison.submodel_table.items()
+        },
+        "layered": fr.layered,
+        "mean_r2_corrected": float(np.maximum(comparison.r2_corrected, 0).mean()),
+        "tests": [
+            {
+                "name": t.name,
+                "n_rejected_raw": int((t.result.p < t.result.level).sum()),
+                "n_rejected_fdr": int(t.result.rejected.sum()),
+            }
+            for t in fr.tests
+        ],
+        "skipped_tests": fr.skipped_tests,
+    }
+    for key in ("omega", "phi"):
+        part = getattr(comparison, key)
+        if part is not None:
+            doc[key] = {
+                "mean": _none_if_nan(part.mean),
+                "sem": _none_if_nan(part.sem),
+                "per_participant":
+                    [_none_if_nan(v) for v in part.participant_values.tolist()],
+                "n_excluded": part.n_excluded,
+            }
+    return doc
 
 
 def _subset_features(subset: Sequence[str], spaces: dict[str, SpaceSpec],
@@ -519,22 +489,16 @@ def run_analysis(config: AnalysisConfig, threads: int = 1,
 
     plans = split_plans(config.split, recording)
 
-    # one fit per distinct (mode, subset), shared across families
-    jobs = []
-    seen = set()
+    # one fit per distinct (mode, subset), shared across families; a subset's
+    # bands follow the order of the first family that has it
+    jobs = {}
     for mode in plans:
         for fam in config.families:
-            order = {s: i for i, s in enumerate(fam.spaces)}
-            for size in range(1, len(fam.spaces) + 1):
-                for combo in itertools.combinations(fam.spaces, size):
-                    subset = tuple(sorted(combo, key=order.get))
-                    key = (mode, frozenset(subset))
-                    if key not in seen:
-                        seen.add(key)
-                        jobs.append((mode, subset))
+            for subset in subsets(fam.spaces):
+                jobs.setdefault((mode, frozenset(subset)), subset)
 
     def run_job(job):
-        mode, subset = job
+        (mode, _), subset = job
         t0 = time.time()
         fit = banded_search(
             _subset_features(subset, spaces, matrices), Y, plans[mode],
@@ -544,51 +508,37 @@ def run_analysis(config: AnalysisConfig, threads: int = 1,
                     time.time() - t0)
         return fit, time.time() - t0
 
-    results = _map_ordered(run_job, jobs, threads)
+    results = _map_ordered(run_job, list(jobs.items()), threads)
     fits = {}
     durations = {}
-    for (mode, subset), (fit, elapsed) in zip(jobs, results):
-        fits[(mode, frozenset(subset))] = fit
+    for ((mode, key), subset), (fit, elapsed) in zip(jobs.items(), results):
+        fits[(mode, key)] = fit
         durations[f"{mode}:{'+'.join(subset)}"] = elapsed
 
     participants = recording.unit_participants
     report_results: dict = {}
-    intercepts = {}
+    predictions = {}
     for mode in plans:
+        mode_fits = {key: fit for (m, key), fit in fits.items() if m == mode}
+        preds = {key: fit.test_predictions for key, fit in mode_fits.items()}
+        r2 = {key: fit.test_r2(Y) for key, fit in mode_fits.items()}
+        intercept = next(iter(mode_fits.values())).intercept_predictions
+        predictions[mode] = {"intercept": intercept,
+                             **{_subset_name(k): p for k, p in preds.items()}}
         report_results[mode] = {}
-        any_fit = next(f for (m, _), f in fits.items() if m == mode)
-        intercepts[mode] = any_fit.intercept_predictions
         for fam in config.families:
-            fam_subsets = {}
-            fam_preds = {}
-            for size in range(1, len(fam.spaces) + 1):
-                for combo in itertools.combinations(fam.spaces, size):
-                    key = frozenset(combo)
-                    fit = fits[(mode, key)]
-                    fam_preds[key] = fit.test_predictions
-                    fam_subsets[key] = r2_oos(
-                        Y, fit.test_predictions, fit.intercept_predictions)
+            fam_r2 = {frozenset(s): r2[frozenset(s)] for s in subsets(fam.spaces)}
             comparison = build_comparison_report(
-                fam_subsets, participants, llm=fam.llm,
+                fam_r2, participants, llm=fam.llm,
                 oasm="OASM" if (fam.llm and "OASM" in fam.spaces) else None,
             )
-            scalar_scores = {
-                key: clip_and_average(values, participants).mean
-                for key, values in fam_subsets.items()
-            }
-            layered = layered_best(scalar_scores, fam.complexity_order)
-            tests, skipped = _run_tests(
-                config, fam, Y, fam_preds, fam_subsets,
-                intercepts[mode], participants,
-            )
+            layered = layered_best(
+                {k: s.mean for k, s in comparison.submodel_table.items()},
+                fam.complexity_order)
+            tests, skipped = _run_tests(config, fam, Y, preds, r2, intercept,
+                                        participants)
             report_results[mode][fam.name] = FamilyResult(
-                subset_r2=fam_subsets,
-                subset_preds=fam_preds,
-                comparison=comparison,
-                layered=layered,
-                tests=tests,
-                skipped_tests=skipped,
-            )
+                fam_r2, comparison, layered, tests, skipped)
 
     provenance = {
         "created_at": time.strftime("%Y-%m-%dT%H:%M:%S%z"),
@@ -602,7 +552,7 @@ def run_analysis(config: AnalysisConfig, threads: int = 1,
         dataset_name=dataset.manifest.dataset_name,
         config_echo=config.echo,
         results=report_results,
-        intercepts=intercepts,
+        predictions=predictions,
         participants=participants,
         provenance=provenance,
     )
@@ -612,8 +562,8 @@ def run_analysis(config: AnalysisConfig, threads: int = 1,
     return report
 
 
-def _run_tests(config: AnalysisConfig, fam: FamilySpec, Y, fam_preds,
-               fam_subsets, intercept_pred, participants):
+def _run_tests(config: AnalysisConfig, fam: FamilySpec, Y, preds, r2,
+               intercept, participants):
     """Outcomes of the pairs that apply to the family, and the names of the
     skipped ones: a pair applies only if every space either side names is
     in the family."""
@@ -624,27 +574,17 @@ def _run_tests(config: AnalysisConfig, fam: FamilySpec, Y, fam_preds,
         if not named <= set(fam.spaces):
             skipped.append(test.name)
             continue
-        pred_a = _resolve_side(test.model_a, fam_preds, fam_subsets,
-                               intercept_pred)
-        pred_b = _resolve_side(test.model_b, fam_preds, fam_subsets,
-                               intercept_pred)
-        result = chance_level_test(Y, pred_a, pred_b, participants,
-                                   config.alpha_level)
-        outcomes.append(TestOutcome(
-            name=test.name,
-            result=result,
-            n_rejected_raw=int((result.p < config.alpha_level).sum()),
-            n_rejected_fdr=int(result.rejected.sum()),
-        ))
+        pred_a = _resolve_side(test.model_a, preds, r2, intercept)
+        pred_b = _resolve_side(test.model_b, preds, r2, intercept)
+        outcomes.append(TestOutcome(test.name, chance_level_test(
+            Y, pred_a, pred_b, participants, config.alpha_level)))
     return outcomes, skipped
 
 
-def _resolve_side(side, fam_preds, fam_subsets, intercept_pred):
+def _resolve_side(side, preds, r2, intercept):
     if side == "intercept":
-        return intercept_pred
+        return intercept
     if "spaces" in side:
-        return fam_preds[frozenset(side["spaces"])]
-    return star_predictions(
-        fam_preds, fam_subsets, tuple(side["family"]),
-        required=side.get("required"),
-    )
+        return preds[frozenset(side["spaces"])]
+    return star_predictions(preds, r2, tuple(side["family"]),
+                            required=side.get("required"))

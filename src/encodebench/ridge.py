@@ -32,7 +32,6 @@ more than ``min_improvement`` for ``patience`` consecutive iterations.
 
 from __future__ import annotations
 
-import itertools
 import json
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
@@ -47,6 +46,7 @@ from .features import FeatureSpace, zscore_fit_apply
 from .splits import SplitPlan
 
 _RCOND = np.finfo(np.float64).eps
+_DIRICHLET_CONCENTRATION = 1.0  # uniform draws over the scaling simplex
 
 
 def default_alpha_grid() -> tuple[float, ...]:
@@ -73,7 +73,6 @@ class BandedSearchConfig:
     max_iters: int = 1000
     patience: int = 50
     min_improvement: float = 1e-4
-    dirichlet_concentration: float = 1.0
     seed: int = 0
 
     def __post_init__(self):
@@ -81,8 +80,6 @@ class BandedSearchConfig:
             raise DataError("need max_iters >= patience >= 1")
         if self.min_improvement <= 0:
             raise DataError("min_improvement must be > 0")
-        if self.dirichlet_concentration <= 0:
-            raise DataError("dirichlet_concentration must be > 0")
         if self.seed < 0:
             raise DataError("seed must be non-negative")
 
@@ -233,11 +230,10 @@ def enumerate_masks(n_bands: int) -> list[np.ndarray]:
     if not 1 <= n_bands <= 16:
         raise DataError("n_bands must be between 1 and 16")
     masks = []
-    for size in range(1, n_bands + 1):
-        for subset in itertools.combinations(range(n_bands), size):
-            gamma = np.zeros(n_bands)
-            gamma[list(subset)] = 1.0 / size
-            masks.append(gamma)
+    for subset in metrics.subsets(range(n_bands)):
+        gamma = np.zeros(n_bands)
+        gamma[list(subset)] = 1.0 / len(subset)
+        masks.append(gamma)
     return masks
 
 
@@ -341,10 +337,9 @@ def _map_ordered(fn, items, threads):
         return list(pool.map(fn, items))
 
 
-def _random_gamma(seed: int, iteration: int, n_bands: int,
-                  concentration: float) -> np.ndarray:
+def _random_gamma(seed: int, iteration: int, n_bands: int) -> np.ndarray:
     rng = np.random.default_rng((seed, iteration))
-    return rng.dirichlet(np.full(n_bands, concentration))
+    return rng.dirichlet(np.full(n_bands, _DIRICHLET_CONCENTRATION))
 
 
 def _as_response_matrix(responses) -> np.ndarray:
@@ -438,11 +433,8 @@ def banded_search(features: Sequence[FeatureSpace], responses, plan: SplitPlan,
             while t < search_cfg.max_iters and not stopped:
                 chunk = list(range(t, min(t + max(threads, 1),
                                           search_cfg.max_iters)))
-                gammas = [
-                    _random_gamma(search_cfg.seed, i, n_bands,
-                                  search_cfg.dirichlet_concentration)
-                    for i in chunk
-                ]
+                gammas = [_random_gamma(search_cfg.seed, i, n_bands)
+                          for i in chunk]
                 results = _map_ordered(evaluate, gammas, threads)
                 for gamma, result in zip(gammas, results):
                     candidates.append(gamma)

@@ -90,7 +90,8 @@ def _nested_plan(ids, blocks, scheme: str, outer, inner=None) -> SplitPlan:
     ``outer(blocks)`` groups the blocks into test sets; ``inner(remaining)``,
     by default ``outer``, groups each test set's remaining blocks into
     validation sets. Training takes every other remaining block, so no block
-    is ever split across a boundary.
+    is ever split across a boundary. Raises unless every outer fold has inner
+    folds and every inner fold has training and validation rows.
     """
     inner = inner or outer
     outer_folds = []
@@ -102,6 +103,10 @@ def _nested_plan(ids, blocks, scheme: str, outer, inner=None) -> SplitPlan:
             in_val = np.isin(ids, val)
             inner_folds.append(InnerFold(train=np.flatnonzero(~(in_test | in_val)),
                                          validation=np.flatnonzero(in_val)))
+        if not inner_folds or not all(f.train.size and f.validation.size
+                                      for f in inner_folds):
+            raise DataError(f"too few blocks for the {scheme} scheme: an inner "
+                            "fold would have no training or validation rows")
         outer_folds.append(OuterFold(np.flatnonzero(in_test), inner_folds))
     return SplitPlan(outer_folds, "contiguous", scheme, int(ids.size))
 
@@ -120,8 +125,8 @@ def plan_pereira(sample_categories, block_ids,
     selects one passage per category and designates the passages of one
     category half as the test set; inner folds repeat the construction on
     the remaining passages. This yields 2P outer folds of 2P-1 inner folds
-    each (8/7 for P=4, 6/5 for P=3). Selection order is round-robin by
-    passage index unless a seed is given.
+    each (8/7 for P=4, 6/5 for P=3); P must be at least 2. Selection order is
+    round-robin by passage index unless a seed is given.
     """
     ids, blocks = _blocks(block_ids)
     sample_categories = np.asarray(sample_categories, dtype=np.int64)
@@ -167,18 +172,16 @@ def plan_pereira(sample_categories, block_ids,
 
 
 def plan_fedorenko(sentence_blocks) -> SplitPlan:
-    """Four whole sentences per test fold; inner folds likewise."""
+    """Four whole sentences per test fold; inner folds likewise. Needs at
+    least 9 sentences, so that every inner fold keeps training sentences."""
     ids, sentences = _blocks(sentence_blocks)
-    if len(sentences) < 8:
-        raise DataError("need at least 8 sentences")
     return _nested_plan(ids, sentences, "fedorenko", _chunks(4))
 
 
 def plan_blank(story_ids) -> SplitPlan:
-    """Leave-one-story-out outer folds, leave-one-remaining-story-out inner."""
+    """Leave-one-story-out outer folds, leave-one-remaining-story-out inner;
+    needs at least 3 stories."""
     ids, stories = _blocks(story_ids)
-    if len(stories) < 3:
-        raise DataError("need at least 3 stories")
     return _nested_plan(ids, stories, "blank", _chunks(1))
 
 

@@ -87,13 +87,6 @@ class TestResult:
     participant_ids: np.ndarray
     level: float
 
-    def csv_rows(self) -> list[tuple]:
-        return [
-            (unit, int(self.participant_ids[unit]), float(self.t[unit]),
-             float(self.p[unit]), bool(self.rejected[unit]))
-            for unit in range(self.t.size)
-        ]
-
 
 def chance_level_test(y_true, pred_model, intercept_preds, participant_ids,
                       level: float = 0.05) -> TestResult:

@@ -101,6 +101,18 @@ class TestSplit:
         assert "carries categories" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_too_few_sentences_exits_2(self, tmp_path, capsys):
+        blocks = np.repeat(np.arange(8), 4)
+        spec = eb.SynthSpec(n_samples=32, n_units=2, block_ids=blocks,
+                            signal_scale=0.0, seed=0, participants=[0, 1])
+        manifest = eb.write_dataset(spec, tmp_path / "d", "eight")
+        out = tmp_path / "plan.json"
+        code = main(["split", "--manifest", str(manifest),
+                     "--scheme", "fedorenko", "--output", str(out)])
+        assert code == 2
+        assert "no training" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestExitCodes:
     def test_usage_error_is_1(self, capsys):

@@ -147,10 +147,6 @@ class TestWordPosition:
         np.testing.assert_array_equal(fs.data[:8], fs.data[8:16])
         np.testing.assert_array_equal(fs.data[:8], fs.data[16:24])
 
-    def test_wrong_sentence_length_rejected(self):
-        with pytest.raises(DataError):
-            eb.build_word_position(2, words_per_sentence=7)
-
 
 class TestSumPool:
     def test_two_tokens_one_sample(self):

@@ -50,3 +50,41 @@ def test_sweep_runs_as_the_harness_runs_it(harness, tmp_path):
             "features.sweep_oasm_sigma", "ridge.banded_search"} <= names
     doc = json.loads((tmp_path / "out" / "sweep.json").read_text())
     assert len(doc["grid"]) == len(doc["scores"]) == 2
+
+
+def test_compare_runs_as_the_harness_runs_it(harness, tmp_path):
+    """child.py's compare: encodebench.cli.main(["compare", ...]), traced."""
+    tracer, child = harness
+    blocks = np.repeat(np.arange(8), 3)
+    sp = eb.build_sentence_position([3] * 8, band_group="sp")
+    spec = eb.SynthSpec(n_samples=24, n_units=4, block_ids=blocks,
+                        signal_features=[sp], noise_scale=1.0, seed=3,
+                        participants=np.arange(4) % 2,
+                        categories=np.repeat(np.arange(8) // 2, 3))
+    eb.write_dataset(spec, tmp_path / "data", dataset_name="harness")
+    config = {
+        "manifest": "manifest.json", "oasm_sigma": 1.0,
+        "split": {"scheme": "pereira", "mode": "contiguous"},
+        "spaces": [{"name": "OASM", "members": ["OASM"]},
+                   {"name": "SP", "members": ["SP"]}],
+        "families": [{"name": "main", "spaces": ["OASM", "SP"], "llm": "SP"}],
+        "tests": [{"name": "sp-vs-chance", "model_a": {"spaces": ["SP"]},
+                   "model_b": "intercept"}],
+        "search": {"max_iters": 2, "patience": 1},
+    }
+    config_path = tmp_path / "data" / "config.json"
+    config_path.write_text(json.dumps(config))
+    recorder = tracer.Recorder()
+    recorder.install()
+    try:
+        code = child._execute("compare", str(config_path),
+                              str(tmp_path / "out"), 1)
+    finally:
+        patched, restored = recorder.restore()
+    assert code == 0 and patched > 0 and restored
+    names = {span.name for span in recorder.spans}
+    assert {"pipeline.run_analysis", "pipeline.RunReport.save", "metrics.r2_oos",
+            "metrics.build_comparison_report", "stats.bh_fdr",
+            "ridge.banded_search"} <= names
+    saves = [s for s in recorder.spans if s.name == "pipeline.RunReport.save"]
+    assert len(saves) == 1 and saves[0].info["bytes"] > 0

@@ -131,7 +131,8 @@ def test_manifest_structural_echo(tmp_path):
     assert dataset.features[0].n_samples == 8
     assert dataset.recording.n_samples == 8
     assert dataset.recording.n_units == 3
-    assert dataset.feature("A").band_group == "a"
+    assert [(fs.name, fs.band_group) for fs in dataset.features] == [
+        ("A", "a"), ("B", "b")]
 
 
 def test_manifest_row_mismatch(tmp_path):
@@ -152,8 +153,8 @@ def test_manifest_token_map_pools_features(tmp_path):
                           token_map=[int(t) for t in np.repeat(np.arange(8), 2)])
     dataset = eb.load_manifest(path)
     raw = eb.load_matrix(tmp_path / "a.bbsm")
-    np.testing.assert_allclose(dataset.feature("A").data,
-                               raw[0::2] + raw[1::2])
+    assert dataset.features[0].name == "A"
+    np.testing.assert_allclose(dataset.features[0].data, raw[0::2] + raw[1::2])
 
 
 def test_manifest_missing_file(tmp_path):

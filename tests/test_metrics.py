@@ -138,9 +138,25 @@ class TestOmega:
         out = eb.omega([0.05], [0.03], [0.04], [0])
         assert out.participant_values[0] == 100.0
 
-    def test_all_excluded_raises(self):
-        with pytest.raises(DataError):
-            eb.omega([0.1], [0.1], [-0.5], [0])
+    def test_all_excluded_is_nan(self):
+        out = eb.omega([0.1, 0.1], [0.1, 0.1], [-0.5, 0.0], [0, 1])
+        assert np.isnan(out.participant_values).all()
+        assert np.isnan(out.mean) and np.isnan(out.sem)
+        assert out.n_excluded == 2
+
+    def test_undefined_participant_left_out_of_summary(self):
+        # participant 1 has every unit excluded; 0 and 2 are defined
+        out = eb.omega([0.1, 0.1, 0.1, 0.0], [0.2, 0.2, 0.2, 0.04],
+                       [0.2, -0.1, 0.0, 0.04], [0, 1, 1, 2])
+        np.testing.assert_array_equal(out.participant_values[[0, 2]], [50.0, 0.0])
+        assert np.isnan(out.participant_values[1])
+        assert out.mean == 25.0
+        assert abs(out.sem - 25.0) < 1e-12
+        assert out.n_excluded == 2
+        phi = eb.phi([0.4, 0.4], [0.2, -0.2], [0, 1])
+        assert phi.participant_values[0] == 100.0
+        assert np.isnan(phi.participant_values[1])
+        assert phi.mean == 100.0 and np.isnan(phi.sem)
 
     def test_decreases_with_gap(self):
         gaps = [0.0, 0.01, 0.02]
@@ -205,11 +221,3 @@ class TestComparisonReport:
                        table[frozenset(["OASM", "LLM"])]),
             table[frozenset(["OASM"])], participants)
         np.testing.assert_allclose(report.phi.per_unit, expected.per_unit)
-
-    def test_csv_rows(self, rng):
-        table = self._table(rng)
-        participants = np.repeat([0, 1, 2], 4)
-        report = eb.build_comparison_report(table, participants)
-        rows = report.csv_rows(table, participants)
-        assert len(rows) == 7 * 12
-        assert rows[0][2] == "LLM"  # size-1 subsets first, alphabetical

@@ -1,3 +1,4 @@
+import csv
 import hashlib
 import itertools
 import json
@@ -129,6 +130,33 @@ def _base_config(manifest, n_spaces=2, **extra):
         "families": [{"name": "main",
                       "spaces": [f"F{i}" for i in range(n_spaces)]}],
         "search": {"max_iters": 1, "patience": 1, "seed": 0},
+    }
+    doc.update(extra)
+    return doc
+
+
+def _passage_dataset(out_dir):
+    """8 passages of 3 samples in 4 categories (a 4 x 3 Pereira plan), 6
+    units in 2 participants; SP carries the signal, SL is an extra space."""
+    blocks = np.repeat(np.arange(8), 3)
+    sp = eb.build_sentence_position([3] * 8, band_group="sp")
+    sl = eb.build_sentence_length(np.arange(24) % 5 + 4, band_group="sl")
+    spec = eb.SynthSpec(n_samples=24, n_units=6, block_ids=blocks,
+                        signal_features=[sp], autocorr_sigma=1.0,
+                        noise_scale=1.0, signal_scale=0.5,
+                        participants=np.arange(6) % 2,
+                        categories=np.repeat(np.arange(8) // 2, 3), seed=0)
+    return eb.write_dataset(spec, out_dir, "passages", extra_features=[sl])
+
+
+def _passage_config(manifest, mode="contiguous", **extra):
+    doc = {
+        "manifest": str(manifest),
+        "split": {"scheme": "pereira", "mode": mode},
+        "oasm_sigma": 1.0,
+        "spaces": [{"name": n, "members": [n]} for n in ("OASM", "SP", "SL")],
+        "families": [{"name": "main", "spaces": ["OASM", "SP"], "llm": "SP"}],
+        "search": {"max_iters": 2, "patience": 1, "seed": 0},
     }
     doc.update(extra)
     return doc
@@ -316,3 +344,120 @@ class TestRunAnalysis:
         assert [t["name"] for t in families["wp-oasm"]["tests"]] == [
             "wp-oasm-vs-chance"]
         assert families["wp-oasm"]["skipped_tests"] == []
+
+    def test_undefined_phi_participant_is_null(self, tmp_path):
+        # under contiguous splits OASM scores R^2 <= 0 on every unit of
+        # participant 0, so its phi is undefined; the run still reports
+        manifest = _passage_dataset(tmp_path / "data")
+        config = AnalysisConfig.from_dict(_passage_config(manifest),
+                                          base_dir=tmp_path)
+        report = eb.run_analysis(config, output_dir=tmp_path / "out")
+        phi = report.results["contiguous"]["main"].comparison.phi
+        assert np.isnan(phi.participant_values[0])
+        assert not np.isnan(phi.participant_values[1])
+        text = (tmp_path / "out" / "report.json").read_text()
+        doc = json.loads(text, parse_constant=pytest.fail)  # no NaN literals
+        out = doc["modes"]["contiguous"]["main"]["phi"]
+        assert out["per_participant"][0] is None
+        assert out["mean"] == phi.participant_values[1]
+        assert out["sem"] is None
+        assert out["n_excluded"] == int(np.isnan(phi.per_unit).sum())
+
+
+def _read_csv(path):
+    with open(path, newline="") as fh:
+        rows = list(csv.reader(fh))
+    return rows[0], rows[1:]
+
+
+class TestReportLayout:
+    """Two modes; families "main" (OASM, SP; llm SP) and "pos" (SL, SP)
+    share the SP subset; one pair applies to both, one only to "main"."""
+
+    MODES = ("contiguous", "shuffled")
+
+    @pytest.fixture(scope="class")
+    def run(self, tmp_path_factory):
+        tmp = tmp_path_factory.mktemp("layout")
+        manifest = _passage_dataset(tmp / "data")
+        doc = _passage_config(manifest, mode="both", tests=[
+            {"name": "sp-vs-chance", "model_a": {"spaces": ["SP"]},
+             "model_b": "intercept"},
+            {"name": "sp-added",
+             "model_a": {"family": ["OASM", "SP"], "required": "SP"},
+             "model_b": {"spaces": ["OASM"]}},
+        ])
+        doc["families"].append({"name": "pos", "spaces": ["SL", "SP"]})
+        config = AnalysisConfig.from_dict(doc, base_dir=tmp)
+        report = eb.run_analysis(config, output_dir=tmp / "out")
+        return report, tmp / "out"
+
+    def test_file_set(self, run):
+        _, out = run
+        tables = {p.name for p in (out / "tables").iterdir()}
+        assert tables == {f"{mode}__{fam}__{kind}.csv" for mode in self.MODES
+                          for fam in ("main", "pos")
+                          for kind in ("r2", "corrected", "tests")}
+        # one file per (mode, subset), SP once although both families have it
+        predictions = {p.name for p in (out / "predictions").iterdir()}
+        assert predictions == {
+            f"{mode}__{name}.bbsm" for mode in self.MODES
+            for name in ("intercept", "OASM", "SP", "OASM+SP", "SL", "SL+SP")}
+        report, _ = run
+        fit_preds = report.predictions["shuffled"]["SP"]
+        np.testing.assert_array_equal(
+            eb.load_matrix(out / "predictions" / "shuffled__SP.bbsm"), fit_preds)
+
+    def test_headers(self, run):
+        _, out = run
+        tables = out / "tables"
+        assert _read_csv(tables / "contiguous__main__r2.csv")[0] == [
+            "unit", "participant", "subset", "r2"]
+        assert _read_csv(tables / "contiguous__main__corrected.csv")[0] == [
+            "unit", "participant", "r2_corrected", "r2_corrected_with_llm",
+            "r2_corrected_without_llm", "omega", "phi"]
+        assert _read_csv(tables / "contiguous__main__tests.csv")[0] == [
+            "pair", "unit", "participant", "t", "p", "rejected"]
+
+    def test_r2_rows(self, run):
+        report, out = run
+        for fam, order in (("main", ["OASM", "SP", "OASM+SP"]),
+                           ("pos", ["SL", "SP", "SL+SP"])):
+            _, rows = _read_csv(out / "tables" / f"shuffled__{fam}__r2.csv")
+            # smallest subsets first, then alphabetical; units ascending
+            assert [r[2] for r in rows] == [name for name in order
+                                            for _ in range(6)]
+            assert [int(r[0]) for r in rows] == list(range(6)) * 3
+            assert [int(r[1]) for r in rows] == [u % 2 for u in range(6)] * 3
+            subset_r2 = report.results["shuffled"][fam].subset_r2
+            for row in rows:
+                key = frozenset(row[2].split("+"))
+                assert float(row[3]) == subset_r2[key][int(row[0])]
+
+    def test_tests_rows(self, run):
+        report, out = run
+        _, rows = _read_csv(out / "tables" / "contiguous__main__tests.csv")
+        assert len(rows) == 2 * 6
+        assert [r[0] for r in rows] == ["sp-vs-chance"] * 6 + ["sp-added"] * 6
+        result = report.results["contiguous"]["main"].tests[1].result
+        for row, unit in zip(rows[6:], range(6)):
+            assert (int(row[1]), int(row[2])) == (unit, unit % 2)
+            assert float(row[3]) == result.t[unit]
+            assert float(row[4]) == result.p[unit]
+            assert row[5] == str(bool(result.rejected[unit]))
+        _, rows = _read_csv(out / "tables" / "contiguous__pos__tests.csv")
+        assert [r[0] for r in rows] == ["sp-vs-chance"] * 6
+        doc = json.loads((out / "report.json").read_text())
+        assert doc["modes"]["contiguous"]["pos"]["skipped_tests"] == ["sp-added"]
+
+    def test_corrected_blank_where_undefined(self, run):
+        report, out = run
+        comparison = report.results["contiguous"]["main"].comparison
+        _, rows = _read_csv(out / "tables" / "contiguous__main__corrected.csv")
+        for column, part in ((5, comparison.omega), (6, comparison.phi)):
+            blank = [row[column] == "" for row in rows]
+            assert blank == np.isnan(part.per_unit).tolist()
+        assert any(row[6] == "" for row in rows)
+        # without an llm space the llm columns and omega/phi are blank
+        _, rows = _read_csv(out / "tables" / "contiguous__pos__corrected.csv")
+        assert all(row[2] != "" and row[3:] == [""] * 4 for row in rows)

@@ -57,6 +57,14 @@ class TestPereira:
         with pytest.raises(DataError):
             eb.plan_pereira(categories[:-1], blocks)
 
+    def test_one_passage_per_category_rejected(self):
+        # P=1 gives 2 outer folds of 1 inner fold with no training rows
+        categories, blocks = _pereira_layout(4, 1)
+        with pytest.raises(DataError, match="no training"):
+            eb.plan_pereira(categories, blocks)
+        categories, blocks = _pereira_layout(4, 2)
+        eb.validate_plan(eb.plan_pereira(categories, blocks), blocks)
+
     def test_seeded_selection_still_valid(self):
         categories, blocks = _pereira_layout(6, 4)
         plan = eb.plan_pereira(categories, blocks, seed=3)
@@ -74,10 +82,15 @@ class TestFedorenko:
         eb.validate_plan(plan, blocks)
 
     def test_eight_sentences(self):
-        blocks = np.repeat(np.arange(8), 8)
+        # 8 sentences leave each inner fold's 4 remaining sentences all in
+        # validation, with no training rows; 9 is the minimum
+        with pytest.raises(DataError, match="no training"):
+            eb.plan_fedorenko(np.repeat(np.arange(8), 8))
+        blocks = np.repeat(np.arange(9), 8)
         plan = eb.plan_fedorenko(blocks)
-        assert len(plan.outer_folds) == 2
-        assert all(len(f.inner_folds) == 1 for f in plan.outer_folds)
+        assert len(plan.outer_folds) == 3
+        assert all(f.train.size and f.validation.size
+                   for fold in plan.outer_folds for f in fold.inner_folds)
         eb.validate_plan(plan, blocks)
 
     def test_no_sentence_crosses_boundary(self):
@@ -244,7 +257,7 @@ def test_all_schemes_satisfy_invariants(scheme, seed):
         categories, blocks = _pereira_layout(n_cats, per_cat, sentences)
         plan = eb.plan_pereira(categories, blocks)
     elif scheme == "fedorenko":
-        n_sentences = int(r.integers(8, 30))
+        n_sentences = int(r.integers(9, 30))
         blocks = np.repeat(np.arange(n_sentences), 8)
         plan = eb.plan_fedorenko(blocks)
     elif scheme == "blank":

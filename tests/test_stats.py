@@ -135,12 +135,3 @@ class TestChanceLevelTest:
         icpt = np.tile(y.mean(0), (1317, 1))
         result = eb.chance_level_test(y, model, icpt, [0, 1])
         assert result.n_samples == 1317
-
-    def test_csv_rows(self, rng):
-        y = rng.standard_normal((10, 2))
-        model = y + rng.standard_normal((10, 2))
-        icpt = np.tile(y.mean(0), (10, 1))
-        result = eb.chance_level_test(y, model, icpt, [0, 1])
-        rows = result.csv_rows()
-        assert len(rows) == 2
-        assert rows[0][0] == 0 and rows[1][1] == 1

@@ -126,7 +126,8 @@ class TestWriteDataset:
         manifest = eb.write_dataset(spec, tmp_path, "toy",
                                     extra_features=[extra])
         dataset = eb.load_manifest(manifest)
-        np.testing.assert_array_equal(dataset.feature("LLM").data, extra.data)
+        by_name = {fs.name: fs for fs in dataset.features}
+        np.testing.assert_array_equal(by_name["LLM"].data, extra.data)
 
 
 class TestPresets:
