@@ -18,7 +18,6 @@ from .features import (
 )
 from .matrixio import (
     LoadedDataset,
-    Manifest,
     NeuralRecording,
     load_manifest,
     load_matrix,

@@ -24,7 +24,7 @@ from .features import (
     build_word_position,
     sweep_oasm_sigma,
 )
-from .matrixio import load_manifest, save_matrix
+from .matrixio import load_manifest, read_json, save_matrix, write_json
 from .pipeline import (
     SCHEMES,
     AnalysisConfig,
@@ -53,6 +53,20 @@ def _emit(doc: dict) -> None:
     sys.stdout.write(json.dumps(doc, sort_keys=True) + "\n")
 
 
+def _emit_families(event: str, doc: dict) -> None:
+    """One line per (mode, family) of a report document: the subset means,
+    the mean corrected R^2, and the omega and phi means when present."""
+    for mode, families in doc["modes"].items():
+        for family, fam_doc in families.items():
+            line = {"event": event, "mode": mode, "family": family,
+                    "subsets": {k: v["mean_r2"]
+                                for k, v in fam_doc["subsets"].items()},
+                    "mean_r2_corrected": fam_doc["mean_r2_corrected"]}
+            line.update({key: fam_doc[key]["mean"] for key in ("omega", "phi")
+                         if key in fam_doc})
+            _emit(line)
+
+
 def _resolve_threads(value) -> int:
     if value is not None:
         return max(1, int(value))
@@ -75,10 +89,10 @@ def build_parser() -> _Parser:
     planned = _Parser(add_help=False)
     planned.add_argument("--manifest", type=Path, required=True)
     planned.add_argument("--scheme", required=True, choices=SCHEMES)
-    planned.add_argument("--mode", default="contiguous",
+    planned.add_argument("--mode", default=SplitSpec.mode,
                          choices=("contiguous", "shuffled"))
-    planned.add_argument("--n-outer", type=int, default=5)
-    planned.add_argument("--n-inner", type=int, default=4)
+    planned.add_argument("--n-outer", type=int, default=SplitSpec.n_outer)
+    planned.add_argument("--n-inner", type=int, default=SplitSpec.n_inner)
 
     parser = _Parser(prog="encodebench")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -115,9 +129,10 @@ def build_parser() -> _Parser:
     p.add_argument("--spaces", default=None,
                    help="comma-separated feature-space names (default: all)")
     p.add_argument("--oasm-sigma", type=float, default=None)
-    p.add_argument("--max-iters", type=int, default=1000)
-    p.add_argument("--patience", type=int, default=50)
-    p.add_argument("--min-improvement", type=float, default=1e-4)
+    p.add_argument("--max-iters", type=int, default=BandedSearchConfig.max_iters)
+    p.add_argument("--patience", type=int, default=BandedSearchConfig.patience)
+    p.add_argument("--min-improvement", type=float,
+                   default=BandedSearchConfig.min_improvement)
     p.set_defaults(handler=cmd_fit)
 
     p = sub.add_parser("oasm-sweep", parents=[common, planned],
@@ -149,10 +164,7 @@ def main(argv=None) -> int:
     logger.info("resolved config: %s", json.dumps(resolved, sort_keys=True))
     try:
         return args.handler(args)
-    except DataError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return 2
-    except (OSError, json.JSONDecodeError) as exc:
+    except (DataError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
 
@@ -225,9 +237,7 @@ def cmd_split(args) -> int:
     out = _require_output(args)
     _, plan = _plan_from_args(args)
     out.parent.mkdir(parents=True, exist_ok=True)
-    with open(out, "w") as fh:
-        json.dump(plan.to_dict(), fh, sort_keys=True, indent=2)
-        fh.write("\n")
+    write_json(out, plan.to_dict())
     _emit({"event": "split", "scheme": plan.scheme, "mode": plan.mode,
            "n_outer": len(plan.outer_folds),
            "n_inner": len(plan.outer_folds[0].inner_folds),
@@ -268,14 +278,11 @@ def cmd_oasm_sweep(args) -> int:
     result = sweep_oasm_sigma(dataset.recording, dataset.recording.block_ids,
                               plan)
     out.mkdir(parents=True, exist_ok=True)
-    doc = {
+    write_json(out / "sweep.json", {
         "best_sigma": result.best_sigma,
         "grid": result.sigmas.tolist(),
         "scores": result.scores.tolist(),
-    }
-    with open(out / "sweep.json", "w") as fh:
-        json.dump(doc, fh, sort_keys=True, indent=2)
-        fh.write("\n")
+    })
     _emit({"event": "oasm-sweep", "best_sigma": result.best_sigma,
            "output": str(out / "sweep.json")})
     return 0
@@ -288,30 +295,13 @@ def cmd_compare(args) -> int:
         raise DataError("no output directory: pass --output or set it in the config")
     report = run_analysis(config, threads=_resolve_threads(args.threads),
                           output_dir=target)
-    summary = report.summary_dict()
-    for mode, families in summary["modes"].items():
-        for fam_name, doc in families.items():
-            line = {"event": "compare", "mode": mode, "family": fam_name,
-                    "subsets": {k: v["mean_r2"] for k, v in doc["subsets"].items()}}
-            if "omega" in doc:
-                line["omega"] = doc["omega"]["mean"]
-            if "phi" in doc:
-                line["phi"] = doc["phi"]["mean"]
-            _emit(line)
+    _emit_families("compare", report.summary_dict())
     _emit({"event": "compare-done", "output": str(target)})
     return 0
 
 
 def cmd_report(args) -> int:
-    path = args.input / "report.json"
-    if not path.exists():
-        raise DataError(f"no report.json under {args.input}")
-    doc = json.loads(path.read_text())
+    doc = read_json(args.input / "report.json", DataError)
     _emit({"event": "report", "dataset": doc["dataset"]})
-    for mode, families in doc["modes"].items():
-        for fam_name, fam_doc in families.items():
-            _emit({"event": "report-family", "mode": mode, "family": fam_name,
-                   "subsets": {k: v["mean_r2"]
-                               for k, v in fam_doc["subsets"].items()},
-                   "mean_r2_corrected": fam_doc["mean_r2_corrected"]})
+    _emit_families("report-family", doc)
     return 0

@@ -1,4 +1,7 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the integer check that
+config classes share."""
+
+import numbers
 
 
 class DataError(Exception):
@@ -19,3 +22,12 @@ class MatrixDataError(DataError):
 
 class ManifestError(DataError):
     """Manifest is malformed or inconsistent with its matrices."""
+
+
+def check_int(what: str, value, minimum: int) -> None:
+    """Raise ``DataError`` unless ``value`` is an integer (not a bool) that is
+    at least ``minimum``."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise DataError(f"{what} must be an integer, got {value!r}")
+    if value < minimum:
+        raise DataError(f"{what} must be >= {minimum}, got {value}")

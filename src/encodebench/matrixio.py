@@ -14,14 +14,15 @@ small fixtures; parsing goes through ``float()`` so the conversion is exact.
 
 Manifests are JSON documents tying feature matrices, a response matrix,
 and the per-sample / per-unit labels together. Matrix paths are resolved
-relative to the manifest's directory.
+relative to the manifest's directory. Every JSON document the package reads
+or writes goes through ``read_json`` and ``write_json``.
 """
 
 from __future__ import annotations
 
 import json
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -128,64 +129,56 @@ class NeuralRecording:
 
 
 @dataclass
-class Manifest:
-    dataset_name: str
-    feature_specs: list[dict]
-    responses_path: str
-    sample_blocks: list[int]
-    unit_participants: list[int]
-    sample_categories: Optional[list[int]] = None
-    token_map: Optional[list[int]] = None
-    base_dir: Path = field(default_factory=Path)
-
-    _REQUIRED = ("dataset_name", "feature_spaces", "responses_path",
-                 "sample_blocks", "unit_participants")
-
-    @classmethod
-    def from_file(cls, path) -> "Manifest":
-        path = Path(path)
-        if not path.exists():
-            raise ManifestError(f"manifest not found: {path}")
-        try:
-            doc = json.loads(path.read_text())
-        except json.JSONDecodeError as exc:
-            raise ManifestError(f"{path}: invalid JSON ({exc})") from exc
-        for key in cls._REQUIRED:
-            if key not in doc:
-                raise ManifestError(f"{path}: missing required key {key!r}")
-        specs = doc["feature_spaces"]
-        for spec in specs:
-            for key in ("name", "path", "band_group"):
-                if key not in spec:
-                    raise ManifestError(f"{path}: feature space entry missing {key!r}")
-        return cls(
-            dataset_name=doc["dataset_name"],
-            feature_specs=list(specs),
-            responses_path=doc["responses_path"],
-            sample_blocks=list(doc["sample_blocks"]),
-            unit_participants=list(doc["unit_participants"]),
-            sample_categories=doc.get("sample_categories"),
-            token_map=doc.get("token_map"),
-            base_dir=path.parent,
-        )
-
-
-@dataclass
 class LoadedDataset:
-    manifest: Manifest
+    dataset_name: str
     features: list[FeatureSpace]
     recording: NeuralRecording
 
 
-def load_manifest(path) -> LoadedDataset:
-    """Load a manifest and every matrix it references, validating consistency."""
-    manifest = Manifest.from_file(path)
-    base = manifest.base_dir
+def read_json(path, error: type[Exception]):
+    """The JSON document at ``path``; a missing file or invalid JSON raises
+    ``error``."""
+    path = Path(path)
+    if not path.exists():
+        raise error(f"file not found: {path}")
+    try:
+        return json.loads(path.read_text())
+    except json.JSONDecodeError as exc:
+        raise error(f"{path}: invalid JSON ({exc})") from exc
 
-    responses = load_matrix(base / manifest.responses_path)
+
+def write_json(path, doc) -> None:
+    """Write ``doc`` with sorted keys, 2-space indent and a trailing newline."""
+    with open(path, "w") as fh:
+        json.dump(doc, fh, sort_keys=True, indent=2)
+        fh.write("\n")
+
+
+_MANIFEST_KEYS = ("dataset_name", "feature_spaces", "responses_path",
+                  "sample_blocks", "unit_participants")
+
+
+def load_manifest(path) -> LoadedDataset:
+    """Load a manifest and every matrix it references, validating consistency.
+    Matrix paths resolve relative to the manifest's directory."""
+    path = Path(path)
+    doc = read_json(path, ManifestError)
+    for key in _MANIFEST_KEYS:
+        if key not in doc:
+            raise ManifestError(f"{path}: missing required key {key!r}")
+    unknown = set(doc) - set(_MANIFEST_KEYS) - {"sample_categories", "token_map"}
+    if unknown:
+        raise ManifestError(f"{path}: unknown keys {sorted(unknown)}")
+    for spec in doc["feature_spaces"]:
+        if set(spec) != {"name", "path", "band_group"}:
+            raise ManifestError(f"{path}: a feature space entry has the keys "
+                                f"band_group, name and path, not {sorted(spec)}")
+    base = path.parent
+
+    responses = load_matrix(base / doc["responses_path"])
     n_samples, n_units = responses.shape
 
-    blocks = np.asarray(manifest.sample_blocks, dtype=np.int64)
+    blocks = np.asarray(doc["sample_blocks"], dtype=np.int64)
     if blocks.shape != (n_samples,):
         raise ManifestError(
             f"sample_blocks has length {blocks.size}, responses have {n_samples} rows"
@@ -195,7 +188,7 @@ def load_manifest(path) -> LoadedDataset:
     except Exception as exc:
         raise ManifestError(f"sample_blocks must label contiguous runs: {exc}") from exc
 
-    participants = np.asarray(manifest.unit_participants, dtype=np.int64)
+    participants = np.asarray(doc["unit_participants"], dtype=np.int64)
     if participants.shape != (n_units,):
         raise ManifestError(
             f"unit_participants has length {participants.size}, "
@@ -203,17 +196,17 @@ def load_manifest(path) -> LoadedDataset:
         )
 
     categories = None
-    if manifest.sample_categories is not None:
-        categories = np.asarray(manifest.sample_categories, dtype=np.int64)
+    if doc.get("sample_categories") is not None:
+        categories = np.asarray(doc["sample_categories"], dtype=np.int64)
         if categories.shape != (n_samples,):
             raise ManifestError("sample_categories length must match sample count")
 
     token_map = None
-    if manifest.token_map is not None:
-        token_map = np.asarray(manifest.token_map, dtype=np.int64)
+    if doc.get("token_map") is not None:
+        token_map = np.asarray(doc["token_map"], dtype=np.int64)
 
     features = []
-    for spec in manifest.feature_specs:
+    for spec in doc["feature_spaces"]:
         data = load_matrix(base / spec["path"])
         if token_map is not None and data.shape[0] == token_map.size != n_samples:
             data = sum_pool(data, token_map)
@@ -230,7 +223,7 @@ def load_manifest(path) -> LoadedDataset:
         block_ids=blocks,
         categories=categories,
     )
-    return LoadedDataset(manifest=manifest, features=features, recording=recording)
+    return LoadedDataset(doc["dataset_name"], features, recording)
 
 
 def save_manifest(path, dataset_name: str, feature_specs: Sequence[dict],
@@ -247,6 +240,4 @@ def save_manifest(path, dataset_name: str, feature_specs: Sequence[dict],
         doc["sample_categories"] = [int(c) for c in sample_categories]
     if token_map is not None:
         doc["token_map"] = [int(t) for t in token_map]
-    with open(path, "w") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(path, doc)

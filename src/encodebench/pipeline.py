@@ -25,9 +25,9 @@ from typing import Mapping, Optional, Sequence
 import numpy as np
 
 from . import __version__
-from .errors import DataError, ManifestError
+from .errors import DataError, ManifestError, check_int
 from .features import FeatureSpace, build_oasm
-from .matrixio import LoadedDataset, load_manifest, save_matrix
+from .matrixio import LoadedDataset, load_manifest, read_json, save_matrix, write_json
 from .metrics import ComparisonReport, build_comparison_report, subsets
 from .ridge import BandedSearchConfig, RidgeConfig, _map_ordered, banded_search
 from .splits import (
@@ -44,28 +44,100 @@ logger = logging.getLogger(__name__)
 
 MAX_FAMILY_SPACES = 6
 SCHEMES = ("pereira", "fedorenko", "blank", "grouped")
+MODES = ("contiguous", "shuffled", "both")
+
+
+def _names(value, what: str, kind: str = "spaces") -> tuple[str, ...]:
+    """``value``, a nonempty list of distinct names, as a tuple."""
+    if isinstance(value, str) or not all(isinstance(v, str) for v in value):
+        raise DataError(f"{what} must be a list of names, got {value!r}")
+    if not value:
+        raise DataError(f"{what} names no {kind}")
+    if len(set(value)) != len(value):
+        raise DataError(f"{what} repeats a name: {value!r}")
+    return tuple(value)
 
 
 @dataclass
 class SpaceSpec:
     name: str
     members: tuple[str, ...]
-    band: str
+    band: Optional[str] = None  # defaults to the lower-cased name
+
+    def __post_init__(self):
+        if not isinstance(self.name, str):
+            raise DataError(f"space name must be a string, got {self.name!r}")
+        self.members = _names(self.members, f"space {self.name!r}", "matrices")
+        if self.band is None:
+            self.band = self.name.lower()
 
 
 @dataclass
 class FamilySpec:
     name: str
     spaces: tuple[str, ...]
-    complexity_order: tuple[str, ...]
+    complexity_order: Optional[tuple[str, ...]] = None  # defaults to spaces
     llm: Optional[str] = None
+
+    def __post_init__(self):
+        what = f"family {self.name!r}"
+        self.spaces = _names(self.spaces, what)
+        if len(self.spaces) > MAX_FAMILY_SPACES:
+            raise DataError(f"{what} declares {len(self.spaces)} spaces; "
+                            f"the subset cap is {MAX_FAMILY_SPACES}")
+        if self.complexity_order is None:
+            self.complexity_order = self.spaces
+        self.complexity_order = _names(self.complexity_order,
+                                       f"{what} complexity_order")
+        if set(self.complexity_order) != set(self.spaces):
+            raise DataError(f"{what}: complexity_order must cover exactly its spaces")
+        if self.llm is not None and self.llm not in self.spaces:
+            raise DataError(f"{what}: llm space {self.llm!r} not in family")
+
+
+@dataclass(frozen=True)
+class SideSpec:
+    """One side of a test pair: the intercept (it names no spaces), the fit
+    of one subset, or a star selection: each unit's best-scoring subset of
+    ``spaces``, among the subsets holding ``required`` when that is set."""
+
+    spaces: tuple[str, ...] = ()
+    star: bool = False
+    required: Optional[str] = None
+
+    @classmethod
+    def parse(cls, doc) -> "SideSpec":
+        """``"intercept"``, ``{"spaces": [...]}``, or
+        ``{"family": [...], "required": ...}`` with ``required`` optional."""
+        if doc == "intercept":
+            return cls()
+        if isinstance(doc, dict) and "family" in doc:
+            return _family_side(**doc)
+        if isinstance(doc, dict) and "spaces" in doc:
+            return _spaces_side(**doc)
+        raise DataError(f"unintelligible test side: {doc!r}")
+
+
+def _spaces_side(spaces) -> SideSpec:
+    return SideSpec(_names(spaces, "test side"))
+
+
+def _family_side(family, required=None) -> SideSpec:
+    family = _names(family, "test side")
+    if required is not None and required not in family:
+        raise DataError(f"required space {required!r} not in test family")
+    return SideSpec(family, star=True, required=required)
 
 
 @dataclass
 class TestPairSpec:
     name: str
-    model_a: object  # "intercept" | {"spaces": [...]} | {"family": [...], "required": ...}
-    model_b: object
+    model_a: SideSpec  # given in its JSON form, parsed in __post_init__
+    model_b: SideSpec
+
+    def __post_init__(self):
+        self.model_a = SideSpec.parse(self.model_a)
+        self.model_b = SideSpec.parse(self.model_b)
 
 
 @dataclass
@@ -74,8 +146,19 @@ class SplitSpec:
     mode: str = "contiguous"
     shuffle_seed: int = 0
     selection_seed: Optional[int] = None
-    n_outer: int = 5
+    n_outer: int = 5  # grouped scheme only, as is n_inner
     n_inner: int = 4
+
+    def __post_init__(self):
+        if self.scheme not in SCHEMES:
+            raise DataError(f"unknown split scheme {self.scheme!r}")
+        if self.mode not in MODES:
+            raise DataError(f"unknown split mode {self.mode!r}")
+        check_int("split shuffle_seed", self.shuffle_seed, 0)
+        if self.selection_seed is not None:
+            check_int("split selection_seed", self.selection_seed, 0)
+        check_int("split n_outer", self.n_outer, 0)
+        check_int("split n_inner", self.n_inner, 0)
 
 
 @dataclass
@@ -90,138 +173,61 @@ class AnalysisConfig:
     search: BandedSearchConfig = field(default_factory=BandedSearchConfig)
     alpha_level: float = 0.05
     output: Optional[Path] = None
-    echo: dict = field(default_factory=dict)
+    echo: dict = field(default_factory=dict, init=False)
+
+    def __post_init__(self):
+        if not 0 < self.alpha_level < 1:
+            raise DataError(f"alpha_level must lie in (0, 1), got {self.alpha_level!r}")
+        if self.oasm_sigma is not None and not self.oasm_sigma > 0:
+            raise DataError(f"oasm_sigma must be > 0, got {self.oasm_sigma!r}")
+        if not self.families:
+            raise DataError("config declares no families")
+        self.validate()
 
     @classmethod
     def from_file(cls, path) -> "AnalysisConfig":
         path = Path(path)
-        if not path.exists():
-            raise DataError(f"config not found: {path}")
-        try:
-            doc = json.loads(path.read_text())
-        except json.JSONDecodeError as exc:
-            raise DataError(f"{path}: invalid JSON ({exc})") from exc
-        return cls.from_dict(doc, base_dir=path.parent)
+        return cls.from_dict(read_json(path, DataError), base_dir=path.parent)
 
     @classmethod
     def from_dict(cls, doc: dict, base_dir=Path(".")) -> "AnalysisConfig":
+        """Parse a config document. A missing or unknown key in any section
+        is a ``DataError``; each section's class holds its defaults."""
+        base = Path(base_dir)
         try:
-            split_doc = dict(doc["split"])
-            split = SplitSpec(
-                scheme=split_doc.pop("scheme"),
-                mode=split_doc.pop("mode", "contiguous"),
-                shuffle_seed=split_doc.pop("shuffle_seed", 0),
-                selection_seed=split_doc.pop("selection_seed", None),
-                n_outer=split_doc.pop("n_outer", 5),
-                n_inner=split_doc.pop("n_inner", 4),
-            )
-            if split_doc:
-                raise DataError(f"unknown split keys: {sorted(split_doc)}")
-            spaces = [
-                SpaceSpec(
-                    name=s["name"],
-                    members=tuple(s["members"]),
-                    band=s.get("band", s["name"].lower()),
-                )
-                for s in doc["spaces"]
-            ]
-            families = [
-                FamilySpec(
-                    name=f["name"],
-                    spaces=tuple(f["spaces"]),
-                    complexity_order=tuple(
-                        f.get("complexity_order", f["spaces"])),
-                    llm=f.get("llm"),
-                )
-                for f in doc["families"]
-            ]
-            tests = [
-                TestPairSpec(t["name"], t["model_a"], t["model_b"])
-                for t in doc.get("tests", [])
-            ]
-            manifest = doc["manifest"]
-        except KeyError as exc:
-            raise DataError(f"config missing key: {exc}") from exc
-
-        try:
-            ridge_doc = doc.get("ridge", {})
-            ridge_cfg = RidgeConfig(**ridge_doc) if ridge_doc else RidgeConfig()
-            search_cfg = BandedSearchConfig(**doc.get("search", {}))
-        except TypeError as exc:
-            raise DataError(f"bad ridge/search config: {exc}") from exc
-
-        config = cls(
-            manifest=(Path(base_dir) / manifest),
-            split=split,
-            spaces=spaces,
-            families=families,
-            tests=tests,
-            oasm_sigma=doc.get("oasm_sigma"),
-            ridge=ridge_cfg,
-            search=search_cfg,
-            alpha_level=doc.get("alpha_level", 0.05),
-            output=Path(base_dir) / doc["output"] if doc.get("output") else None,
-            echo={k: v for k, v in doc.items() if k != "output"},
-        )
-        config.validate()
+            config = cls(**{
+                **doc,
+                "manifest": base / doc["manifest"],
+                "split": SplitSpec(**doc["split"]),
+                "spaces": [SpaceSpec(**s) for s in doc["spaces"]],
+                "families": [FamilySpec(**f) for f in doc["families"]],
+                "tests": [TestPairSpec(**t) for t in doc.get("tests", [])],
+                "ridge": RidgeConfig(**doc.get("ridge", {})),
+                "search": BandedSearchConfig(**doc.get("search", {})),
+                "output": base / doc["output"] if doc.get("output") else None,
+            })
+        except (KeyError, TypeError) as exc:
+            raise DataError(f"invalid config: {exc!r}") from exc
+        config.echo = {k: v for k, v in doc.items() if k != "output"}
         return config
 
     def validate(self) -> None:
-        if self.split.mode not in ("contiguous", "shuffled", "both"):
-            raise DataError(f"unknown split mode {self.split.mode!r}")
-        if self.split.scheme not in SCHEMES:
-            raise DataError(f"unknown split scheme {self.split.scheme!r}")
-        names = [s.name for s in self.spaces]
-        if len(set(names)) != len(names):
-            raise DataError("duplicate space names")
-        declared = set(names)
-        for fam in self.families:
-            unknown = set(fam.spaces) - declared
+        """Cross-references: space, family and test names are unique (report
+        tables are keyed by them), and families and tests name only declared
+        spaces."""
+        for kind, items in (("space", self.spaces), ("family", self.families),
+                            ("test", self.tests)):
+            names = [item.name for item in items]
+            if len(set(names)) != len(names):
+                raise DataError(f"duplicate {kind} names")
+        declared = {s.name for s in self.spaces}
+        named = [(f"family {fam.name!r}", fam.spaces) for fam in self.families]
+        named += [(f"test {t.name!r}", t.model_a.spaces + t.model_b.spaces)
+                  for t in self.tests]
+        for what, spaces in named:
+            unknown = set(spaces) - declared
             if unknown:
-                raise DataError(
-                    f"family {fam.name!r} references unknown spaces {sorted(unknown)}"
-                )
-            if len(fam.spaces) > MAX_FAMILY_SPACES:
-                raise DataError(
-                    f"family {fam.name!r} declares {len(fam.spaces)} spaces; "
-                    f"the subset cap is {MAX_FAMILY_SPACES}"
-                )
-            if set(fam.complexity_order) != set(fam.spaces):
-                raise DataError(
-                    f"family {fam.name!r}: complexity_order must cover exactly "
-                    "its spaces"
-                )
-            if fam.llm is not None and fam.llm not in fam.spaces:
-                raise DataError(
-                    f"family {fam.name!r}: llm space {fam.llm!r} not in family"
-                )
-        for test in self.tests:
-            for side in (test.model_a, test.model_b):
-                self._validate_side(side, declared)
-
-    @staticmethod
-    def _validate_side(side, declared) -> None:
-        if side == "intercept":
-            return
-        if not (isinstance(side, dict) and ("spaces" in side or "family" in side)):
-            raise DataError(f"unintelligible test side: {side!r}")
-        if "spaces" not in side:
-            required = side.get("required")
-            if required is not None and required not in side["family"]:
-                raise DataError(f"required space {required!r} not in test family")
-        named = _side_spaces(side)
-        if not named:
-            raise DataError(f"test side names no spaces: {side!r}")
-        if named - declared:
-            raise DataError(
-                f"test references unknown spaces {sorted(named - declared)}")
-
-
-def _side_spaces(side) -> set:
-    """The spaces a test side names; the intercept names none."""
-    if side == "intercept":
-        return set()
-    return set(side["spaces"] if "spaces" in side else side["family"])
+                raise DataError(f"{what} references unknown spaces {sorted(unknown)}")
 
 
 def build_plan(split: SplitSpec, recording) -> SplitPlan:
@@ -348,12 +354,6 @@ def _write_csv(path, header, rows) -> None:
         writer.writerows(rows)
 
 
-def _write_json(path, doc) -> None:
-    with open(path, "w") as fh:
-        json.dump(doc, fh, sort_keys=True, indent=2)
-        fh.write("\n")
-
-
 @dataclass
 class RunReport:
     dataset_name: str
@@ -381,8 +381,8 @@ class RunReport:
         tables, preds_dir = out / "tables", out / "predictions"
         tables.mkdir(parents=True, exist_ok=True)
         preds_dir.mkdir(parents=True, exist_ok=True)
-        _write_json(out / "report.json", self.summary_dict())
-        _write_json(out / "provenance.json", self.provenance)
+        write_json(out / "report.json", self.summary_dict())
+        write_json(out / "provenance.json", self.provenance)
 
         units = [(unit, int(pid)) for unit, pid in enumerate(self.participants)]
         for mode, families in self.results.items():
@@ -455,17 +455,8 @@ def _family_doc(fr: FamilyResult) -> dict:
 
 def _subset_features(subset: Sequence[str], spaces: dict[str, SpaceSpec],
                      matrices: dict[str, FeatureSpace]) -> list[FeatureSpace]:
-    out = []
-    for space_name in subset:
-        spec = spaces[space_name]
-        for member in spec.members:
-            if member not in matrices:
-                raise DataError(
-                    f"space {space_name!r} references unknown matrix {member!r}"
-                )
-            fs = matrices[member]
-            out.append(FeatureSpace(fs.name, fs.data, spec.band))
-    return out
+    return [FeatureSpace(member, matrices[member].data, spaces[name].band)
+            for name in subset for member in spaces[name].members]
 
 
 def run_analysis(config: AnalysisConfig, threads: int = 1,
@@ -549,7 +540,7 @@ def run_analysis(config: AnalysisConfig, threads: int = 1,
         "encodebench_version": __version__,
     }
     report = RunReport(
-        dataset_name=dataset.manifest.dataset_name,
+        dataset_name=dataset.dataset_name,
         config_echo=config.echo,
         results=report_results,
         predictions=predictions,
@@ -570,8 +561,7 @@ def _run_tests(config: AnalysisConfig, fam: FamilySpec, Y, preds, r2,
     outcomes = []
     skipped = []
     for test in config.tests:
-        named = _side_spaces(test.model_a) | _side_spaces(test.model_b)
-        if not named <= set(fam.spaces):
+        if not set(test.model_a.spaces + test.model_b.spaces) <= set(fam.spaces):
             skipped.append(test.name)
             continue
         pred_a = _resolve_side(test.model_a, preds, r2, intercept)
@@ -581,10 +571,9 @@ def _run_tests(config: AnalysisConfig, fam: FamilySpec, Y, preds, r2,
     return outcomes, skipped
 
 
-def _resolve_side(side, preds, r2, intercept):
-    if side == "intercept":
+def _resolve_side(side: SideSpec, preds, r2, intercept):
+    if not side.spaces:
         return intercept
-    if "spaces" in side:
-        return preds[frozenset(side["spaces"])]
-    return star_predictions(preds, r2, tuple(side["family"]),
-                            required=side.get("required"))
+    if side.star:
+        return star_predictions(preds, r2, side.spaces, required=side.required)
+    return preds[frozenset(side.spaces)]

@@ -32,7 +32,7 @@ more than ``min_improvement`` for ``patience`` consecutive iterations.
 
 from __future__ import annotations
 
-import json
+import numbers
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -41,8 +41,9 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import metrics
-from .errors import DataError
+from .errors import DataError, check_int
 from .features import FeatureSpace, zscore_fit_apply
+from .matrixio import save_matrix, write_json
 from .splits import SplitPlan
 
 _RCOND = np.finfo(np.float64).eps
@@ -60,6 +61,9 @@ class RidgeConfig:
     alphas: tuple[float, ...] = field(default_factory=default_alpha_grid)
 
     def __post_init__(self):
+        if not all(isinstance(a, numbers.Real) and not isinstance(a, bool)
+                   for a in self.alphas):
+            raise DataError(f"alpha grid must hold numbers, got {self.alphas!r}")
         alphas = tuple(float(a) for a in self.alphas)
         if not alphas or alphas[0] != 0.0:
             raise DataError("alpha grid must start at 0")
@@ -76,12 +80,13 @@ class BandedSearchConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if not self.max_iters >= self.patience >= 1:
-            raise DataError("need max_iters >= patience >= 1")
-        if self.min_improvement <= 0:
+        check_int("search max_iters", self.max_iters, 1)
+        check_int("search patience", self.patience, 1)
+        check_int("search seed", self.seed, 0)
+        if self.max_iters < self.patience:
+            raise DataError("search max_iters must be >= patience")
+        if not self.min_improvement > 0:
             raise DataError("min_improvement must be > 0")
-        if self.seed < 0:
-            raise DataError("seed must be non-negative")
 
 
 def _check_finite(name, arr):
@@ -263,8 +268,6 @@ class FitResult:
         return metrics.r2_oos(Y, self.test_predictions, self.intercept_predictions)
 
     def save(self, out_dir) -> None:
-        from .matrixio import save_matrix  # deferred; matrixio imports features
-
         out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)
         save_matrix(out / "test_predictions.bbsm", self.test_predictions)
@@ -278,9 +281,7 @@ class FitResult:
             "n_random_iterations": self.n_random_iterations,
             "early_stopped": self.early_stopped,
         }
-        with open(out / "fit.json", "w") as fh:
-            json.dump(doc, fh, sort_keys=True, indent=2)
-            fh.write("\n")
+        write_json(out / "fit.json", doc)
 
 
 class _FoldData:

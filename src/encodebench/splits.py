@@ -185,7 +185,7 @@ def plan_blank(story_ids) -> SplitPlan:
     return _nested_plan(ids, stories, "blank", _chunks(1))
 
 
-def plan_grouped(block_ids, n_outer: int = 5, n_inner: int = 4) -> SplitPlan:
+def plan_grouped(block_ids, n_outer: int, n_inner: int) -> SplitPlan:
     """Group k-fold over blocks for datasets without category, sentence,
     or story structure."""
     ids, blocks = _blocks(block_ids)

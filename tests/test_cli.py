@@ -101,6 +101,17 @@ class TestSplit:
         assert "carries categories" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_negative_shuffle_seed_exits_2(self, tmp_path, capsys):
+        assert main(["synth", "--preset", "pereira-exp2", "--units", "4",
+                     "--output", str(tmp_path / "d")]) == 0
+        out = tmp_path / "plan.json"
+        code = main(["split", "--manifest", str(tmp_path / "d" / "manifest.json"),
+                     "--scheme", "pereira", "--mode", "shuffled", "--seed", "-1",
+                     "--output", str(out)])
+        assert code == 2
+        assert "shuffle_seed" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_too_few_sentences_exits_2(self, tmp_path, capsys):
         blocks = np.repeat(np.arange(8), 4)
         spec = eb.SynthSpec(n_samples=32, n_units=2, block_ids=blocks,
@@ -186,11 +197,39 @@ class TestCompare:
         contiguous = doc["modes"]["contiguous"]["main"]["subsets"]["OASM"]["mean_r2"]
         assert shuffled - contiguous >= 0.25
 
-        # report subcommand reads it back
+        compare_lines = [line for line in _lines(capsys)
+                         if line["event"] == "compare"]
+        assert compare_lines and all("mean_r2_corrected" in line
+                                     for line in compare_lines)
+
+        # report subcommand reads it back and prints the same family lines
         code = main(["report", "--input", str(out)])
         assert code == 0
-        lines = _lines(capsys)
-        assert any(line.get("event") == "report-family" for line in lines)
+        report_lines = [line for line in _lines(capsys)
+                        if line["event"] == "report-family"]
+        assert ([dict(line, event=None) for line in report_lines]
+                == [dict(line, event=None) for line in compare_lines])
+
+    @pytest.mark.parametrize("split", [
+        {"scheme": "pereira", "mode": "shuffled", "shuffle_seed": -1},
+        {"scheme": "pereira", "selection_seed": -3},
+        {"scheme": "grouped", "n_outer": "5"},
+    ])
+    def test_bad_split_values_exit_2(self, tmp_path, capsys, split):
+        assert main(["synth", "--preset", "pereira-exp2", "--units", "4",
+                     "--output", str(tmp_path / "d")]) == 0
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text(json.dumps({
+            "manifest": "d/manifest.json", "split": split,
+            "spaces": [{"name": "SPSL", "members": ["SP", "SL"]}],
+            "families": [{"name": "main", "spaces": ["SPSL"]}],
+            "search": {"max_iters": 1, "patience": 1},
+        }))
+        out = tmp_path / "report"
+        assert main(["compare", "--config", str(cfg_path),
+                     "--output", str(out)]) == 2
+        assert "error: " in capsys.readouterr().err
+        assert not out.exists()
 
     def test_config_without_output_is_data_error(self, tmp_path, capsys):
         cfg_path = tmp_path / "c.json"

@@ -169,3 +169,13 @@ def test_manifest_wrong_label_lengths(tmp_path):
     path.write_text(json.dumps(doc))
     with pytest.raises(ManifestError):
         eb.load_manifest(path)
+
+
+@pytest.mark.parametrize("entry", [False, True])
+def test_manifest_unknown_key_rejected(tmp_path, entry):
+    path = _write_dataset(tmp_path)
+    doc = json.loads(path.read_text())
+    (doc["feature_spaces"][0] if entry else doc)["sample_categorys"] = [0] * 8
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ManifestError, match="sample_categorys"):
+        eb.load_manifest(path)

@@ -2,6 +2,7 @@ import csv
 import hashlib
 import itertools
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -205,6 +206,84 @@ class TestConfig:
         doc["families"][0]["llm"] = "F5"
         with pytest.raises(DataError):
             AnalysisConfig.from_dict(doc, base_dir=tmp_path)
+
+    # (section, key): a misspelt or misplaced key in each section and side form
+    @pytest.mark.parametrize("section,key", [
+        ("top", "serach"), ("split", "seed"), ("space", "bnad"),
+        ("family", "complexity-order"), ("test", "model_c"),
+        ("family side", "requried"), ("spaces side", "required"),
+        ("ridge", "alpha"), ("search", "max_iter"),
+    ])
+    def test_unknown_key_rejected_in_every_section(self, tmp_path, section, key):
+        doc = _base_config("manifest.json", ridge={"alphas": [0.0, 1.0]}, tests=[{
+            "name": "pair", "model_a": {"family": ["F0", "F1"], "required": "F1"},
+            "model_b": {"spaces": ["F0"]}}])
+        AnalysisConfig.from_dict(doc, base_dir=tmp_path)
+        pair = doc["tests"][0]
+        target = {"top": doc, "split": doc["split"], "space": doc["spaces"][0],
+                  "family": doc["families"][0], "test": pair,
+                  "family side": pair["model_a"], "spaces side": pair["model_b"],
+                  "ridge": doc["ridge"], "search": doc["search"]}[section]
+        target[key] = "F0"
+        with pytest.raises(DataError):
+            AnalysisConfig.from_dict(doc, base_dir=tmp_path)
+
+    @pytest.mark.parametrize("level", [0.0, 1.0, 2.0, -0.05])
+    def test_alpha_level_outside_unit_interval_rejected(self, tmp_path, level):
+        doc = _base_config("manifest.json", alpha_level=level)
+        with pytest.raises(DataError, match="alpha_level"):
+            AnalysisConfig.from_dict(doc, base_dir=tmp_path)
+
+    @pytest.mark.parametrize("section,values", [
+        ("split", {"shuffle_seed": -1}), ("split", {"selection_seed": -3}),
+        ("split", {"n_outer": "5"}), ("split", {"n_inner": 2.5}),
+        ("split", {"shuffle_seed": True}), ("split", {"mode": "shuffle"}),
+        ("search", {"max_iters": 5.5}), ("search", {"seed": 1.5}),
+        ("ridge", {"alphas": [0, "x"]}), ("ridge", {"alphas": [0, "1"]}),
+        ("top", {"oasm_sigma": "2"}), ("top", {"oasm_sigma": 0.0}),
+    ])
+    def test_bad_values_rejected_at_load(self, tmp_path, section, values):
+        doc = _base_config("manifest.json", ridge={})
+        (doc if section == "top" else doc[section]).update(values)
+        with pytest.raises(DataError):
+            AnalysisConfig.from_dict(doc, base_dir=tmp_path)
+
+    @pytest.mark.parametrize("section", ["spaces", "families", "tests"])
+    def test_duplicate_names_rejected(self, tmp_path, section):
+        # report.json and the tables key families and tests by name, so a
+        # repeated name used to overwrite the earlier entry's results
+        doc = _base_config("manifest.json", tests=[
+            {"name": "pair", "model_a": {"spaces": ["F0"]}, "model_b": "intercept"}])
+        doc[section].append(dict(doc[section][0]))
+        with pytest.raises(DataError, match="duplicate"):
+            AnalysisConfig.from_dict(doc, base_dir=tmp_path)
+
+    def test_config_without_families_rejected(self, tmp_path):
+        # run_analysis used to stop with StopIteration after planning
+        doc = _base_config("manifest.json", families=[])
+        with pytest.raises(DataError, match="no families"):
+            AnalysisConfig.from_dict(doc, base_dir=tmp_path)
+
+    def test_spec_classes_own_their_defaults(self, tmp_path):
+        config = AnalysisConfig.from_dict({
+            "manifest": "manifest.json", "split": {"scheme": "blank"},
+            "spaces": [{"name": "LLM", "members": ["LLM"]},
+                       {"name": "SPSL", "members": ["SP", "SL"]}],
+            "families": [{"name": "main", "spaces": ["SPSL", "LLM"]}],
+        }, base_dir=tmp_path)
+        assert [s.band for s in config.spaces] == ["llm", "spsl"]
+        assert config.families[0].complexity_order == ("SPSL", "LLM")
+        assert config.split == eb.pipeline.SplitSpec("blank")
+        assert config.search == eb.BandedSearchConfig()
+        assert config.alpha_level == 0.05
+
+    def test_readme_config_example_loads(self, tmp_path):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        section = readme.split("## Analysis configs", 1)[1]
+        example = section.split("```json", 1)[1].split("```", 1)[0]
+        config = AnalysisConfig.from_dict(json.loads(example), base_dir=tmp_path)
+        assert [f.name for f in config.families] == ["main"]
+        assert config.tests[0].model_a.star and config.tests[0].model_a.required
 
 
 class TestRunAnalysis:
