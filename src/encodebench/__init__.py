@@ -10,7 +10,6 @@ from .features import (
     build_sentence_length,
     build_sentence_position,
     build_word_position,
-    mean_pool_variants,
     oasm_sigma_grid,
     sum_pool,
     sweep_oasm_sigma,
@@ -36,13 +35,10 @@ from .ridge import (
     BandedSearchConfig,
     FitResult,
     RidgeConfig,
-    apply_band_scaling,
     banded_search,
     default_alpha_grid,
     enumerate_masks,
     ridge_solve,
-    ridge_weights,
-    select_best_layer,
 )
 from .splits import (
     SplitPlan,

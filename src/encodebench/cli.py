@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DataError
+from .errors import DataError, check_int
 from .features import (
     build_oasm,
     build_sentence_length,
@@ -53,9 +53,10 @@ def _emit(doc: dict) -> None:
     sys.stdout.write(json.dumps(doc, sort_keys=True) + "\n")
 
 
-def _emit_families(event: str, doc: dict) -> None:
+def _family_lines(event: str, doc: dict) -> list[dict]:
     """One line per (mode, family) of a report document: the subset means,
     the mean corrected R^2, and the omega and phi means when present."""
+    lines = []
     for mode, families in doc["modes"].items():
         for family, fam_doc in families.items():
             line = {"event": event, "mode": mode, "family": family,
@@ -64,16 +65,23 @@ def _emit_families(event: str, doc: dict) -> None:
                     "mean_r2_corrected": fam_doc["mean_r2_corrected"]}
             line.update({key: fam_doc[key]["mean"] for key in ("omega", "phi")
                          if key in fam_doc})
-            _emit(line)
+            lines.append(line)
+    return lines
 
 
 def _resolve_threads(value) -> int:
-    if value is not None:
-        return max(1, int(value))
-    env = os.environ.get("ENCODEBENCH_THREADS")
-    if env:
-        return max(1, int(env))
-    return os.cpu_count() or 1
+    """``--threads``, else ``ENCODEBENCH_THREADS``, else the CPU count."""
+    what = "--threads"
+    if value is None:
+        what, value = "ENCODEBENCH_THREADS", os.environ.get("ENCODEBENCH_THREADS")
+        if not value:
+            return os.cpu_count() or 1
+        try:
+            value = int(value)
+        except ValueError:
+            pass  # check_int names the bad value
+    check_int(what, value, 1)
+    return value
 
 
 def _int_list(text: str) -> list[int]:
@@ -83,7 +91,6 @@ def _int_list(text: str) -> list[int]:
 def build_parser() -> _Parser:
     common = _Parser(add_help=False)
     common.add_argument("--seed", type=int, default=0)
-    common.add_argument("--threads", type=int, default=None)
     common.add_argument("--output", type=Path, default=None)
 
     planned = _Parser(add_help=False)
@@ -142,6 +149,9 @@ def build_parser() -> _Parser:
     p = sub.add_parser("compare", parents=[common],
                        help="run a full analysis config and write a report")
     p.add_argument("--config", type=Path, required=True)
+    p.add_argument("--threads", type=int, default=None,
+                   help="(mode, subset) fits run at once (default: "
+                        "ENCODEBENCH_THREADS, then the CPU count)")
     p.set_defaults(handler=cmd_compare)
 
     p = sub.add_parser("report", parents=[common],
@@ -262,8 +272,7 @@ def cmd_fit(args) -> int:
     cfg = BandedSearchConfig(max_iters=args.max_iters, patience=args.patience,
                              min_improvement=args.min_improvement,
                              seed=args.seed)
-    fit = banded_search(features, dataset.recording.responses, plan,
-                        search_cfg=cfg, threads=_resolve_threads(args.threads))
+    fit = banded_search(features, dataset.recording.responses, plan, search_cfg=cfg)
     fit.save(out)
     r2 = fit.test_r2(dataset.recording.responses)
     _emit({"event": "fit", "bands": fit.band_names,
@@ -289,19 +298,26 @@ def cmd_oasm_sweep(args) -> int:
 
 
 def cmd_compare(args) -> int:
+    threads = _resolve_threads(args.threads)
     config = AnalysisConfig.from_file(args.config)
     target = args.output or config.output
     if target is None:
         raise DataError("no output directory: pass --output or set it in the config")
-    report = run_analysis(config, threads=_resolve_threads(args.threads),
-                          output_dir=target)
-    _emit_families("compare", report.summary_dict())
+    report = run_analysis(config, threads=threads, output_dir=target)
+    for line in _family_lines("compare", report.summary_dict()):
+        _emit(line)
     _emit({"event": "compare-done", "output": str(target)})
     return 0
 
 
 def cmd_report(args) -> int:
-    doc = read_json(args.input / "report.json", DataError)
-    _emit({"event": "report", "dataset": doc["dataset"]})
-    _emit_families("report-family", doc)
+    path = args.input / "report.json"
+    doc = read_json(path, DataError)
+    try:  # read the whole document before printing any of it
+        lines = [{"event": "report", "dataset": doc["dataset"]},
+                 *_family_lines("report-family", doc)]
+    except (KeyError, TypeError, AttributeError) as exc:
+        raise DataError(f"{path} is not a report document: {exc!r}") from exc
+    for line in lines:
+        _emit(line)
     return 0

@@ -122,8 +122,7 @@ class SigmaSweepResult:
     scores: np.ndarray  # mean clipped validation R^2 per sigma
 
 
-def sweep_oasm_sigma(recording, block_ids, plan, ridge_cfg=None,
-                     search_cfg=None, sigmas=None) -> SigmaSweepResult:
+def sweep_oasm_sigma(recording, block_ids, plan, sigmas=None) -> SigmaSweepResult:
     """Pick the smoothing width that maximizes validation performance.
 
     Each candidate sigma gets a full alpha-grid fit on the plan's inner
@@ -138,8 +137,7 @@ def sweep_oasm_sigma(recording, block_ids, plan, ridge_cfg=None,
     scores = np.empty(sigmas.size)
     for i, sigma in enumerate(sigmas):
         oasm = build_oasm(responses.shape[0], block_ids, float(sigma))
-        fit = banded_search([oasm], responses, plan,
-                            ridge_cfg=ridge_cfg, search_cfg=search_cfg)
+        fit = banded_search([oasm], responses, plan)
         per_unit = fit.validation_r2.mean(axis=0)
         scores[i] = np.maximum(per_unit, 0.0).mean()
     best = int(np.argmax(scores))  # first max -> smallest sigma on ties
@@ -201,18 +199,6 @@ def sum_pool(token_matrix, token_map) -> np.ndarray:
     out = np.zeros((n_samples, tokens.shape[1]))
     np.add.at(out, groups, tokens)
     return out
-
-
-def mean_pool_variants(variant_matrices: Sequence[np.ndarray]) -> np.ndarray:
-    """Element-wise mean across same-shaped matrices."""
-    if len(variant_matrices) == 0:
-        raise DataError("need at least one variant matrix")
-    mats = [np.asarray(m, dtype=np.float64) for m in variant_matrices]
-    shape = mats[0].shape
-    for m in mats[1:]:
-        if m.shape != shape:
-            raise DataError(f"variant shape mismatch: {m.shape} vs {shape}")
-    return np.mean(mats, axis=0)
 
 
 def zscore_fit_apply(train, others=()):

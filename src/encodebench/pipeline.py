@@ -18,6 +18,7 @@ import csv
 import json
 import logging
 import time
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Mapping, Optional, Sequence
@@ -29,7 +30,7 @@ from .errors import DataError, ManifestError, check_int
 from .features import FeatureSpace, build_oasm
 from .matrixio import LoadedDataset, load_manifest, read_json, save_matrix, write_json
 from .metrics import ComparisonReport, build_comparison_report, subsets
-from .ridge import BandedSearchConfig, RidgeConfig, _map_ordered, banded_search
+from .ridge import BandedSearchConfig, RidgeConfig, banded_search
 from .splits import (
     SplitPlan,
     plan_blank,
@@ -459,6 +460,13 @@ def _subset_features(subset: Sequence[str], spaces: dict[str, SpaceSpec],
             for name in subset for member in spaces[name].members]
 
 
+def _map_ordered(fn, items, threads):
+    if threads <= 1 or len(items) <= 1:
+        return [fn(item) for item in items]
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        return list(pool.map(fn, items))
+
+
 def run_analysis(config: AnalysisConfig, threads: int = 1,
                  output_dir=None) -> RunReport:
     started = time.time()
@@ -493,7 +501,7 @@ def run_analysis(config: AnalysisConfig, threads: int = 1,
         t0 = time.time()
         fit = banded_search(
             _subset_features(subset, spaces, matrices), Y, plans[mode],
-            ridge_cfg=config.ridge, search_cfg=config.search, threads=1,
+            ridge_cfg=config.ridge, search_cfg=config.search,
         )
         logger.info("fit %s / %s in %.2fs", mode, "+".join(subset),
                     time.time() - t0)

@@ -15,15 +15,14 @@ training rows and the training target mean is added back to predictions.
 
 In the banded search a scaled Gram is the gamma^2-weighted sum of band
 Grams. Each split builds every band's train Gram and eval-by-train Gram up
-front whenever the bands together are wider than its training set, so the
-search threads only read them and need no lock.
+front whenever the bands together are wider than its training set.
 
 Search notes
 ------------
-Candidate scaling vectors come first from the subset-mask enumeration
-(every way of zeroing out feature spaces), then from Dirichlet draws whose
-RNG streams depend only on (seed, iteration index), so results do not
-depend on thread scheduling. Per unit, the best (gamma, alpha) by pooled
+Each outer fold is searched and refit on its own. Candidate scaling vectors
+come first from the subset-mask enumeration (every way of zeroing out
+feature spaces), then from Dirichlet draws whose RNG streams depend only on
+(seed, iteration index). Per unit, the best (gamma, alpha) by pooled
 inner-validation R^2 wins; strict improvement is required, so earlier
 candidates and smaller alphas win ties. The random phase stops early once
 the across-unit mean of running-best validation scores fails to improve by
@@ -33,8 +32,7 @@ more than ``min_improvement`` for ``patience`` consecutive iterations.
 from __future__ import annotations
 
 import numbers
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -142,15 +140,12 @@ class _Spectral:
         preds = scaled.reshape(-1, self.spectrum.size) @ self.UTY
         return preds.reshape(len(alphas), G.shape[0], self.UTY.shape[1])
 
-    def weights(self, alphas) -> np.ndarray:
-        """Weights per alpha of a design-built core: (n_alphas, n_dims, n_units)."""
-        basis = self.right if self.design is None else self.design.T @ self.right
-        return np.stack([(basis * d) @ self.UTY for d in self.filter(alphas)])
 
+def ridge_solve(X_train, Y_train, X_eval, alphas) -> np.ndarray:
+    """Predict X_eval for every alpha; returns (n_alphas, n_eval, n_units).
 
-def _centered(X_train, Y_train, alphas):
-    """Checked float inputs, centered on the training rows: (Xc, Yc, (feature
-    means, target means), alphas); a 1-D target becomes one column."""
+    A 1-D target collapses the unit axis: the result is (n_alphas, n_eval).
+    """
     X = np.asarray(X_train, dtype=np.float64)
     Y = np.asarray(Y_train, dtype=np.float64)
     if Y.ndim == 1:
@@ -166,31 +161,15 @@ def _centered(X_train, Y_train, alphas):
     alphas = [float(a) for a in alphas]
     if any(a < 0 for a in alphas):
         raise DataError("alphas must be non-negative")
-    x_mean = X.mean(axis=0)
-    y_mean = Y.mean(axis=0)
-    return X - x_mean, Y - y_mean, (x_mean, y_mean), alphas
-
-
-def ridge_solve(X_train, Y_train, X_eval, alphas) -> np.ndarray:
-    """Predict X_eval for every alpha; returns (n_alphas, n_eval, n_units).
-
-    A 1-D target collapses the unit axis: the result is (n_alphas, n_eval).
-    """
-    Xc, Yc, (x_mean, y_mean), alphas = _centered(X_train, Y_train, alphas)
     Xe = np.asarray(X_eval, dtype=np.float64)
-    if Xe.ndim != 2 or Xe.shape[1] != Xc.shape[1]:
+    if Xe.ndim != 2 or Xe.shape[1] != X.shape[1]:
         raise DataError("X_train and X_eval must be 2-D with equal column counts")
     _check_finite("X_eval", Xe)
-    preds = _Spectral(Yc, design=Xc).predict(Xe - x_mean, alphas)
+    x_mean = X.mean(axis=0)
+    y_mean = Y.mean(axis=0)
+    preds = _Spectral(Y - y_mean, design=X - x_mean).predict(Xe - x_mean, alphas)
     preds += y_mean
     return preds[:, :, 0] if np.ndim(Y_train) == 1 else preds
-
-
-def ridge_weights(X_train, Y_train, alphas):
-    """Weights per alpha on centered data: (n_alphas, n_dims, n_units),
-    plus the (feature means, target means) used for centering."""
-    Xc, Yc, means, alphas = _centered(X_train, Y_train, alphas)
-    return _Spectral(Yc, design=Xc).weights(alphas), means
 
 
 def group_bands(spaces: Sequence[FeatureSpace]):
@@ -214,19 +193,6 @@ def group_bands(spaces: Sequence[FeatureSpace]):
     return order, mats
 
 
-def apply_band_scaling(band_matrices: Sequence[np.ndarray], gamma) -> np.ndarray:
-    """Scale each band's columns by its gamma entry and concatenate."""
-    gamma = np.asarray(gamma, dtype=np.float64)
-    if gamma.ndim != 1 or gamma.size != len(band_matrices):
-        raise DataError(
-            f"gamma has {gamma.size} entries for {len(band_matrices)} bands"
-        )
-    if (gamma < 0).any():
-        raise DataError("gamma entries must be non-negative")
-    return np.hstack([g * np.asarray(m, dtype=np.float64)
-                      for g, m in zip(gamma, band_matrices)])
-
-
 def enumerate_masks(n_bands: int) -> list[np.ndarray]:
     """Uniform sub-simplex vectors for every nonempty band subset.
 
@@ -243,13 +209,6 @@ def enumerate_masks(n_bands: int) -> list[np.ndarray]:
 
 
 @dataclass
-class ValidationFold:
-    indices: np.ndarray      # pooled validation rows, inner-fold order
-    predictions: np.ndarray  # winning-hyperparameter predictions per unit
-    intercepts: np.ndarray   # per-inner-fold training means, tiled
-
-
-@dataclass
 class FitResult:
     band_names: list[str]
     alphas: tuple[float, ...]
@@ -258,10 +217,8 @@ class FitResult:
     chosen_gamma: np.ndarray           # outer folds x units x bands
     chosen_alpha: np.ndarray           # outer folds x units
     validation_r2: np.ndarray          # outer folds x units (best per unit)
-    validation_folds: list[ValidationFold]
     n_random_iterations: list[int]
     early_stopped: list[bool]
-    weights: Optional[list[np.ndarray]] = None  # per outer fold: units x dims
 
     def test_r2(self, responses) -> np.ndarray:
         Y = np.asarray(responses, dtype=np.float64)
@@ -324,19 +281,6 @@ class _FoldData:
         y_mean = self.y_mean if unit_slice is None else self.y_mean[unit_slice]
         return preds + y_mean
 
-    def weights_for(self, gamma, alpha, unit_slice):
-        """Refit weights on the scaled standardized design for chosen units."""
-        X = np.hstack([g * Z for g, Z in zip(gamma, self.Ztr)])
-        W, _ = ridge_weights(X, self.Yc[:, unit_slice], [alpha])
-        return W[0]
-
-
-def _map_ordered(fn, items, threads):
-    if threads <= 1 or len(items) <= 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, items))
-
 
 def _random_gamma(seed: int, iteration: int, n_bands: int) -> np.ndarray:
     rng = np.random.default_rng((seed, iteration))
@@ -352,204 +296,110 @@ def _as_response_matrix(responses) -> np.ndarray:
     return Y
 
 
+def _fit_outer_fold(fold, band_mats, Y, alphas, search_cfg):
+    """Search (gamma, alpha) per unit on one outer fold's inner folds, then
+    refit each unit's winner on train+validation and predict the test rows.
+
+    Returns the fold's rows of the result: (test predictions, training
+    target means, chosen gamma, chosen alpha, best validation R^2, random
+    iterations, early stopped).
+    """
+    n_units = Y.shape[1]
+    inner = [_FoldData(band_mats, Y, f.train, f.validation)
+             for f in fold.inner_folds]
+    y_val = Y[np.concatenate([f.eval_idx for f in inner])]
+    icpt_val = np.concatenate(
+        [np.broadcast_to(f.y_mean, (len(f.eval_idx), n_units)) for f in inner]
+    )
+    mse_icpt = ((y_val - icpt_val) ** 2).mean(axis=0)
+    if (mse_icpt == 0).any():
+        bad = np.flatnonzero(mse_icpt == 0).tolist()
+        raise DataError(f"constant validation target for units {bad}")
+
+    best_score = np.full(n_units, -np.inf)
+    best_cand = np.zeros(n_units, dtype=np.int64)
+    best_alpha_idx = np.zeros(n_units, dtype=np.int64)
+    candidates: list[np.ndarray] = []
+
+    def try_candidate(gamma):
+        pooled = np.concatenate(
+            [f.predict_grid(gamma, alphas) for f in inner], axis=1
+        )
+        mse = ((pooled - y_val[None, :, :]) ** 2).mean(axis=1)
+        r2 = 1.0 - mse / mse_icpt[None, :]
+        alpha_idx = np.argmax(r2, axis=0)  # first max -> smallest alpha
+        scores = r2[alpha_idx, np.arange(n_units)]
+        improved = scores > best_score  # strict: earlier candidates win ties
+        best_score[improved] = scores[improved]
+        best_cand[improved] = len(candidates)
+        best_alpha_idx[improved] = alpha_idx[improved]
+        candidates.append(gamma)
+
+    n_bands = len(band_mats)
+    for gamma in enumerate_masks(n_bands):
+        try_candidate(gamma)
+
+    i = 0
+    stopped = False
+    if n_bands > 1:
+        prev_mean = best_score.mean()
+        stall = 0
+        while i < search_cfg.max_iters and not stopped:
+            try_candidate(_random_gamma(search_cfg.seed, i, n_bands))
+            i += 1
+            cur_mean = best_score.mean()
+            gain = cur_mean - prev_mean
+            prev_mean = cur_mean
+            stall = stall + 1 if gain < search_cfg.min_improvement else 0
+            stopped = stall >= search_cfg.patience
+
+    trval = np.setdiff1d(np.arange(Y.shape[0]), fold.test)
+    refit = _FoldData(band_mats, Y, trval, fold.test)
+    test_pred = np.zeros((len(fold.test), n_units))
+    for cand_id in np.unique(best_cand):
+        units = np.flatnonzero(best_cand == cand_id)
+        unit_alpha_idx = best_alpha_idx[units]
+        uniq = np.unique(unit_alpha_idx)
+        preds = refit.predict_grid(candidates[cand_id], [alphas[a] for a in uniq],
+                                   unit_slice=units)
+        for pos, ai in enumerate(uniq):
+            sel = unit_alpha_idx == ai
+            test_pred[:, units[sel]] = preds[pos][:, sel]
+    chosen_gamma = np.stack([candidates[c] for c in best_cand])
+    chosen_alpha = np.asarray(alphas)[best_alpha_idx]
+    return (test_pred, refit.y_mean, chosen_gamma, chosen_alpha, best_score,
+            i, stopped)
+
+
 def banded_search(features: Sequence[FeatureSpace], responses, plan: SplitPlan,
                   ridge_cfg: Optional[RidgeConfig] = None,
-                  search_cfg: Optional[BandedSearchConfig] = None,
-                  threads: int = 1, store_weights: bool = False) -> FitResult:
+                  search_cfg: Optional[BandedSearchConfig] = None) -> FitResult:
     """Nested-CV banded ridge fit with per-unit hyperparameter selection."""
     ridge_cfg = ridge_cfg or RidgeConfig()
     search_cfg = search_cfg or BandedSearchConfig()
     Y = _as_response_matrix(responses)
     band_names, band_mats = group_bands(list(features))
-    n_bands = len(band_names)
-    n_samples, n_units = Y.shape
-    if band_mats[0].shape[0] != n_samples:
+    if band_mats[0].shape[0] != Y.shape[0]:
         raise DataError("feature and response row counts differ")
-    alphas = ridge_cfg.alphas
+    if not plan.outer_folds:
+        raise DataError("the split plan has no outer folds")
 
-    masks = enumerate_masks(n_bands)
-    test_pred = np.zeros((n_samples, n_units))
-    intercept_pred = np.zeros((n_samples, n_units))
-    chosen_gamma = np.zeros((len(plan.outer_folds), n_units, n_bands))
-    chosen_alpha = np.zeros((len(plan.outer_folds), n_units))
-    validation_r2 = np.zeros((len(plan.outer_folds), n_units))
-    validation_folds = []
-    n_random_iterations = []
-    early_stopped = []
-    all_weights = [] if store_weights else None
-
-    for fold_pos, fold in enumerate(plan.outer_folds):
-        inner = [_FoldData(band_mats, Y, f.train, f.validation)
-                 for f in fold.inner_folds]
-        val_indices = np.concatenate([f.eval_idx for f in inner])
-        y_val = Y[val_indices]
-        icpt_val = np.concatenate(
-            [np.broadcast_to(f.y_mean, (len(f.eval_idx), n_units)) for f in inner]
-        )
-        mse_icpt = ((y_val - icpt_val) ** 2).mean(axis=0)
-        if (mse_icpt == 0).any():
-            bad = np.flatnonzero(mse_icpt == 0).tolist()
-            raise DataError(f"constant validation target for units {bad}")
-
-        def evaluate(gamma):
-            pooled = np.concatenate(
-                [f.predict_grid(gamma, alphas) for f in inner], axis=1
-            )
-            mse = ((pooled - y_val[None, :, :]) ** 2).mean(axis=1)
-            r2 = 1.0 - mse / mse_icpt[None, :]
-            alpha_idx = np.argmax(r2, axis=0)  # first max -> smallest alpha
-            scores = r2[alpha_idx, np.arange(n_units)]
-            best_pred = np.take_along_axis(
-                pooled, alpha_idx[None, None, :], axis=0
-            )[0]
-            return scores, alpha_idx, best_pred
-
-        best_score = np.full(n_units, -np.inf)
-        best_cand = np.zeros(n_units, dtype=np.int64)
-        best_alpha_idx = np.zeros(n_units, dtype=np.int64)
-        best_val_pred = np.zeros((len(val_indices), n_units))
-        candidates: list[np.ndarray] = []
-
-        def fold_in(cand_idx, result):
-            scores, alpha_idx, best_pred = result
-            improved = scores > best_score
-            if improved.any():
-                best_score[improved] = scores[improved]
-                best_cand[improved] = cand_idx
-                best_alpha_idx[improved] = alpha_idx[improved]
-                best_val_pred[:, improved] = best_pred[:, improved]
-
-        for result in zip(
-            range(len(masks)), _map_ordered(evaluate, masks, threads)
-        ):
-            candidates.append(masks[result[0]])
-            fold_in(*result)
-
-        n_random = 0
-        stopped = False
-        if n_bands > 1:
-            prev_mean = best_score.mean()
-            stall = 0
-            t = 0
-            while t < search_cfg.max_iters and not stopped:
-                chunk = list(range(t, min(t + max(threads, 1),
-                                          search_cfg.max_iters)))
-                gammas = [_random_gamma(search_cfg.seed, i, n_bands)
-                          for i in chunk]
-                results = _map_ordered(evaluate, gammas, threads)
-                for gamma, result in zip(gammas, results):
-                    candidates.append(gamma)
-                    fold_in(len(candidates) - 1, result)
-                    n_random += 1
-                    cur_mean = best_score.mean()
-                    gain = cur_mean - prev_mean
-                    prev_mean = cur_mean
-                    stall = stall + 1 if gain < search_cfg.min_improvement else 0
-                    if stall >= search_cfg.patience:
-                        stopped = True
-                        break
-                t = chunk[-1] + 1
-
-        # refit each unit's winner on train+validation, predict the test set
-        trval = np.setdiff1d(np.arange(n_samples), fold.test)
-        refit = _FoldData(band_mats, Y, trval, fold.test)
-        fold_weights = np.zeros((n_units, sum(m.shape[1] for m in band_mats))) \
-            if store_weights else None
-        for cand_id in np.unique(best_cand):
-            units = np.flatnonzero(best_cand == cand_id)
-            gamma = candidates[cand_id]
-            unit_alpha_idx = best_alpha_idx[units]
-            uniq = np.unique(unit_alpha_idx)
-            preds = refit.predict_grid(gamma, [alphas[i] for i in uniq],
-                                       unit_slice=units)
-            for pos, ai in enumerate(uniq):
-                sel = unit_alpha_idx == ai
-                test_pred[np.ix_(fold.test, units[sel])] = preds[pos][:, sel]
-                if store_weights:
-                    w = refit.weights_for(gamma, alphas[ai], units[sel])
-                    fold_weights[units[sel], :] = w.T
-        intercept_pred[fold.test, :] = refit.y_mean
-        del inner, refit  # free this fold's Grams before the next fold's are built
-
-        chosen_gamma[fold_pos] = np.stack([candidates[c] for c in best_cand])
-        chosen_alpha[fold_pos] = np.asarray(alphas)[best_alpha_idx]
-        validation_r2[fold_pos] = best_score
-        validation_folds.append(ValidationFold(
-            indices=val_indices, predictions=best_val_pred, intercepts=icpt_val
-        ))
-        n_random_iterations.append(n_random)
-        early_stopped.append(stopped)
-        if store_weights:
-            all_weights.append(fold_weights)
-
+    folds = [_fit_outer_fold(fold, band_mats, Y, ridge_cfg.alphas, search_cfg)
+             for fold in plan.outer_folds]
+    preds, means, gammas, chosen_alpha, scores, n_random, stopped = zip(*folds)
+    test_pred = np.zeros(Y.shape)
+    intercept_pred = np.zeros(Y.shape)
+    for fold, pred, mean in zip(plan.outer_folds, preds, means):
+        test_pred[fold.test] = pred
+        intercept_pred[fold.test] = mean
     return FitResult(
         band_names=band_names,
-        alphas=alphas,
+        alphas=ridge_cfg.alphas,
         test_predictions=test_pred,
         intercept_predictions=intercept_pred,
-        chosen_gamma=chosen_gamma,
-        chosen_alpha=chosen_alpha,
-        validation_r2=validation_r2,
-        validation_folds=validation_folds,
-        n_random_iterations=n_random_iterations,
-        early_stopped=early_stopped,
-        weights=all_weights,
+        chosen_gamma=np.stack(gammas),
+        chosen_alpha=np.stack(chosen_alpha),
+        validation_r2=np.stack(scores),
+        n_random_iterations=list(n_random),
+        early_stopped=list(stopped),
     )
-
-
-@dataclass
-class LayerSelection:
-    best_index: object           # int, or list[int] when fitting per seed
-    scores: np.ndarray           # (n_candidates,) or (n_seeds, n_candidates)
-    mean_best_score: float
-
-
-def _clipped_mean_test_r2(feature_set, Y, plan, ridge_cfg, search_cfg,
-                          threads) -> float:
-    fit = banded_search(feature_set, Y, plan, ridge_cfg=ridge_cfg,
-                        search_cfg=search_cfg, threads=threads)
-    r2 = fit.test_r2(Y)
-    return float(np.maximum(r2, 0.0).mean())
-
-
-def select_best_layer(candidate_feature_sets, responses, plan: SplitPlan,
-                      ridge_cfg: Optional[RidgeConfig] = None,
-                      search_cfg: Optional[BandedSearchConfig] = None,
-                      seeds: Optional[Sequence[int]] = None,
-                      threads: int = 1) -> LayerSelection:
-    """Fit each candidate feature set and pick the best by clipped mean
-    test R^2 across units (ties go to the lowest index).
-
-    With ``seeds``, ``candidate_feature_sets`` holds one candidate list per
-    seed; the best candidate is chosen per seed and the mean of per-seed
-    best scores is reported.
-    """
-    if len(candidate_feature_sets) == 0:
-        raise DataError("no candidate feature sets")
-    Y = _as_response_matrix(responses)
-    ridge_cfg = ridge_cfg or RidgeConfig()
-    search_cfg = search_cfg or BandedSearchConfig()
-
-    if seeds is None:
-        scores = np.array([
-            _clipped_mean_test_r2(c, Y, plan, ridge_cfg, search_cfg, threads)
-            for c in candidate_feature_sets
-        ])
-        best = int(np.argmax(scores))
-        return LayerSelection(best, scores, float(scores[best]))
-
-    if len(seeds) != len(candidate_feature_sets):
-        raise DataError("one candidate list per seed is required")
-    all_scores = []
-    bests = []
-    for seed, candidates in zip(seeds, candidate_feature_sets):
-        cfg = replace(search_cfg, seed=int(seed))
-        scores = np.array([
-            _clipped_mean_test_r2(c, Y, plan, ridge_cfg, cfg, threads)
-            for c in candidates
-        ])
-        all_scores.append(scores)
-        bests.append(int(np.argmax(scores)))
-    all_scores = np.stack(all_scores)
-    mean_best = float(np.mean([s[b] for s, b in zip(all_scores, bests)]))
-    return LayerSelection(bests, all_scores, mean_best)

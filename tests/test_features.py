@@ -191,33 +191,6 @@ class TestSumPool:
             atol=1e-12)
 
 
-class TestMeanPoolVariants:
-    def test_single_matrix(self):
-        m = np.array([[1.0, 2.0]])
-        np.testing.assert_array_equal(eb.mean_pool_variants([m]), m)
-
-    def test_two_matrices(self):
-        np.testing.assert_array_equal(
-            eb.mean_pool_variants([np.array([[0.0]]), np.array([[2.0]])]),
-            [[1.0]])
-
-    def test_matches_accumulation_oracle(self, rng):
-        mats = [rng.standard_normal((2, 3)) for _ in range(100)]
-        total = np.zeros((2, 3))
-        for m in mats:
-            total += m
-        np.testing.assert_allclose(
-            eb.mean_pool_variants(mats), total / 100, atol=1e-12)
-
-    def test_empty_rejected(self):
-        with pytest.raises(DataError):
-            eb.mean_pool_variants([])
-
-    def test_shape_mismatch_rejected(self):
-        with pytest.raises(DataError):
-            eb.mean_pool_variants([np.ones((2, 2)), np.ones((3, 2))])
-
-
 class TestZscore:
     def test_two_point_column(self):
         train_z, _, mean, std = eb.zscore_fit_apply(np.array([[1.0], [3.0]]))

@@ -1,3 +1,4 @@
+import hashlib
 import time
 
 import numpy as np
@@ -5,13 +6,10 @@ import pytest
 
 import encodebench as eb
 from encodebench.errors import DataError
-from encodebench.ridge import (
-    BandedSearchConfig,
-    RidgeConfig,
-    _FoldData,
-    _map_ordered,
-)
+from encodebench.pipeline import _map_ordered
+from encodebench.ridge import BandedSearchConfig, RidgeConfig, _FoldData
 from oracles import (
+    apply_band_scaling,
     block_penalty_oracle,
     ridge_normal_eq_oracle,
     single_band_alpha_grid_oracle,
@@ -79,33 +77,12 @@ class TestRidgeSolve:
         for n, p in ((30, 6), (10, 25)):  # tall, then wide (Gram path)
             X = rng.standard_normal((n, p))
             Y = rng.standard_normal((n, 4))
-            W, _ = eb.ridge_weights(X, Y, eb.default_alpha_grid())
-            norms = np.linalg.norm(W, axis=1)  # (n_alphas, units)
-            assert (np.diff(norms, axis=0) <= 1e-12).all()
-
-    def test_weights_consistent_with_predictions(self, rng):
-        for n, p in ((15, 4), (8, 20)):  # tall, then wide (Gram path)
-            X = rng.standard_normal((n, p))
-            Y = rng.standard_normal((n, 2))
-            Xe = rng.standard_normal((5, p))
-            W, (xm, ym) = eb.ridge_weights(X, Y, [1.0, 0.0])
-            np.testing.assert_allclose(
-                (Xe - xm) @ W + ym, eb.ridge_solve(X, Y, Xe, [1.0, 0.0]),
-                atol=1e-10)
+            fitted = eb.ridge_solve(X, Y, X, eb.default_alpha_grid())
+            norms = np.linalg.norm(fitted - Y.mean(axis=0), axis=1)
+            assert (np.diff(norms, axis=0) <= 1e-12).all()  # (n_alphas, units)
 
 
 class TestBandScaling:
-    def test_identity_gamma(self, rng):
-        X = rng.standard_normal((5, 3))
-        np.testing.assert_array_equal(eb.apply_band_scaling([X], [1.0]), X)
-
-    def test_zero_gamma_zeroes_band(self, rng):
-        a = rng.standard_normal((5, 2))
-        b = rng.standard_normal((5, 3))
-        scaled = eb.apply_band_scaling([a, b], [1.0, 0.0])
-        np.testing.assert_array_equal(scaled[:, 2:], np.zeros((5, 3)))
-        np.testing.assert_array_equal(scaled[:, :2], a)
-
     def test_equivalent_to_block_penalty(self, rng):
         for _ in range(5):
             Xa = rng.standard_normal((15, 2))
@@ -115,8 +92,8 @@ class TestBandScaling:
             Eb = rng.standard_normal((6, 3))
             gamma = np.array([0.7, 0.3])
             alpha = 4.0
-            scaled_tr = eb.apply_band_scaling([Xa, Xb], gamma)
-            scaled_ev = eb.apply_band_scaling([Ea, Eb], gamma)
+            scaled_tr = apply_band_scaling([Xa, Xb], gamma)
+            scaled_ev = apply_band_scaling([Ea, Eb], gamma)
             mine = eb.ridge_solve(scaled_tr, Y, scaled_ev, [alpha])[0]
             oracle = block_penalty_oracle([Xa, Xb], Y, [Ea, Eb], alpha, gamma)
             np.testing.assert_allclose(mine, oracle, atol=1e-8)
@@ -125,18 +102,10 @@ class TestBandScaling:
         Ea, Eb = rng.standard_normal((6, 4)), rng.standard_normal((6, 24))
         Y = rng.standard_normal((12, 3))
         gamma = np.array([0.8, 0.2])
-        mine = eb.ridge_solve(eb.apply_band_scaling([Xa, Xb], gamma), Y,
-                              eb.apply_band_scaling([Ea, Eb], gamma), [2.0])[0]
+        mine = eb.ridge_solve(apply_band_scaling([Xa, Xb], gamma), Y,
+                              apply_band_scaling([Ea, Eb], gamma), [2.0])[0]
         oracle = block_penalty_oracle([Xa, Xb], Y, [Ea, Eb], 2.0, gamma)
         np.testing.assert_allclose(mine, oracle, atol=1e-8)
-
-    def test_length_mismatch_rejected(self, rng):
-        with pytest.raises(DataError):
-            eb.apply_band_scaling([rng.standard_normal((4, 2))], [0.5, 0.5])
-
-    def test_negative_gamma_rejected(self, rng):
-        with pytest.raises(DataError):
-            eb.apply_band_scaling([rng.standard_normal((4, 2))], [-1.0])
 
 
 class TestEnumerateMasks:
@@ -201,18 +170,23 @@ class TestBandedSearch:
         np.testing.assert_array_equal(a.chosen_alpha, b.chosen_alpha)
         np.testing.assert_array_equal(a.validation_r2, b.validation_r2)
 
-    def test_determinism_across_thread_counts(self, tiny_recording,
-                                              small_plan, rng):
+    def test_pinned_trajectory(self, tiny_recording, small_plan, rng):
+        """Iteration counts, early stops and chosen (gamma, alpha) are pinned:
+        a change to the candidate sequence, the tie rule or the early-stop
+        rule moves them. The digest hashes the choices at 9 significant
+        digits, so it ignores ulp-level drift across BLAS thread counts."""
         features, Y, _ = tiny_recording
         other = eb.FeatureSpace("OTH", rng.standard_normal((96, 3)), "oth")
-        cfg = BandedSearchConfig(max_iters=60, patience=50, seed=9)
-        a = eb.banded_search([features, other], Y, small_plan,
-                             search_cfg=cfg, threads=1)
-        b = eb.banded_search([features, other], Y, small_plan,
-                             search_cfg=cfg, threads=4)
-        np.testing.assert_array_equal(a.test_predictions, b.test_predictions)
-        np.testing.assert_array_equal(a.chosen_gamma, b.chosen_gamma)
-        np.testing.assert_array_equal(a.chosen_alpha, b.chosen_alpha)
+        cfg = BandedSearchConfig(max_iters=20, patience=8, seed=9,
+                                 min_improvement=1e-8)
+        fit = eb.banded_search([features, other], Y, small_plan, search_cfg=cfg)
+        assert fit.n_random_iterations == [17, 16, 12, 16, 12, 20]
+        assert fit.early_stopped == [True] * 5 + [False]
+        text = ";".join("%.9g|" % alpha + ",".join("%.9g" % g for g in gamma)
+                        for gammas, alphas in zip(fit.chosen_gamma,
+                                                  fit.chosen_alpha)
+                        for gamma, alpha in zip(gammas, alphas))
+        assert hashlib.sha256(text.encode()).hexdigest()[:16] == "6e59c76e633e35e2"
 
     def test_gram_path_safe_across_threads(self, rng):
         class SlowMatmul(np.ndarray):
@@ -277,31 +251,11 @@ class TestBandedSearch:
                                    atol=1e-12)
         assert all(a in fit.alphas for a in np.unique(fit.chosen_alpha))
 
-    def test_validation_folds_reproduce_scores(self, tiny_recording,
-                                                small_plan):
+    def test_plan_without_outer_folds_rejected(self, tiny_recording):
         features, Y, _ = tiny_recording
-        fit = eb.banded_search([features], Y, small_plan)
-        for k, vf in enumerate(fit.validation_folds):
-            r2 = eb.r2_oos(Y[vf.indices], vf.predictions, vf.intercepts)
-            np.testing.assert_allclose(r2, fit.validation_r2[k], atol=1e-12)
-
-    def test_store_weights(self, tiny_recording, small_plan):
-        features, Y, _ = tiny_recording
-        fit = eb.banded_search([features], Y, small_plan, store_weights=True)
-        assert fit.weights is not None
-        assert len(fit.weights) == len(small_plan.outer_folds)
-        n = Y.shape[0]
-        for k, fold in enumerate(small_plan.outer_folds):
-            W = fit.weights[k]
-            assert W.shape == (Y.shape[1], features.n_dims)
-            assert np.isfinite(W).all()
-            # predictions reconstruct from the standardized scaled design
-            trval = np.setdiff1d(np.arange(n), fold.test)
-            _, (xte,), _, _ = eb.zscore_fit_apply(
-                features.data[trval], [features.data[fold.test]])
-            recon = xte @ W.T + Y[trval].mean(0)
-            np.testing.assert_allclose(
-                recon, fit.test_predictions[fold.test], atol=1e-8)
+        plan = eb.SplitPlan([], "contiguous", "generic-grouped", Y.shape[0])
+        with pytest.raises(DataError, match="no outer folds"):
+            eb.banded_search([features], Y, plan)
 
     def test_save(self, tiny_recording, small_plan, tmp_path):
         features, Y, _ = tiny_recording
@@ -311,45 +265,3 @@ class TestBandedSearch:
         loaded = eb.load_matrix(tmp_path / "fit" / "test_predictions.bbsm")
         np.testing.assert_array_equal(loaded, fit.test_predictions)
 
-
-class TestSelectBestLayer:
-    def test_signal_beats_noise(self, rng, small_plan):
-        sig = eb.FeatureSpace("SIG", rng.standard_normal((96, 5)), "sig")
-        W = rng.standard_normal((5, 10))
-        Y = sig.data @ W + 0.5 * rng.standard_normal((96, 10))
-        noise = eb.FeatureSpace("NOI", rng.standard_normal((96, 5)), "noi")
-        pick = eb.select_best_layer([[sig], [noise]], Y, small_plan)
-        assert pick.best_index == 0
-        assert pick.scores[0] > pick.scores[1]
-
-    def test_single_candidate(self, tiny_recording, small_plan):
-        features, Y, _ = tiny_recording
-        pick = eb.select_best_layer([[features]], Y, small_plan)
-        assert pick.best_index == 0
-
-    def test_tie_goes_to_lower_index(self, tiny_recording, small_plan):
-        features, Y, _ = tiny_recording
-        pick = eb.select_best_layer([[features], [features]], Y, small_plan)
-        assert pick.best_index == 0
-        assert pick.scores[0] == pick.scores[1]
-
-    def test_multi_seed_averaging(self, rng, small_plan):
-        Y = rng.standard_normal((96, 8))
-        per_seed = []
-        for s in range(2):
-            r = np.random.default_rng(s)
-            per_seed.append([
-                [eb.FeatureSpace("L0", r.standard_normal((96, 4)), "l")],
-                [eb.FeatureSpace("L1", r.standard_normal((96, 4)), "l")],
-            ])
-        pick = eb.select_best_layer(per_seed, Y, small_plan, seeds=[0, 1])
-        assert len(pick.best_index) == 2
-        assert pick.scores.shape == (2, 2)
-        expected = np.mean([pick.scores[i, b]
-                            for i, b in enumerate(pick.best_index)])
-        assert abs(pick.mean_best_score - expected) < 1e-12
-
-    def test_empty_rejected(self, tiny_recording, small_plan):
-        _, Y, _ = tiny_recording
-        with pytest.raises(DataError):
-            eb.select_best_layer([], Y, small_plan)
