@@ -26,6 +26,7 @@ from .matrixio import (
 from .metrics import (
     build_comparison_report,
     clip_and_average,
+    layered_best,
     omega,
     phi,
     r2_oos,
@@ -51,4 +52,4 @@ from .splits import (
 )
 from .stats import bh_fdr, chance_level_test, paired_squared_error_ttest
 from .synthgen import SynthSpec, generate, preset, write_dataset
-from .pipeline import AnalysisConfig, layered_best, run_analysis, star_predictions
+from .pipeline import AnalysisConfig, run_analysis, star_predictions

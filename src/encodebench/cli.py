@@ -29,6 +29,7 @@ from .pipeline import (
     SCHEMES,
     AnalysisConfig,
     SplitSpec,
+    _names,
     feature_matrices,
     run_analysis,
     split_plans,
@@ -70,17 +71,10 @@ def _family_lines(event: str, doc: dict) -> list[dict]:
 
 
 def _resolve_threads(value) -> int:
-    """``--threads``, else ``ENCODEBENCH_THREADS``, else the CPU count."""
-    what = "--threads"
+    """``--threads``, else the CPU count."""
     if value is None:
-        what, value = "ENCODEBENCH_THREADS", os.environ.get("ENCODEBENCH_THREADS")
-        if not value:
-            return os.cpu_count() or 1
-        try:
-            value = int(value)
-        except ValueError:
-            pass  # check_int names the bad value
-    check_int(what, value, 1)
+        return os.cpu_count() or 1
+    check_int("--threads", value, 1)
     return value
 
 
@@ -150,8 +144,8 @@ def build_parser() -> _Parser:
                        help="run a full analysis config and write a report")
     p.add_argument("--config", type=Path, required=True)
     p.add_argument("--threads", type=int, default=None,
-                   help="(mode, subset) fits run at once (default: "
-                        "ENCODEBENCH_THREADS, then the CPU count)")
+                   help="(mode, subset) fits run at once (default: the "
+                        "CPU count)")
     p.set_defaults(handler=cmd_compare)
 
     p = sub.add_parser("report", parents=[common],
@@ -261,7 +255,8 @@ def cmd_fit(args) -> int:
     matrices = feature_matrices(dataset, args.oasm_sigma)
     features = list(matrices.values())
     if args.spaces:
-        wanted = [name.strip() for name in args.spaces.split(",")]
+        wanted = _names([name.strip() for name in args.spaces.split(",")],
+                        "--spaces")
         missing = [w for w in wanted if w not in matrices]
         if missing:
             raise DataError(f"unknown feature spaces: {missing}")

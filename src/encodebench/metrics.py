@@ -4,17 +4,18 @@ A model's predictive score is ``R2_oos = 1 - MSE_model / MSE_intercept``
 per unit, computed on predictions pooled across cross-validation folds; the
 intercept baseline is each fold's training-mean prediction, pooled in the
 same order. Sub-model correction takes the per-unit max over a family of
-feature subsets. From corrected scores, ``omega`` measures the percentage
-of a designated space's explained variance that a simpler model also
-captures, and ``phi`` the unique variance the designated space adds over
-the autocorrelation-only baseline.
+feature subsets; ``best_subset`` is the one rule behind every such
+selection. From corrected scores, ``omega`` measures the percentage of a
+designated space's explained variance that a simpler model also captures,
+and ``phi`` the unique variance the designated space adds over the
+autocorrelation-only baseline.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Mapping, Optional
+from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -50,31 +51,17 @@ def _sem(values: np.ndarray) -> float:
     return float(values.std(ddof=1) / np.sqrt(values.size))
 
 
-@dataclass
-class ParticipantSummary:
-    participant_ids: np.ndarray
-    participant_means: np.ndarray
-    mean: float
-    sem: float
-
-
-def clip_and_average(scores, participants) -> ParticipantSummary:
-    """Floor unit scores at 0, average within participant, then summarize
-    across participants (SEM uses n-1)."""
-    scores = np.asarray(scores, dtype=np.float64)
-    participants = np.asarray(participants)
-    if scores.shape != participants.shape:
-        raise DataError("scores and participant ids must align")
-    clipped = np.maximum(scores, 0.0)
-    ids = np.unique(participants)
-    means = np.array([clipped[participants == p].mean() for p in ids])
-    return ParticipantSummary(ids, means, float(means.mean()), _sem(means))
-
-
 def _normalize_key(key) -> frozenset:
     if isinstance(key, str):
         return frozenset([key])
     return frozenset(key)
+
+
+def _score_table(subset_scores: Mapping) -> tuple[dict, list[str]]:
+    """The scores keyed by frozensets, and the sorted spaces they name."""
+    table = {_normalize_key(k): np.asarray(v, dtype=np.float64)
+             for k, v in subset_scores.items()}
+    return table, sorted(frozenset().union(*table))
 
 
 def subsets(spaces, required: Optional[str] = None) -> list[tuple]:
@@ -85,30 +72,54 @@ def subsets(spaces, required: Optional[str] = None) -> list[tuple]:
             if required is None or required in combo]
 
 
+def best_subset(table: Mapping, spaces, required: Optional[str] = None):
+    """Per unit, the best-scoring ``subsets(spaces, required)`` in ``table``
+    (keyed by frozensets, scoring every one of them): the subsets, the
+    per-unit best scores, and per unit the index of the first max, so ties
+    go to the subset enumerated first."""
+    keys = [frozenset(combo) for combo in subsets(spaces, required)]
+    if not keys:
+        raise DataError(f"no subset of {list(spaces)} to choose from "
+                        f"(required: {required!r})")
+    for key in keys:
+        if key not in table:
+            raise DataError(f"missing subset {sorted(key)} in score table")
+    scores = np.stack([table[key] for key in keys])
+    return keys, scores.max(axis=0), np.argmax(scores, axis=0)
+
+
 def submodel_max(subset_scores: Mapping, required: Optional[str] = None):
     """Per-unit max of R^2 over a subset family (Eq.-style correction).
 
     With ``required``, the max is restricted to subsets containing that
     feature space. The family must cover every needed subset.
     """
-    table = {_normalize_key(k): np.asarray(v, dtype=np.float64)
-             for k, v in subset_scores.items()}
-    if not table:
-        raise DataError("empty subset score table")
-    universe = frozenset().union(*table.keys())
-    if required is not None and required not in universe:
-        raise DataError(f"required space {required!r} not present in any subset")
-    stack = []
-    for combo in subsets(sorted(universe), required):
-        if frozenset(combo) not in table:
-            raise DataError(f"missing subset {list(combo)} in score table")
-        stack.append(table[frozenset(combo)])
-    return np.max(np.stack(stack), axis=0)
+    table, universe = _score_table(subset_scores)
+    return best_subset(table, universe, required)[1]
+
+
+def layered_best(subset_scores: Mapping, complexity_order: Sequence[str]):
+    """Per-tier best score: for each space, the best subset holding it and
+    nothing ranked above it. Ties go to the smaller subset, then to the
+    alphabetically first; the subset is named in complexity order."""
+    table, universe = _score_table(subset_scores)
+    if set(complexity_order) != set(universe):
+        raise DataError("complexity order must cover exactly the scored spaces")
+    entries = []
+    for i, space in enumerate(complexity_order):
+        keys, score, best = best_subset(
+            table, sorted(complexity_order[:i + 1]), required=space)
+        entries.append({
+            "space": space,
+            "score": float(score),
+            "subset": "+".join(sorted(keys[best], key=complexity_order.index)),
+        })
+    return entries
 
 
 @dataclass
 class PartitionResult:
-    per_unit: np.ndarray          # percent per unit; NaN where excluded
+    per_unit: np.ndarray          # percent, or clipped R^2; NaN where excluded
     participant_ids: np.ndarray
     participant_values: np.ndarray  # NaN for a participant with every unit excluded
     mean: float                   # over the defined participants; NaN if none
@@ -131,6 +142,16 @@ def _partition(per_unit, included, participants, clip_at=None) -> PartitionResul
     mean = float(defined.mean()) if defined.size else float("nan")
     return PartitionResult(per_unit, ids, values, mean, _sem(defined),
                            int((~included).sum()))
+
+
+def clip_and_average(scores, participants) -> PartitionResult:
+    """Floor unit scores at 0, average within participant, then summarize
+    across participants (SEM uses n-1)."""
+    scores = np.asarray(scores, dtype=np.float64)
+    if scores.shape != np.shape(participants):
+        raise DataError("scores and participant ids must align")
+    return _partition(np.maximum(scores, 0.0), np.ones(scores.shape, dtype=bool),
+                      participants)
 
 
 def omega(r2_m_star, r2_m_llm_star, r2_llm, participants) -> PartitionResult:
@@ -171,34 +192,27 @@ class ComparisonReport:
     r2_corrected_without_llm: Optional[np.ndarray]
     omega: Optional[PartitionResult]
     phi: Optional[PartitionResult]
-    submodel_table: dict[frozenset, ParticipantSummary]
+    submodel_table: dict[frozenset, PartitionResult]  # clip_and_average per subset
 
 
 def build_comparison_report(subset_scores: Mapping, participants,
                             llm: Optional[str] = None,
                             oasm: Optional[str] = None) -> ComparisonReport:
     """Assemble corrected scores and the omega/phi summaries for one family."""
-    table = {_normalize_key(k): np.asarray(v, dtype=np.float64)
-             for k, v in subset_scores.items()}
+    table, universe = _score_table(subset_scores)
     participants = np.asarray(participants)
-    corrected = submodel_max(table)
+    corrected = best_subset(table, universe)[1]
 
     with_llm = without_llm = None
     omega_result = phi_result = None
     if llm is not None:
-        with_llm = submodel_max(table, required=llm)
-        llm_free = {k: v for k, v in table.items() if llm not in k}
-        if not llm_free:
-            raise DataError("no LLM-free subsets to correct against")
-        without_llm = submodel_max(llm_free)
+        with_llm = best_subset(table, universe, required=llm)[1]
+        without_llm = best_subset(table, [s for s in universe if s != llm])[1]
         omega_result = omega(without_llm, with_llm,
                              table[frozenset([llm])], participants)
         if oasm is not None:
-            pair_family = {k: v for k, v in table.items()
-                           if k <= frozenset([oasm, llm])}
-            oasm_llm_star = submodel_max(
-                {k: v for k, v in pair_family.items() if llm in k}, required=llm
-            )
+            oasm_llm_star = best_subset(table, sorted([oasm, llm]),
+                                        required=llm)[1]
             phi_result = phi(oasm_llm_star, table[frozenset([oasm])],
                              participants)
 

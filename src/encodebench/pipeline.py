@@ -29,7 +29,13 @@ from . import __version__
 from .errors import DataError, ManifestError, check_int
 from .features import FeatureSpace, build_oasm
 from .matrixio import LoadedDataset, load_manifest, read_json, save_matrix, write_json
-from .metrics import ComparisonReport, build_comparison_report, subsets
+from .metrics import (
+    ComparisonReport,
+    best_subset,
+    build_comparison_report,
+    layered_best,
+    subsets,
+)
 from .ridge import BandedSearchConfig, RidgeConfig, banded_search
 from .splits import (
     SplitPlan,
@@ -94,6 +100,9 @@ class FamilySpec:
             raise DataError(f"{what}: complexity_order must cover exactly its spaces")
         if self.llm is not None and self.llm not in self.spaces:
             raise DataError(f"{what}: llm space {self.llm!r} not in family")
+        if self.spaces == (self.llm,):
+            raise DataError(f"{what}: its only space is its llm space, so omega "
+                            "has no LLM-free subset to correct against")
 
 
 @dataclass(frozen=True)
@@ -272,51 +281,14 @@ def feature_matrices(dataset: LoadedDataset,
     return matrices
 
 
-def layered_best(subset_scores: Mapping, complexity_order: Sequence[str]):
-    """Per-tier best score: for each space, the max over subsets containing
-    it and nothing ranked above it. Ties go to the smaller subset."""
-    table = {}
-    for key, value in subset_scores.items():
-        key = frozenset([key]) if isinstance(key, str) else frozenset(key)
-        table[key] = float(value)
-    universe = frozenset().union(*table.keys())
-    if set(complexity_order) != set(universe):
-        raise DataError("complexity order must cover exactly the scored spaces")
-    rank = {s: i for i, s in enumerate(complexity_order)}
-    entries = []
-    for i, space in enumerate(complexity_order):
-        candidates = [
-            k for k in table
-            if space in k and all(rank[s] <= i for s in k)
-        ]
-        if not candidates:
-            raise DataError(f"no scored subset for tier {space!r}")
-        best = sorted(
-            candidates,
-            key=lambda k: (-table[k], len(k), sorted(k)),
-        )[0]
-        entries.append({
-            "space": space,
-            "score": table[best],
-            "subset": "+".join(sorted(best, key=lambda s: rank[s])),
-        })
-    return entries
-
-
 def star_predictions(subset_preds: Mapping, subset_r2: Mapping,
                      family: Sequence[str], required: Optional[str] = None):
     """Per-unit predictions of each unit's best-scoring subset."""
-    keys = [frozenset(combo) for combo in subsets(family, required)]
-    for key in keys:
-        if key not in subset_r2:
-            raise DataError(f"missing fitted subset {sorted(key)}")
-    scores = np.stack([subset_r2[k] for k in keys])
-    best = np.argmax(scores, axis=0)  # first max -> smaller subset wins ties
+    keys, _, best = best_subset(subset_r2, family, required)
     out = np.empty_like(subset_preds[keys[0]])
     for i, key in enumerate(keys):
         cols = best == i
-        if cols.any():
-            out[:, cols] = subset_preds[key][:, cols]
+        out[:, cols] = subset_preds[key][:, cols]
     return out
 
 
@@ -425,7 +397,7 @@ def _family_doc(fr: FamilyResult) -> dict:
             _subset_name(key): {
                 "mean_r2": summary.mean,
                 "sem": _none_if_nan(summary.sem),
-                "participant_means": summary.participant_means.tolist(),
+                "participant_means": summary.participant_values.tolist(),
             }
             for key, summary in comparison.submodel_table.items()
         },

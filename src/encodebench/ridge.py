@@ -9,7 +9,9 @@ centered problem once and filters the spectrum per alpha. One rule,
 while X has no more columns than rows, else ``eigh`` of the smaller Gram
 matrix K = X X^T, which gives identical predictions through the
 push-through identity ``X_ev (X^T X + aI)^-1 X^T Y = K_ev (K + aI)^-1 Y``.
-``alpha = 0`` is the pseudo-inverse (minimum-norm least squares) limit.
+``alpha = 0`` is the pseudo-inverse (minimum-norm least squares) limit,
+with numpy's pinv rank cutoff on the matrix factored; on the Gram path it
+resolves singular values of X down to about ``sqrt(n * eps) * smax``.
 The intercept is never penalized: features and targets are centered on
 training rows and the training target mean is added back to predictions.
 
@@ -108,16 +110,16 @@ class _Spectral:
         if gram is None:
             U, s, Vt = np.linalg.svd(design, full_matrices=False)
             self.spectrum, self.numerator, self.denominator = s, s, s ** 2
-            smax = s[0] if s.size else 0.0
-            self.cutoff = smax * max(design.shape) * _RCOND
+            factored = design
             self.right = Vt.T
         else:
             lam, U = np.linalg.eigh(gram)
             lam = np.maximum(lam, 0.0)
             self.spectrum, self.numerator, self.denominator = lam, 1.0, lam
-            lmax = lam[-1] if lam.size else 0.0
-            self.cutoff = lmax * (gram.shape[0] * _RCOND) ** 2
+            factored = gram
             self.right = U
+        # numpy's pinv rule, applied to the matrix actually factored
+        self.cutoff = self.spectrum.max(initial=0.0) * max(factored.shape) * _RCOND
         self.UTY = U.T @ Yc
 
     def filter(self, alphas) -> np.ndarray:

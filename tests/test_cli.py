@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 
@@ -174,6 +175,19 @@ class TestFit:
         assert not out.exists()
 
 
+    def test_repeated_space_exits_2(self, tmp_path, capsys):
+        # used to fit one band holding SP twice and exit 0
+        assert main(["synth", "--preset", "pereira-exp2", "--units", "4",
+                     "--output", str(tmp_path / "d")]) == 0
+        out = tmp_path / "fit"
+        code = main(["fit", "--manifest", str(tmp_path / "d" / "manifest.json"),
+                     "--scheme", "pereira", "--spaces", "SP,SP",
+                     "--max-iters", "1", "--patience", "1", "--output", str(out)])
+        assert code == 2
+        assert "--spaces repeats a name" in capsys.readouterr().err
+        assert not out.exists()
+
+
 class TestCompare:
     def test_shuffle_demo_contrast(self, tmp_path, capsys):
         assert main(["synth", "--preset", "shuffle-demo", "--seed", "7",
@@ -231,6 +245,27 @@ class TestCompare:
         assert "error: " in capsys.readouterr().err
         assert not out.exists()
 
+    def test_constant_response_exits_2(self, tmp_path, capsys):
+        assert main(["synth", "--preset", "pereira-exp2", "--units", "4",
+                     "--output", str(tmp_path / "d")]) == 0
+        doc = json.loads((tmp_path / "d" / "manifest.json").read_text())
+        responses = tmp_path / "d" / doc["responses_path"]
+        Y = eb.load_matrix(responses)
+        Y[:, 2] = 0.25
+        eb.save_matrix(responses, Y)
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text(json.dumps({
+            "manifest": "d/manifest.json", "split": {"scheme": "pereira"},
+            "spaces": [{"name": "SPSL", "members": ["SP", "SL"]}],
+            "families": [{"name": "main", "spaces": ["SPSL"]}],
+        }))
+        out = tmp_path / "report"
+        assert main(["compare", "--config", str(cfg_path),
+                     "--output", str(out)]) == 2
+        assert ("constant validation target for units [2]"
+                in capsys.readouterr().err)
+        assert not out.exists()
+
     def test_config_without_output_is_data_error(self, tmp_path, capsys):
         cfg_path = tmp_path / "c.json"
         cfg_path.write_text(json.dumps({
@@ -275,19 +310,18 @@ class TestReport:
 
 
 class TestThreads:
-    def test_env_fallback(self, monkeypatch):
+    def test_default_is_cpu_count_whatever_the_environment(self, monkeypatch):
+        # the retired ENCODEBENCH_THREADS must not change the default
         from encodebench.cli import _resolve_threads
         monkeypatch.setenv("ENCODEBENCH_THREADS", "3")
-        assert _resolve_threads(None) == 3
+        assert _resolve_threads(None) == (os.cpu_count() or 1)
         assert _resolve_threads(5) == 5
-        monkeypatch.delenv("ENCODEBENCH_THREADS")
-        assert _resolve_threads(None) >= 1
 
+    # env: a value of the retired ENCODEBENCH_THREADS, which changes nothing
     @pytest.mark.parametrize("argv, env, message", [
         (["--threads", "0"], None, "--threads must be >= 1"),
         (["--threads", "-2"], None, "--threads must be >= 1"),
-        ([], "abc", "ENCODEBENCH_THREADS must be an integer"),
-        ([], "0", "ENCODEBENCH_THREADS must be >= 1"),
+        (["--threads", "0"], "4", "--threads must be >= 1"),
     ])
     def test_compare_exits_2_before_reading_config(self, tmp_path, capsys,
                                                    monkeypatch, argv, env,

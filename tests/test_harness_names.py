@@ -1,6 +1,8 @@
-"""The benchmark harness under perfbench/ looks encodebench functions up by
-name; these tests fail when a rename or a signature change would break it."""
+"""The benchmark harness under perfbench/ and the demos under scripts/ look
+encodebench functions up by name; these tests fail when a rename or a
+signature change would break them."""
 
+import ast
 import importlib
 import json
 from pathlib import Path
@@ -11,6 +13,7 @@ import pytest
 import encodebench as eb
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+SCRIPTS = sorted((PERFBENCH.parent / "scripts").glob("*.py"))
 
 
 @pytest.fixture
@@ -88,3 +91,14 @@ def test_compare_runs_as_the_harness_runs_it(harness, tmp_path):
             "ridge.banded_search"} <= names
     saves = [s for s in recorder.spans if s.name == "pipeline.RunReport.save"]
     assert len(saves) == 1 and saves[0].info["bytes"] > 0
+
+
+@pytest.mark.parametrize("script", SCRIPTS, ids=lambda path: path.name)
+def test_script_names_resolve(script):
+    """Every ``eb.<name>`` a demo uses exists, checked without running it."""
+    tree = ast.parse(script.read_text())
+    used = {node.attr for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute)
+            and isinstance(node.value, ast.Name) and node.value.id == "eb"}
+    assert used, f"{script.name} uses no eb.<name>"
+    assert sorted(name for name in used if not hasattr(eb, name)) == []

@@ -3,6 +3,7 @@ import pytest
 
 import encodebench as eb
 from encodebench.errors import DataError
+from encodebench.metrics import best_subset
 from oracles import submodel_max_oracle
 
 
@@ -49,14 +50,14 @@ class TestR2Oos:
 class TestClipAndAverage:
     def test_clipping_rule(self):
         summary = eb.clip_and_average([-0.5, 0.5], [0, 0])
-        assert summary.participant_means[0] == 0.25
+        assert summary.participant_values[0] == 0.25
 
     def test_non_negative_scores_unchanged(self, rng):
         scores = np.abs(rng.standard_normal(12))
         participants = np.repeat([0, 1, 2], 4)
         summary = eb.clip_and_average(scores, participants)
         for i, p in enumerate(summary.participant_ids):
-            assert abs(summary.participant_means[i]
+            assert abs(summary.participant_values[i]
                        - scores[participants == p].mean()) < 1e-12
 
     def test_sem_example(self):
@@ -67,8 +68,8 @@ class TestClipAndAverage:
     def test_clipped_units_contribute_exactly_zero(self):
         with_negative = eb.clip_and_average([0.4, -0.7], [0, 0])
         with_zero = eb.clip_and_average([0.4, 0.0], [0, 0])
-        assert with_negative.participant_means[0] == \
-            with_zero.participant_means[0]
+        assert with_negative.participant_values[0] == \
+            with_zero.participant_values[0]
 
     def test_single_participant_sem_is_nan(self):
         summary = eb.clip_and_average([0.1, 0.2], [0, 0])
@@ -111,6 +112,26 @@ class TestSubmodelMax:
     def test_missing_subset_rejected(self):
         with pytest.raises(DataError):
             eb.submodel_max({("A",): [0.1], ("A", "B"): [0.2]})
+
+
+class TestBestSubset:
+    def test_ties_go_to_the_first_enumerated_subset(self):
+        table = {frozenset("A"): np.array([1.0, 0.0, 0.2]),
+                 frozenset("B"): np.array([1.0, 2.0, 0.1]),
+                 frozenset("AB"): np.array([0.5, 2.0, 0.2])}
+        keys, best, index = best_subset(table, ["B", "A"])
+        assert keys == [frozenset("B"), frozenset("A"), frozenset("AB")]
+        np.testing.assert_array_equal(best, [1.0, 2.0, 0.2])
+        np.testing.assert_array_equal(index, [0, 0, 1])  # B, B, A
+        keys, _, index = best_subset(table, ["B", "A"], required="A")
+        np.testing.assert_array_equal(index, [0, 1, 0])  # A, AB, A
+
+    def test_missing_or_no_subset_rejected(self):
+        table = {frozenset("A"): np.array([0.1])}
+        with pytest.raises(DataError, match="missing subset"):
+            best_subset(table, ["A", "B"])
+        with pytest.raises(DataError, match="no subset"):
+            best_subset(table, ["A"], required="B")
 
 
 class TestOmega:

@@ -207,6 +207,14 @@ class TestConfig:
         with pytest.raises(DataError):
             AnalysisConfig.from_dict(doc, base_dir=tmp_path)
 
+    def test_family_of_only_its_llm_rejected(self, tmp_path):
+        # compare used to run every fit and then exit 2 on omega's missing
+        # LLM-free subset, writing nothing
+        doc = _base_config("manifest.json",
+                           families=[{"name": "solo", "spaces": ["F1"], "llm": "F1"}])
+        with pytest.raises(DataError, match="only space is its llm"):
+            AnalysisConfig.from_dict(doc, base_dir=tmp_path)
+
     # (section, key): a misspelt or misplaced key in each section and side form
     @pytest.mark.parametrize("section,key", [
         ("top", "serach"), ("split", "seed"), ("space", "bnad"),

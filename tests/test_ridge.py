@@ -69,6 +69,18 @@ class TestRidgeSolve:
             np.testing.assert_allclose(
                 mine[pos], ridge_normal_eq_oracle(X, Y, Xe, alpha), atol=1e-8)
 
+    def test_rank_deficient_gram_alpha_zero_matches_pinv(self, rng):
+        # 144 x 512 of rank 5: the Gram path must drop eigh's noise
+        # eigenvalues rather than invert them
+        basis = rng.standard_normal((5, 512))
+        X = rng.standard_normal((144, 5)) @ basis
+        Xe = rng.standard_normal((12, 5)) @ basis
+        Y = rng.standard_normal((144, 3))
+        x_mean, y_mean = X.mean(axis=0), Y.mean(axis=0)
+        expected = (Xe - x_mean) @ np.linalg.pinv(X - x_mean) @ (Y - y_mean) + y_mean
+        mine = eb.ridge_solve(X, Y, Xe, [0.0])[0]
+        np.testing.assert_allclose(mine, expected, atol=1e-8)
+
     def test_non_finite_rejected(self):
         with pytest.raises(DataError):
             eb.ridge_solve([[1.0], [float("inf")]], [1.0, 2.0], [[1.0]], [1.0])
@@ -250,6 +262,15 @@ class TestBandedSearch:
         np.testing.assert_allclose(fit.chosen_gamma.sum(axis=2), 1.0,
                                    atol=1e-12)
         assert all(a in fit.alphas for a in np.unique(fit.chosen_alpha))
+
+    def test_constant_validation_target_rejected(self, tiny_recording,
+                                                 small_plan):
+        features, Y, _ = tiny_recording
+        Y = Y.copy()
+        Y[:, 3] = 1.5
+        with pytest.raises(DataError,
+                           match=r"constant validation target for units \[3\]"):
+            eb.banded_search([features], Y, small_plan)
 
     def test_plan_without_outer_folds_rejected(self, tiny_recording):
         features, Y, _ = tiny_recording
