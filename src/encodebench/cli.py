@@ -83,11 +83,11 @@ def _int_list(text: str) -> list[int]:
 
 
 def build_parser() -> _Parser:
-    common = _Parser(add_help=False)
-    common.add_argument("--seed", type=int, default=0)
-    common.add_argument("--output", type=Path, default=None)
+    output = _Parser(add_help=False)
+    output.add_argument("--output", type=Path, default=None)
 
     planned = _Parser(add_help=False)
+    planned.add_argument("--seed", type=int, default=0)
     planned.add_argument("--manifest", type=Path, required=True)
     planned.add_argument("--scheme", required=True, choices=SCHEMES)
     planned.add_argument("--mode", default=SplitSpec.mode,
@@ -98,9 +98,10 @@ def build_parser() -> _Parser:
     parser = _Parser(prog="encodebench")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("synth", parents=[common],
+    p = sub.add_parser("synth", parents=[output],
                        help="write a synthetic dataset (manifest + matrices)")
     p.add_argument("--preset", required=True, choices=PRESETS)
+    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--units", type=int, default=None)
     p.add_argument("--participants", type=int, default=None)
     p.add_argument("--noise-scale", type=float, default=None)
@@ -108,7 +109,7 @@ def build_parser() -> _Parser:
     p.add_argument("--autocorr-sigma", type=float, default=None)
     p.set_defaults(handler=cmd_synth)
 
-    p = sub.add_parser("features", parents=[common],
+    p = sub.add_parser("features", parents=[output],
                        help="build a derived feature space matrix")
     p.add_argument("--kind", required=True, choices=("oasm", "sp", "sl", "wp"))
     p.add_argument("--manifest", type=Path, default=None,
@@ -121,11 +122,11 @@ def build_parser() -> _Parser:
     p.add_argument("--sentences", type=int, default=None)
     p.set_defaults(handler=cmd_features)
 
-    p = sub.add_parser("split", parents=[common, planned],
+    p = sub.add_parser("split", parents=[output, planned],
                        help="emit a fold plan as JSON")
     p.set_defaults(handler=cmd_split)
 
-    p = sub.add_parser("fit", parents=[common, planned],
+    p = sub.add_parser("fit", parents=[output, planned],
                        help="banded ridge fit of selected feature spaces")
     p.add_argument("--spaces", default=None,
                    help="comma-separated feature-space names (default: all)")
@@ -136,11 +137,11 @@ def build_parser() -> _Parser:
                    default=BandedSearchConfig.min_improvement)
     p.set_defaults(handler=cmd_fit)
 
-    p = sub.add_parser("oasm-sweep", parents=[common, planned],
+    p = sub.add_parser("oasm-sweep", parents=[output, planned],
                        help="sweep the OASM smoothing width")
     p.set_defaults(handler=cmd_oasm_sweep)
 
-    p = sub.add_parser("compare", parents=[common],
+    p = sub.add_parser("compare", parents=[output],
                        help="run a full analysis config and write a report")
     p.add_argument("--config", type=Path, required=True)
     p.add_argument("--threads", type=int, default=None,
@@ -148,8 +149,7 @@ def build_parser() -> _Parser:
                         "CPU count)")
     p.set_defaults(handler=cmd_compare)
 
-    p = sub.add_parser("report", parents=[common],
-                       help="print summary lines from an existing report")
+    p = sub.add_parser("report", help="print summary lines from an existing report")
     p.add_argument("--input", type=Path, required=True)
     p.set_defaults(handler=cmd_report)
 

@@ -65,8 +65,8 @@ def block_runs(block_ids) -> list[tuple[int, int]]:
 
 def gaussian_kernel(sigma: float) -> np.ndarray:
     """Truncated, sum-normalized discrete Gaussian (radius ceil(4*sigma))."""
-    if sigma <= 0:
-        raise DataError("sigma must be > 0")
+    if not (math.isfinite(sigma) and sigma > 0):
+        raise DataError(f"sigma must be finite and > 0, got {sigma!r}")
     radius = math.ceil(4.0 * sigma)
     offsets = np.arange(-radius, radius + 1, dtype=np.float64)
     kernel = np.exp(-0.5 * (offsets / sigma) ** 2)
@@ -95,19 +95,16 @@ def smooth_within_blocks(data, block_ids, sigma: float) -> np.ndarray:
     return out
 
 
-def build_oasm(n_samples: int, block_ids, sigma: float,
-               band_group: str = "oasm") -> FeatureSpace:
+def build_oasm(n_samples: int, block_ids, sigma: float) -> FeatureSpace:
     """n x n identity smoothed within blocks: within-block autocorrelated
-    sequences, exactly orthogonal between blocks."""
+    sequences, exactly orthogonal between blocks. Its band is ``oasm``."""
     block_ids = np.asarray(block_ids, dtype=np.int64)
     if block_ids.size != n_samples:
         raise DataError(
             f"expected {n_samples} block ids, got {block_ids.size}"
         )
-    if sigma <= 0:
-        raise DataError("OASM sigma must be > 0")
     data = smooth_within_blocks(np.eye(n_samples), block_ids, sigma)
-    return FeatureSpace("OASM", data, band_group)
+    return FeatureSpace("OASM", data)
 
 
 def oasm_sigma_grid() -> np.ndarray:

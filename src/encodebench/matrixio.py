@@ -29,6 +29,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import (
+    DataError,
     ManifestError,
     MatrixDataError,
     MatrixFormatError,
@@ -154,76 +155,69 @@ def write_json(path, doc) -> None:
         fh.write("\n")
 
 
-_MANIFEST_KEYS = ("dataset_name", "feature_spaces", "responses_path",
-                  "sample_blocks", "unit_participants")
-
-
 def load_manifest(path) -> LoadedDataset:
     """Load a manifest and every matrix it references, validating consistency.
-    Matrix paths resolve relative to the manifest's directory."""
+    Matrix paths resolve relative to the manifest's directory. A missing,
+    unknown or mistyped key, in the manifest or in a feature space entry, is
+    a ``ManifestError``."""
     path = Path(path)
     doc = read_json(path, ManifestError)
-    for key in _MANIFEST_KEYS:
-        if key not in doc:
-            raise ManifestError(f"{path}: missing required key {key!r}")
-    unknown = set(doc) - set(_MANIFEST_KEYS) - {"sample_categories", "token_map"}
-    if unknown:
-        raise ManifestError(f"{path}: unknown keys {sorted(unknown)}")
-    for spec in doc["feature_spaces"]:
-        if set(spec) != {"name", "path", "band_group"}:
-            raise ManifestError(f"{path}: a feature space entry has the keys "
-                                f"band_group, name and path, not {sorted(spec)}")
-    base = path.parent
+    try:
+        return _dataset(path.parent, **doc)
+    except (TypeError, ValueError) as exc:
+        raise ManifestError(f"{path}: invalid manifest: {exc}") from exc
 
-    responses = load_matrix(base / doc["responses_path"])
+
+def _dataset(base: Path, dataset_name, feature_spaces, responses_path,
+             sample_blocks, unit_participants, sample_categories=None,
+             token_map=None) -> LoadedDataset:
+    """The dataset a manifest document describes, one argument per key."""
+    if not isinstance(dataset_name, str):
+        raise TypeError(f"dataset_name must be a string, got {dataset_name!r}")
+    responses = load_matrix(base / responses_path)
     n_samples, n_units = responses.shape
-
-    blocks = np.asarray(doc["sample_blocks"], dtype=np.int64)
-    if blocks.shape != (n_samples,):
-        raise ManifestError(
-            f"sample_blocks has length {blocks.size}, responses have {n_samples} rows"
-        )
+    blocks = _labels("sample_blocks", sample_blocks, n_samples)
     try:
         block_runs(blocks)
-    except Exception as exc:
+    except DataError as exc:
         raise ManifestError(f"sample_blocks must label contiguous runs: {exc}") from exc
+    participants = _labels("unit_participants", unit_participants, n_units)
+    if sample_categories is not None:
+        sample_categories = _labels("sample_categories", sample_categories, n_samples)
+    if token_map is not None:
+        token_map = _labels("token_map", token_map)
+    features = [_feature(base, token_map, n_samples, **spec)
+                for spec in feature_spaces]
+    return LoadedDataset(dataset_name, features, NeuralRecording(
+        responses, participants, blocks, sample_categories))
 
-    participants = np.asarray(doc["unit_participants"], dtype=np.int64)
-    if participants.shape != (n_units,):
+
+def _labels(key: str, values, length: Optional[int] = None) -> np.ndarray:
+    """``values``, a list of integers, as int64; ``length`` of them when set."""
+    labels = np.asarray(values)
+    if labels.ndim != 1 or labels.dtype.kind != "i":
+        raise ValueError(f"{key} must be a list of integers")
+    if length is not None and labels.size != length:
+        raise ValueError(f"{key} has length {labels.size}, expected {length}")
+    return labels.astype(np.int64)
+
+
+def _feature(base: Path, token_map, n_samples: int, name, path,
+             band_group) -> FeatureSpace:
+    """One feature space entry, sum-pooled by the token map when its rows are
+    tokens."""
+    if not all(isinstance(v, str) for v in (name, path, band_group)):
+        raise TypeError("a feature space entry's name, path and band_group "
+                        f"are strings, got {[name, path, band_group]!r}")
+    data = load_matrix(base / path)
+    if token_map is not None and data.shape[0] == token_map.size != n_samples:
+        data = sum_pool(data, token_map)
+    if data.shape[0] != n_samples:
         raise ManifestError(
-            f"unit_participants has length {participants.size}, "
-            f"responses have {n_units} columns"
+            f"feature space {name!r} has {data.shape[0]} rows after "
+            f"pooling, responses have {n_samples}"
         )
-
-    categories = None
-    if doc.get("sample_categories") is not None:
-        categories = np.asarray(doc["sample_categories"], dtype=np.int64)
-        if categories.shape != (n_samples,):
-            raise ManifestError("sample_categories length must match sample count")
-
-    token_map = None
-    if doc.get("token_map") is not None:
-        token_map = np.asarray(doc["token_map"], dtype=np.int64)
-
-    features = []
-    for spec in doc["feature_spaces"]:
-        data = load_matrix(base / spec["path"])
-        if token_map is not None and data.shape[0] == token_map.size != n_samples:
-            data = sum_pool(data, token_map)
-        if data.shape[0] != n_samples:
-            raise ManifestError(
-                f"feature space {spec['name']!r} has {data.shape[0]} rows after "
-                f"pooling, responses have {n_samples}"
-            )
-        features.append(FeatureSpace(spec["name"], data, spec["band_group"]))
-
-    recording = NeuralRecording(
-        responses=responses,
-        unit_participants=participants,
-        block_ids=blocks,
-        categories=categories,
-    )
-    return LoadedDataset(doc["dataset_name"], features, recording)
+    return FeatureSpace(name, data, band_group)
 
 
 def save_manifest(path, dataset_name: str, feature_specs: Sequence[dict],

@@ -17,6 +17,7 @@ from __future__ import annotations
 import csv
 import json
 import logging
+import math
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -72,11 +73,9 @@ class SpaceSpec:
     band: Optional[str] = None  # defaults to the lower-cased name
 
     def __post_init__(self):
-        if not isinstance(self.name, str):
-            raise DataError(f"space name must be a string, got {self.name!r}")
         self.members = _names(self.members, f"space {self.name!r}", "matrices")
-        if self.band is None:
-            self.band = self.name.lower()
+        if self.band is None:  # a name that is not a string fails validate
+            self.band = str(self.name).lower()
 
 
 @dataclass
@@ -188,8 +187,8 @@ class AnalysisConfig:
     def __post_init__(self):
         if not 0 < self.alpha_level < 1:
             raise DataError(f"alpha_level must lie in (0, 1), got {self.alpha_level!r}")
-        if self.oasm_sigma is not None and not self.oasm_sigma > 0:
-            raise DataError(f"oasm_sigma must be > 0, got {self.oasm_sigma!r}")
+        if self.oasm_sigma is not None and not 0 < self.oasm_sigma < math.inf:
+            raise DataError(f"oasm_sigma must be finite and > 0, got {self.oasm_sigma!r}")
         if not self.families:
             raise DataError("config declares no families")
         self.validate()
@@ -222,12 +221,16 @@ class AnalysisConfig:
         return config
 
     def validate(self) -> None:
-        """Cross-references: space, family and test names are unique (report
-        tables are keyed by them), and families and tests name only declared
-        spaces."""
+        """Space, family and test names are unique strings without ``+`` (it
+        joins subset names) or ``/`` (report file names hold them), and
+        families and tests name only declared spaces."""
         for kind, items in (("space", self.spaces), ("family", self.families),
                             ("test", self.tests)):
             names = [item.name for item in items]
+            bad = [n for n in names if not isinstance(n, str) or {"+", "/"} & set(n)]
+            if bad:
+                raise DataError(f"{kind} names must be strings without '+' or "
+                                f"'/', got {bad!r}")
             if len(set(names)) != len(names):
                 raise DataError(f"duplicate {kind} names")
         declared = {s.name for s in self.spaces}

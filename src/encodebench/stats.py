@@ -83,8 +83,6 @@ class TestResult:
     t: np.ndarray
     p: np.ndarray
     rejected: np.ndarray
-    n_samples: int
-    participant_ids: np.ndarray
     level: float
 
 
@@ -93,10 +91,4 @@ def chance_level_test(y_true, pred_model, intercept_preds, participant_ids,
     """Per unit, does the model beat the baseline model? The baseline is the
     per-fold training means for a chance-level test, or any other model."""
     t, p = paired_squared_error_ttest(y_true, pred_model, intercept_preds)
-    rejected = bh_fdr(p, participant_ids, level)
-    return TestResult(
-        t=t, p=p, rejected=rejected,
-        n_samples=_as_matrix(y_true).shape[0],
-        participant_ids=np.asarray(participant_ids),
-        level=level,
-    )
+    return TestResult(t, p, bh_fdr(p, participant_ids, level), level)

@@ -9,13 +9,14 @@ recovery can be checked, not just prediction.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import DataError
+from .errors import DataError, check_int
 from .features import (
     FeatureSpace,
     build_sentence_length,
@@ -33,7 +34,6 @@ class SynthSpec:
     n_units: int
     block_ids: np.ndarray
     signal_features: list[FeatureSpace] = field(default_factory=list)
-    feature_scales: Optional[Sequence[float]] = None
     autocorr_sigma: float = 0.0
     noise_scale: float = 1.0
     signal_scale: float = 1.0
@@ -46,14 +46,12 @@ class SynthSpec:
         if self.block_ids.size != self.n_samples:
             raise DataError("block_ids length must equal n_samples")
         block_runs(self.block_ids)
-        if min(self.noise_scale, self.signal_scale) < 0 or self.autocorr_sigma < 0:
-            raise DataError("scales must be non-negative")
+        scales = (self.noise_scale, self.signal_scale, self.autocorr_sigma)
+        if not all(math.isfinite(s) and s >= 0 for s in scales):
+            raise DataError("scales must be finite and non-negative")
         for fs in self.signal_features:
             if fs.n_samples != self.n_samples:
                 raise DataError(f"signal feature {fs.name!r} row count mismatch")
-        if self.feature_scales is not None and \
-                len(self.feature_scales) != len(self.signal_features):
-            raise DataError("one scale per signal feature required")
         if self.participants is None:
             self.participants = np.zeros(self.n_units, dtype=np.int64)
         else:
@@ -65,19 +63,17 @@ class SynthSpec:
 @dataclass
 class SynthTruth:
     weights: list[np.ndarray]  # per signal feature: dims x units
-    noise: np.ndarray
 
 
 def generate(spec: SynthSpec) -> tuple[NeuralRecording, SynthTruth]:
     rng = np.random.default_rng(spec.seed)
-    scales = spec.feature_scales or [1.0] * len(spec.signal_features)
 
     signal = np.zeros((spec.n_samples, spec.n_units))
     weights = []
-    for fs, scale in zip(spec.signal_features, scales):
+    for fs in spec.signal_features:
         W = rng.standard_normal((fs.n_dims, spec.n_units))
         weights.append(W)
-        signal += scale * (fs.data @ W)
+        signal += fs.data @ W
 
     noise = rng.standard_normal((spec.n_samples, spec.n_units))
     if spec.autocorr_sigma > 0:
@@ -91,7 +87,7 @@ def generate(spec: SynthSpec) -> tuple[NeuralRecording, SynthTruth]:
         categories=None if spec.categories is None else np.asarray(
             spec.categories, dtype=np.int64),
     )
-    return recording, SynthTruth(weights=weights, noise=noise)
+    return recording, SynthTruth(weights=weights)
 
 
 def write_dataset(spec: SynthSpec, out_dir, dataset_name: str,
@@ -134,6 +130,8 @@ def _passage_layout(n_categories: int, passages_per_category: int,
 
 
 def _spread_participants(n_units: int, n_participants: int) -> np.ndarray:
+    check_int("units", n_units, 1)
+    check_int("participants", n_participants, 1)
     return np.arange(n_units) % n_participants
 
 

@@ -38,6 +38,15 @@ class TestSynth:
     def test_missing_output_is_data_error(self, capsys):
         assert main(["synth", "--preset", "blank"]) == 2
 
+    @pytest.mark.parametrize("option", ["--units", "--participants"])
+    def test_count_below_one_exits_2(self, tmp_path, capsys, option):
+        # --participants 0 used to label every unit participant 0 and exit 0
+        out = tmp_path / "d"
+        assert main(["synth", "--preset", "blank", option, "0",
+                     "--output", str(out)]) == 2
+        assert f"{option[2:]} must be >= 1" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestFeatures:
     def test_oasm_from_blocks(self, tmp_path, capsys):
@@ -123,6 +132,27 @@ class TestSplit:
                      "--scheme", "fedorenko", "--output", str(out)])
         assert code == 2
         assert "no training" in capsys.readouterr().err
+        assert not out.exists()
+
+
+class TestSmoothingWidth:
+    @pytest.mark.parametrize("argv", [
+        ["features", "--kind", "oasm", "--blocks", "0,0,1,1", "--sigma", "inf"],
+        ["fit", "--scheme", "pereira", "--oasm-sigma", "nan"],
+        ["synth", "--preset", "blank", "--autocorr-sigma", "inf"],
+        ["synth", "--preset", "blank", "--autocorr-sigma", "nan"],
+    ])
+    def test_non_finite_sigma_exits_2(self, tmp_path, capsys, argv):
+        # each used to end in an OverflowError or ValueError traceback,
+        # except synth's nan width, which skipped the smoothing and exited 0
+        if argv[0] == "fit":
+            assert main(["synth", "--preset", "pereira-exp2", "--units", "4",
+                         "--output", str(tmp_path / "d")]) == 0
+            argv = [*argv, "--manifest", str(tmp_path / "d" / "manifest.json")]
+        out = tmp_path / "out"
+        assert main([*argv, "--output", str(out)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert err[-1].startswith("error: ") and "finite" in err[-1]
         assert not out.exists()
 
 
@@ -266,6 +296,34 @@ class TestCompare:
                 in capsys.readouterr().err)
         assert not out.exists()
 
+    @pytest.mark.parametrize("spaces, families", [
+        # used to run every fit, then fail in json.dump on mixed key types
+        (["SP", "SL"], [{"name": 1, "spaces": ["SP"]},
+                        {"name": "main", "spaces": ["SL"]}]),
+        # used to write report.json, then fail on a table path
+        (["SP", "SL"], [{"name": "a/b", "spaces": ["SP", "SL"]}]),
+        # subset {SP, SL} and space SP+SL shared one report entry
+        (["SP", "SL", "SP+SL"], [{"name": "main",
+                                  "spaces": ["SP", "SL", "SP+SL"]}]),
+    ])
+    def test_name_rule_exits_2_before_any_fit(self, tmp_path, capsys,
+                                              monkeypatch, spaces, families):
+        assert main(["synth", "--preset", "pereira-exp2", "--units", "4",
+                     "--output", str(tmp_path / "d")]) == 0
+        monkeypatch.setattr(eb.pipeline, "banded_search", None)
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text(json.dumps({
+            "manifest": "d/manifest.json", "split": {"scheme": "pereira"},
+            "spaces": [{"name": name, "members": name.split("+")}
+                       for name in spaces],
+            "families": families,
+        }))
+        out = tmp_path / "report"
+        assert main(["compare", "--config", str(cfg_path),
+                     "--output", str(out)]) == 2
+        assert "without '+' or '/'" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_config_without_output_is_data_error(self, tmp_path, capsys):
         cfg_path = tmp_path / "c.json"
         cfg_path.write_text(json.dumps({
@@ -343,6 +401,17 @@ class TestThreads:
     def test_only_compare_takes_threads(self, capsys, argv):
         assert main([*argv, "--threads", "2"]) == 1
         assert "unrecognized arguments: --threads" in capsys.readouterr().err
+
+    # each used to be accepted and then ignored
+    @pytest.mark.parametrize("argv", [
+        ["compare", "--config", "c.json", "--seed", "7"],
+        ["features", "--kind", "sp", "--seed", "7"],
+        ["report", "--input", "r", "--seed", "7"],
+        ["report", "--input", "r", "--output", "o"],
+    ])
+    def test_options_no_handler_reads_are_usage_errors(self, capsys, argv):
+        assert main(argv) == 1
+        assert f"unrecognized arguments: {argv[-2]}" in capsys.readouterr().err
 
 
 class TestOutputContainment:

@@ -179,3 +179,26 @@ def test_manifest_unknown_key_rejected(tmp_path, entry):
     path.write_text(json.dumps(doc))
     with pytest.raises(ManifestError, match="sample_categorys"):
         eb.load_manifest(path)
+
+
+@pytest.mark.parametrize("key, value", [
+    ("sample_blocks", "abc"),
+    ("unit_participants", [[0], [0, 1], 0]),
+    ("feature_spaces", 5),
+    ("responses_path", 5),
+    ("token_map", "x"),
+    ("sample_blocks", [0.5] * 8),
+    ("dataset_name", 5),
+    ("feature_spaces", [{"name": ["A"], "path": "a.bbsm", "band_group": "a"}]),
+])
+def test_manifest_mistyped_value_rejected(tmp_path, key, value):
+    # each used to end in a TypeError or ValueError traceback, or to load
+    # without a word: fractional block ids truncated to one block, and a
+    # dataset or feature space name that is not a string
+    path = _write_dataset(tmp_path)
+    doc = json.loads(path.read_text())
+    doc[key] = value
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ManifestError) as info:
+        eb.load_manifest(path)
+    assert "\n" not in str(info.value)

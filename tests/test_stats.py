@@ -134,4 +134,4 @@ class TestChanceLevelTest:
         model = y + rng.standard_normal((1317, 2))
         icpt = np.tile(y.mean(0), (1317, 1))
         result = eb.chance_level_test(y, model, icpt, [0, 1])
-        assert result.n_samples == 1317
+        assert result.p.shape == (2,) and np.isfinite(result.t).all()
