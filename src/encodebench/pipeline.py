@@ -18,13 +18,14 @@ import csv
 import json
 import logging
 import math
+import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Mapping, Optional, Sequence
 
 import numpy as np
+import scipy
 
 from . import __version__
 from .errors import DataError, ManifestError, check_int
@@ -37,7 +38,12 @@ from .metrics import (
     layered_best,
     subsets,
 )
-from .ridge import BandedSearchConfig, RidgeConfig, banded_search
+from .ridge import (
+    BandedSearchConfig,
+    RidgeConfig,
+    banded_search,
+    fit_blas_threads,
+)
 from .splits import (
     SplitPlan,
     plan_blank,
@@ -435,15 +441,10 @@ def _subset_features(subset: Sequence[str], spaces: dict[str, SpaceSpec],
             for name in subset for member in spaces[name].members]
 
 
-def _map_ordered(fn, items, threads):
-    if threads <= 1 or len(items) <= 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, items))
-
-
 def run_analysis(config: AnalysisConfig, threads: int = 1,
                  output_dir=None) -> RunReport:
+    """Fit every (mode, subset) in turn, each on up to ``threads`` outer
+    folds at once, then score, test and, given a target, write the report."""
     started = time.time()
     logger.info("resolved config: %s", json.dumps(config.echo, sort_keys=True))
 
@@ -471,22 +472,16 @@ def run_analysis(config: AnalysisConfig, threads: int = 1,
             for subset in subsets(fam.spaces):
                 jobs.setdefault((mode, frozenset(subset)), subset)
 
-    def run_job(job):
-        (mode, _), subset = job
-        t0 = time.time()
-        fit = banded_search(
-            _subset_features(subset, spaces, matrices), Y, plans[mode],
-            ridge_cfg=config.ridge, search_cfg=config.search,
-        )
-        logger.info("fit %s / %s in %.2fs", mode, "+".join(subset),
-                    time.time() - t0)
-        return fit, time.time() - t0
-
-    results = _map_ordered(run_job, list(jobs.items()), threads)
     fits = {}
     durations = {}
-    for ((mode, key), subset), (fit, elapsed) in zip(jobs.items(), results):
-        fits[(mode, key)] = fit
+    for (mode, key), subset in jobs.items():
+        t0 = time.time()
+        fits[(mode, key)] = banded_search(
+            _subset_features(subset, spaces, matrices), Y, plans[mode],
+            ridge_cfg=config.ridge, search_cfg=config.search, threads=threads,
+        )
+        elapsed = time.time() - t0
+        logger.info("fit %s / %s in %.2fs", mode, "+".join(subset), elapsed)
         durations[f"{mode}:{'+'.join(subset)}"] = elapsed
 
     participants = recording.unit_participants
@@ -519,7 +514,10 @@ def run_analysis(config: AnalysisConfig, threads: int = 1,
         "elapsed_seconds": time.time() - started,
         "fit_durations": durations,
         "threads": threads,
+        "cpu_count": os.cpu_count(),
+        "blas_threads": fit_blas_threads(),
         "numpy_version": np.__version__,
+        "scipy_version": scipy.__version__,
         "encodebench_version": __version__,
     }
     report = RunReport(

@@ -17,23 +17,37 @@ training rows and the training target mean is added back to predictions.
 
 In the banded search a scaled Gram is the gamma^2-weighted sum of band
 Grams. Each split builds every band's train Gram and eval-by-train Gram up
-front whenever the bands together are wider than its training set.
+front whenever the bands together are wider than its training set, and then
+drops the standardized matrices of any band wider than its training set:
+every scaling vector that uses such a band takes the Gram path.
 
 Search notes
 ------------
-Each outer fold is searched and refit on its own. Candidate scaling vectors
-come first from the subset-mask enumeration (every way of zeroing out
-feature spaces), then from Dirichlet draws whose RNG streams depend only on
-(seed, iteration index). Per unit, the best (gamma, alpha) by pooled
-inner-validation R^2 wins; strict improvement is required, so earlier
-candidates and smaller alphas win ties. The random phase stops early once
-the across-unit mean of running-best validation scores fails to improve by
-more than ``min_improvement`` for ``patience`` consecutive iterations.
+Each outer fold is searched and refit on its own, and the outer folds are
+the unit of parallel work: ``banded_search(..., threads=n)`` runs up to n of
+them at once. When numpy's bundled OpenBLAS is found, it runs on one thread
+while a search is in progress, so results do not depend on ``threads`` or on
+the machine's core count; otherwise BLAS keeps its own thread count and
+results can differ at ulp level between thread counts.
+
+Candidate scaling vectors come first from the subset-mask enumeration (every
+way of zeroing out feature spaces), then from Dirichlet draws whose RNG
+streams depend only on (seed, iteration index). Per unit, the best (gamma,
+alpha) by pooled inner-validation R^2 wins; strict improvement is required,
+so earlier candidates and smaller alphas win ties. The random phase stops
+early once the across-unit mean of running-best validation scores fails to
+improve by more than ``min_improvement`` for ``patience`` consecutive
+iterations.
 """
 
 from __future__ import annotations
 
+import contextlib
+import ctypes
+import functools
 import numbers
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional, Sequence
@@ -92,6 +106,64 @@ class BandedSearchConfig:
 def _check_finite(name, arr):
     if not np.isfinite(arr).all():
         raise DataError(f"{name} contains non-finite values")
+
+
+@functools.lru_cache(maxsize=None)
+def _openblas():
+    """(set, get) thread-count functions of numpy's bundled OpenBLAS, or None."""
+    libs = Path(np.__file__).resolve().parent.parent / "numpy.libs"
+    for path in sorted(libs.glob("libscipy_openblas*")):
+        try:
+            lib = ctypes.CDLL(str(path))
+            set_threads = lib.scipy_openblas_set_num_threads64_
+            get_threads = lib.scipy_openblas_get_num_threads64_
+        except (OSError, AttributeError):
+            continue
+        set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
+        get_threads.argtypes, get_threads.restype = [], ctypes.c_int
+        return set_threads, get_threads
+    return None
+
+
+def fit_blas_threads() -> Optional[int]:
+    """OpenBLAS threads while a search runs: 1, or None if it cannot be pinned."""
+    return None if _openblas() is None else 1
+
+
+_pin_lock = threading.Lock()
+_pin = {"depth": 0, "saved": None}
+
+
+@contextlib.contextmanager
+def _blas_pinned():
+    """OpenBLAS on one thread inside the block. The count is process-global,
+    so overlapping blocks share one pin and the last to leave restores the
+    count found by the first, also when the block raises."""
+    blas = _openblas()
+    if blas is None:
+        yield
+        return
+    set_threads, get_threads = blas
+    with _pin_lock:
+        if _pin["depth"] == 0:
+            _pin["saved"] = get_threads()
+            set_threads(1)
+        _pin["depth"] += 1
+    try:
+        yield
+    finally:
+        with _pin_lock:
+            _pin["depth"] -= 1
+            if _pin["depth"] == 0:
+                set_threads(_pin["saved"])
+
+
+def _map_ordered(fn, items, threads):
+    """``[fn(item) for item in items]``, run on up to ``threads`` threads."""
+    if threads <= 1 or len(items) <= 1:
+        return [fn(item) for item in items]
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        return list(pool.map(fn, items))
 
 
 def _uses_gram(n_dims: int, n_rows: int) -> bool:
@@ -245,11 +317,13 @@ class FitResult:
 
 class _FoldData:
     """Standardized per-band matrices, and band Grams whenever some scaling
-    vector can take the Gram path, for one train/eval split."""
+    vector can take the Gram path, for one train/eval split. A band wider
+    than the training set keeps only its Grams."""
 
     def __init__(self, band_mats, Y, train_idx, eval_idx):
         self.eval_idx = eval_idx
         self.n_train = len(train_idx)
+        self.widths = [X.shape[1] for X in band_mats]
         self.Ztr = []
         self.Zev = []
         for X in band_mats:
@@ -259,15 +333,18 @@ class _FoldData:
         self.y_mean = Y[train_idx].mean(axis=0)
         self.Yc = Y[train_idx] - self.y_mean
         self.grams = self.cross = None
-        if _uses_gram(sum(Z.shape[1] for Z in self.Ztr), self.n_train):
+        if _uses_gram(sum(self.widths), self.n_train):
             self.grams = [Z @ Z.T for Z in self.Ztr]
             self.cross = [Ze @ Z.T for Z, Ze in zip(self.Ztr, self.Zev)]
+            for b, width in enumerate(self.widths):
+                if _uses_gram(width, self.n_train):
+                    self.Ztr[b] = self.Zev[b] = None
 
     def predict_grid(self, gamma, alphas, unit_slice=None):
         """(n_alphas, n_eval, n_units) predictions for one scaling vector."""
         Yc = self.Yc if unit_slice is None else self.Yc[:, unit_slice]
         active = np.flatnonzero(np.asarray(gamma) > 0)
-        dims = sum(self.Ztr[b].shape[1] for b in active)
+        dims = sum(self.widths[b] for b in active)
         if _uses_gram(dims, self.n_train):
             K = np.zeros((self.n_train, self.n_train))
             C = np.zeros((len(self.eval_idx), self.n_train))
@@ -322,12 +399,14 @@ def _fit_outer_fold(fold, band_mats, Y, alphas, search_cfg):
     best_cand = np.zeros(n_units, dtype=np.int64)
     best_alpha_idx = np.zeros(n_units, dtype=np.int64)
     candidates: list[np.ndarray] = []
+    pooled = np.empty((len(alphas), len(y_val), n_units))
+    bounds = np.cumsum([0] + [len(f.eval_idx) for f in inner])
 
     def try_candidate(gamma):
-        pooled = np.concatenate(
-            [f.predict_grid(gamma, alphas) for f in inner], axis=1
-        )
-        mse = ((pooled - y_val[None, :, :]) ** 2).mean(axis=1)
+        for f, lo, hi in zip(inner, bounds, bounds[1:]):
+            pooled[:, lo:hi] = f.predict_grid(gamma, alphas)
+        np.subtract(pooled, y_val, out=pooled)
+        mse = np.square(pooled, out=pooled).mean(axis=1)
         r2 = 1.0 - mse / mse_icpt[None, :]
         alpha_idx = np.argmax(r2, axis=0)  # first max -> smallest alpha
         scores = r2[alpha_idx, np.arange(n_units)]
@@ -375,8 +454,14 @@ def _fit_outer_fold(fold, band_mats, Y, alphas, search_cfg):
 
 def banded_search(features: Sequence[FeatureSpace], responses, plan: SplitPlan,
                   ridge_cfg: Optional[RidgeConfig] = None,
-                  search_cfg: Optional[BandedSearchConfig] = None) -> FitResult:
-    """Nested-CV banded ridge fit with per-unit hyperparameter selection."""
+                  search_cfg: Optional[BandedSearchConfig] = None,
+                  threads: int = 1) -> FitResult:
+    """Nested-CV banded ridge fit with per-unit hyperparameter selection.
+
+    Up to ``threads`` outer folds are fitted at once; while BLAS is pinned
+    (``fit_blas_threads() == 1``) the result does not depend on it.
+    """
+    check_int("threads", threads, 1)
     ridge_cfg = ridge_cfg or RidgeConfig()
     search_cfg = search_cfg or BandedSearchConfig()
     Y = _as_response_matrix(responses)
@@ -386,8 +471,11 @@ def banded_search(features: Sequence[FeatureSpace], responses, plan: SplitPlan,
     if not plan.outer_folds:
         raise DataError("the split plan has no outer folds")
 
-    folds = [_fit_outer_fold(fold, band_mats, Y, ridge_cfg.alphas, search_cfg)
-             for fold in plan.outer_folds]
+    def fit_fold(fold):
+        return _fit_outer_fold(fold, band_mats, Y, ridge_cfg.alphas, search_cfg)
+
+    with _blas_pinned():
+        folds = _map_ordered(fit_fold, plan.outer_folds, threads)
     preds, means, gammas, chosen_alpha, scores, n_random, stopped = zip(*folds)
     test_pred = np.zeros(Y.shape)
     intercept_pred = np.zeros(Y.shape)

@@ -397,10 +397,75 @@ class TestThreads:
         ["fit", "--manifest", "m.json", "--scheme", "grouped"],
         ["oasm-sweep", "--manifest", "m.json", "--scheme", "grouped"],
         ["synth", "--preset", "blank"],
+        ["features", "--kind", "sp"],
+        ["split", "--manifest", "m.json", "--scheme", "grouped"],
+        ["report", "--input", "r"],
     ])
     def test_only_compare_takes_threads(self, capsys, argv):
         assert main([*argv, "--threads", "2"]) == 1
         assert "unrecognized arguments: --threads" in capsys.readouterr().err
+
+    def _run_grid(self, tmp_path, argv, outputs, thread_args):
+        """Run ``argv`` in a fresh process under OPENBLAS_NUM_THREADS 1 and 2
+        and each of ``thread_args``; return each run's output bytes."""
+        src = os.path.dirname(os.path.dirname(eb.__file__))
+        runs = {}
+        for blas in ("1", "2"):
+            for i, extra in enumerate(thread_args):
+                out = tmp_path / f"out-{blas}-{i}"
+                env = dict(os.environ, OPENBLAS_NUM_THREADS=blas,
+                           PYTHONPATH=src)
+                proc = subprocess.run(
+                    [sys.executable, "-m", "encodebench", *argv, *extra,
+                     "--output", str(out)],
+                    cwd=tmp_path, env=env, capture_output=True, text=True)
+                assert proc.returncode == 0, proc.stderr
+                runs[(blas, *extra)] = {name: (out / name).read_bytes()
+                                        for name in outputs(out)}
+        return runs
+
+    @pytest.fixture
+    def small_pereira(self, tmp_path, capsys):
+        assert main(["synth", "--preset", "pereira-exp2", "--seed", "0",
+                     "--units", "12", "--participants", "2",
+                     "--output", str(tmp_path / "data")]) == 0
+        return tmp_path / "data" / "manifest.json"
+
+    def test_compare_outputs_identical_across_thread_counts(
+            self, tmp_path, small_pereira):
+        # they used to differ under OPENBLAS_NUM_THREADS=1 and 2 at ulp level
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({
+            "manifest": str(small_pereira),
+            "split": {"scheme": "pereira", "mode": "contiguous"},
+            "oasm_sigma": 1.0,
+            "spaces": [{"name": "OASM", "members": ["OASM"]}],
+            "families": [{"name": "main", "spaces": ["OASM"]}],
+        }))
+
+        def outputs(out):
+            return ["report.json"] + sorted(
+                str(p.relative_to(out)) for sub in ("tables", "predictions")
+                for p in (out / sub).iterdir())
+
+        runs = self._run_grid(tmp_path, ["compare", "--config", str(config)],
+                              outputs, [["--threads", "1"], ["--threads", "2"]])
+        first = runs[("1", "--threads", "1")]
+        assert len(first) > 3
+        for key, run in runs.items():
+            assert run == first, key
+
+    def test_fit_outputs_identical_across_blas_thread_counts(
+            self, tmp_path, small_pereira):
+        # fit runs its outer folds serially and takes no --threads
+        argv = ["fit", "--manifest", str(small_pereira), "--scheme", "pereira",
+                "--oasm-sigma", "1.0", "--max-iters", "5", "--patience", "5"]
+        names = ["fit.json", "test_predictions.bbsm",
+                 "intercept_predictions.bbsm"]
+        runs = self._run_grid(tmp_path, argv, lambda out: names, [[]])
+        first = runs[("1",)]
+        for key, run in runs.items():
+            assert run == first, key
 
     # each used to be accepted and then ignored
     @pytest.mark.parametrize("argv", [

@@ -2,6 +2,7 @@ import csv
 import hashlib
 import itertools
 import json
+import os
 from pathlib import Path
 
 import numpy as np
@@ -396,6 +397,24 @@ class TestRunAnalysis:
         assert (out / "predictions" / "contiguous__intercept.bbsm").exists()
         doc = json.loads((out / "report.json").read_text())
         assert "F0" in doc["modes"]["contiguous"]["main"]["subsets"]
+
+    def test_provenance_records_environment(self, tmp_path, rng):
+        import scipy
+        from encodebench.ridge import fit_blas_threads
+
+        manifest = _make_dataset(tmp_path, rng)
+        config = AnalysisConfig.from_dict(
+            _base_config(manifest), base_dir=tmp_path)
+        out = tmp_path / "report"
+        eb.run_analysis(config, threads=2, output_dir=out)
+        prov = json.loads((out / "provenance.json").read_text())
+        assert prov["threads"] == 2
+        assert prov["cpu_count"] == os.cpu_count()
+        assert prov["blas_threads"] == fit_blas_threads()
+        assert prov["blas_threads"] in (1, None)
+        assert prov["scipy_version"] == scipy.__version__
+        doc = json.loads((out / "report.json").read_text())
+        assert set(doc) == {"dataset", "config", "modes"}
 
     def test_oasm_sigma_builds_space(self, tmp_path, rng):
         manifest = _make_dataset(tmp_path, rng)

@@ -1,4 +1,6 @@
 import hashlib
+import sys
+import threading
 import time
 
 import numpy as np
@@ -6,8 +8,13 @@ import pytest
 
 import encodebench as eb
 from encodebench.errors import DataError
-from encodebench.pipeline import _map_ordered
-from encodebench.ridge import BandedSearchConfig, RidgeConfig, _FoldData
+from encodebench import ridge
+from encodebench.ridge import (
+    BandedSearchConfig,
+    RidgeConfig,
+    _FoldData,
+    _map_ordered,
+)
 from oracles import (
     apply_band_scaling,
     block_penalty_oracle,
@@ -176,7 +183,8 @@ class TestBandedSearch:
         other = eb.FeatureSpace("OTH", rng.standard_normal((96, 3)), "oth")
         cfg = BandedSearchConfig(max_iters=60, patience=50, seed=9)
         a = eb.banded_search([features, other], Y, small_plan, search_cfg=cfg)
-        b = eb.banded_search([features, other], Y, small_plan, search_cfg=cfg)
+        b = eb.banded_search([features, other], Y, small_plan, search_cfg=cfg,
+                             threads=2)
         np.testing.assert_array_equal(a.test_predictions, b.test_predictions)
         np.testing.assert_array_equal(a.chosen_gamma, b.chosen_gamma)
         np.testing.assert_array_equal(a.chosen_alpha, b.chosen_alpha)
@@ -186,19 +194,24 @@ class TestBandedSearch:
         """Iteration counts, early stops and chosen (gamma, alpha) are pinned:
         a change to the candidate sequence, the tie rule or the early-stop
         rule moves them. The digest hashes the choices at 9 significant
-        digits, so it ignores ulp-level drift across BLAS thread counts."""
+        digits, so it ignores ulp-level drift across BLAS thread counts. The
+        trajectory is the same whether outer folds run serially or two at a
+        time."""
         features, Y, _ = tiny_recording
         other = eb.FeatureSpace("OTH", rng.standard_normal((96, 3)), "oth")
         cfg = BandedSearchConfig(max_iters=20, patience=8, seed=9,
                                  min_improvement=1e-8)
-        fit = eb.banded_search([features, other], Y, small_plan, search_cfg=cfg)
-        assert fit.n_random_iterations == [17, 16, 12, 16, 12, 20]
-        assert fit.early_stopped == [True] * 5 + [False]
-        text = ";".join("%.9g|" % alpha + ",".join("%.9g" % g for g in gamma)
-                        for gammas, alphas in zip(fit.chosen_gamma,
-                                                  fit.chosen_alpha)
-                        for gamma, alpha in zip(gammas, alphas))
-        assert hashlib.sha256(text.encode()).hexdigest()[:16] == "6e59c76e633e35e2"
+        for threads in (1, 2):
+            fit = eb.banded_search([features, other], Y, small_plan,
+                                   search_cfg=cfg, threads=threads)
+            assert fit.n_random_iterations == [17, 16, 12, 16, 12, 20]
+            assert fit.early_stopped == [True] * 5 + [False]
+            text = ";".join("%.9g|" % alpha + ",".join("%.9g" % g for g in gamma)
+                            for gammas, alphas in zip(fit.chosen_gamma,
+                                                      fit.chosen_alpha)
+                            for gamma, alpha in zip(gammas, alphas))
+            digest = hashlib.sha256(text.encode()).hexdigest()[:16]
+            assert digest == "6e59c76e633e35e2"
 
     def test_gram_path_safe_across_threads(self, rng):
         class SlowMatmul(np.ndarray):
@@ -210,8 +223,10 @@ class TestBandedSearch:
         bands = [rng.standard_normal((40, 3)), rng.standard_normal((40, 30))]
         Y = rng.standard_normal((40, 5))
         fold = _FoldData(bands, Y, np.arange(24), np.arange(24, 40))
-        assert sum(Z.shape[1] for Z in fold.Ztr) > fold.n_train
-        fold.Zev = [Z.view(SlowMatmul) for Z in fold.Zev]
+        assert sum(fold.widths) > fold.n_train
+        # the 30-dim band is wider than the 24 training rows: Grams only
+        assert fold.Ztr[1] is None and fold.Zev[1] is None
+        fold.Zev = [Z if Z is None else Z.view(SlowMatmul) for Z in fold.Zev]
         gamma = np.array([0.6, 0.4])
         alphas = [0.0, 1.0, 100.0]
 
@@ -271,6 +286,77 @@ class TestBandedSearch:
         with pytest.raises(DataError,
                            match=r"constant validation target for units \[3\]"):
             eb.banded_search([features], Y, small_plan)
+
+    def test_pool_raises_serial_error_and_restores_blas(
+            self, tiny_recording, small_plan, monkeypatch):
+        # without numpy's bundled OpenBLAS the pin does nothing: only the
+        # error is checked then
+        blas = ridge._openblas() or (lambda n: None, lambda: None)
+        set_threads, get_threads = blas
+        features, Y, _ = tiny_recording
+        Y = Y.copy()
+        Y[:, 3] = 1.5
+        seen = []
+        fit_fold = ridge._fit_outer_fold
+
+        def recording(*args):
+            seen.append(get_threads())
+            return fit_fold(*args)
+
+        monkeypatch.setattr(ridge, "_fit_outer_fold", recording)
+        original = get_threads()
+        set_threads(2)
+        try:
+            before = get_threads()
+            errors = []
+            for threads in (1, 2):
+                with pytest.raises(DataError) as info:
+                    eb.banded_search([features], Y, small_plan, threads=threads)
+                errors.append(str(info.value))
+                assert get_threads() == before
+        finally:
+            set_threads(original)
+        assert errors[0] == errors[1]
+        assert "constant validation target for units [3]" in errors[0]
+        assert set(seen) == {ridge.fit_blas_threads()}
+
+    def test_overlapping_pins_restore_once(self, monkeypatch):
+        count = {"threads": 2}  # stands in for OpenBLAS's global count
+
+        def set_threads(n):
+            count["threads"] = n
+
+        def get_threads():
+            return count["threads"]
+
+        monkeypatch.setattr(ridge, "_openblas", lambda: (set_threads,
+                                                         get_threads))
+        inside = []
+
+        def pin():
+            for _ in range(200):
+                with ridge._blas_pinned():
+                    inside.append(get_threads())
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            workers = [threading.Thread(target=pin) for _ in range(8)]
+            for w in workers:
+                w.start()
+            for w in workers:
+                w.join(timeout=30)
+            assert not any(w.is_alive() for w in workers)
+        finally:
+            sys.setswitchinterval(interval)
+        assert len(inside) == 8 * 200
+        assert set(inside) == {1}
+        assert get_threads() == 2
+
+    def test_threads_below_one_rejected(self, tiny_recording, small_plan):
+        features, Y, _ = tiny_recording
+        with pytest.raises(DataError, match="threads must be >= 1"):
+            eb.banded_search([features], Y, small_plan, threads=0)
 
     def test_plan_without_outer_folds_rejected(self, tiny_recording):
         features, Y, _ = tiny_recording
