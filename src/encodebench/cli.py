@@ -86,14 +86,16 @@ def build_parser() -> _Parser:
     output = _Parser(add_help=False)
     output.add_argument("--output", type=Path, default=None)
 
+    # options a plan may not read default to None, so that _plan_from_args
+    # can refuse them when given
     planned = _Parser(add_help=False)
-    planned.add_argument("--seed", type=int, default=0)
+    planned.add_argument("--seed", type=int, default=None)
     planned.add_argument("--manifest", type=Path, required=True)
     planned.add_argument("--scheme", required=True, choices=SCHEMES)
     planned.add_argument("--mode", default=SplitSpec.mode,
                          choices=("contiguous", "shuffled"))
-    planned.add_argument("--n-outer", type=int, default=SplitSpec.n_outer)
-    planned.add_argument("--n-inner", type=int, default=SplitSpec.n_inner)
+    planned.add_argument("--n-outer", type=int, default=None)
+    planned.add_argument("--n-inner", type=int, default=None)
 
     parser = _Parser(prog="encodebench")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -198,8 +200,25 @@ def cmd_synth(args) -> int:
     return 0
 
 
+# the features options each kind reads
+_KIND_OPTIONS = {"oasm": ("manifest", "blocks", "sigma"),
+                 "sp": ("passage_lengths",), "sl": ("word_counts",),
+                 "wp": ("sentences",)}
+
+
+def _option(dest: str) -> str:
+    return "--" + dest.replace("_", "-")
+
+
 def cmd_features(args) -> int:
     out = _require_output(args)
+    foreign = [_option(dest) for kind, dests in _KIND_OPTIONS.items()
+               if kind != args.kind for dest in dests
+               if getattr(args, dest) is not None]
+    if foreign:
+        raise DataError(f"--kind {args.kind} does not read {', '.join(foreign)}")
+    if args.manifest is not None and args.blocks is not None:
+        raise DataError("--manifest and --blocks both give block ids; pass one")
     if args.kind == "oasm":
         if args.sigma is None:
             raise DataError("oasm needs --sigma")
@@ -229,11 +248,21 @@ def cmd_features(args) -> int:
     return 0
 
 
-def _plan_from_args(args):
+def _plan_from_args(args, seed_read=False):
+    """The dataset and the plan the options ask for. ``--seed`` is read only
+    by a shuffled plan, unless the command reads it too (``seed_read``), and
+    ``--n-outer`` and ``--n-inner`` only by the grouped scheme; any of them
+    given where nothing reads it is a DataError."""
+    if args.seed is not None and args.mode == "contiguous" and not seed_read:
+        raise DataError("--seed is read only with --mode shuffled")
+    given = {"shuffle_seed": args.seed, "n_outer": args.n_outer,
+             "n_inner": args.n_inner}
+    given = {key: value for key, value in given.items() if value is not None}
+    for key in ("n_outer", "n_inner"):
+        if key in given and args.scheme != "grouped":
+            raise DataError(f"{_option(key)} is read only with --scheme grouped")
     dataset = load_manifest(args.manifest)
-    split = SplitSpec(scheme=args.scheme, mode=args.mode,
-                      shuffle_seed=args.seed, n_outer=args.n_outer,
-                      n_inner=args.n_inner)
+    split = SplitSpec(scheme=args.scheme, mode=args.mode, **given)
     return dataset, split_plans(split, dataset.recording)[args.mode]
 
 
@@ -251,7 +280,7 @@ def cmd_split(args) -> int:
 
 def cmd_fit(args) -> int:
     out = _require_output(args)
-    dataset, plan = _plan_from_args(args)
+    dataset, plan = _plan_from_args(args, seed_read=True)
     matrices = feature_matrices(dataset, args.oasm_sigma)
     features = list(matrices.values())
     if args.spaces:
@@ -266,7 +295,8 @@ def cmd_fit(args) -> int:
 
     cfg = BandedSearchConfig(max_iters=args.max_iters, patience=args.patience,
                              min_improvement=args.min_improvement,
-                             seed=args.seed)
+                             seed=BandedSearchConfig.seed if args.seed is None
+                             else args.seed)
     fit = banded_search(features, dataset.recording.responses, plan, search_cfg=cfg)
     fit.save(out)
     r2 = fit.test_r2(dataset.recording.responses)

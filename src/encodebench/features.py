@@ -103,7 +103,17 @@ def build_oasm(n_samples: int, block_ids, sigma: float) -> FeatureSpace:
         raise DataError(
             f"expected {n_samples} block ids, got {block_ids.size}"
         )
-    data = smooth_within_blocks(np.eye(n_samples), block_ids, sigma)
+    kernel = gaussian_kernel(sigma)
+    radius = (kernel.size - 1) // 2
+    data = np.zeros((n_samples, n_samples))
+    for start, stop in block_runs(block_ids):
+        # smoothing the identity column by column writes the kernel Toeplitz:
+        # entry (i, j) is kernel[i - j + radius] within reach, else 0
+        lag = np.subtract.outer(np.arange(stop - start), np.arange(stop - start))
+        lag += radius
+        reach = (lag >= 0) & (lag < kernel.size)
+        data[start:stop, start:stop] = np.where(
+            reach, kernel[np.clip(lag, 0, kernel.size - 1)], 0.0)
     return FeatureSpace("OASM", data)
 
 

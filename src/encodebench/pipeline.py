@@ -474,6 +474,7 @@ def run_analysis(config: AnalysisConfig, threads: int = 1,
 
     fits = {}
     durations = {}
+    solver_paths = {}
     for (mode, key), subset in jobs.items():
         t0 = time.time()
         fits[(mode, key)] = banded_search(
@@ -483,6 +484,7 @@ def run_analysis(config: AnalysisConfig, threads: int = 1,
         elapsed = time.time() - t0
         logger.info("fit %s / %s in %.2fs", mode, "+".join(subset), elapsed)
         durations[f"{mode}:{'+'.join(subset)}"] = elapsed
+        solver_paths[f"{mode}:{'+'.join(subset)}"] = fits[(mode, key)].solver_paths
 
     participants = recording.unit_participants
     report_results: dict = {}
@@ -513,6 +515,7 @@ def run_analysis(config: AnalysisConfig, threads: int = 1,
         "created_at": time.strftime("%Y-%m-%dT%H:%M:%S%z"),
         "elapsed_seconds": time.time() - started,
         "fit_durations": durations,
+        "solver_paths": solver_paths,
         "threads": threads,
         "cpu_count": os.cpu_count(),
         "blas_threads": fit_blas_threads(),

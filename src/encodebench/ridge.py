@@ -21,6 +21,20 @@ front whenever the bands together are wider than its training set, and then
 drops the standardized matrices of any band wider than its training set:
 every scaling vector that uses such a band takes the Gram path.
 
+A single-band fit whose rows fall into groups that share no nonzero column
+(OASM: one group per block) can take the block path instead. With ``S`` the
+training-column std and ``P`` the centering projection, the standardized
+train Gram is ``P B P`` with ``B = X_tr S^-2 X_tr^T`` block-diagonal over the
+groups. Each split factors ``B`` group by group (one stacked ``eigh`` per
+training-row count), solves on the complement of the ones vector,
+``x = R Yc - R 1 (1^T R Yc) / (1^T R 1)`` with ``R = (B + aI)^-1``, and
+predicts through the block-sparse eval-by-train Gram; it never forms the
+standardized matrices or any dense Gram. A split takes the block path only
+when ``lambda_min(B) > 2 * lambda_max(B) * n_train * eps``: then the Gram
+path's pseudo-inverse keeps every direction but the ones vector, so
+``alpha = 0`` means the same on both paths. Any other split, and every
+multi-band fit, takes the dense path.
+
 Search notes
 ------------
 Each outer fold is searched and refit on its own, and the outer folds are
@@ -42,6 +56,7 @@ iterations.
 
 from __future__ import annotations
 
+import collections
 import contextlib
 import ctypes
 import functools
@@ -215,6 +230,148 @@ class _Spectral:
         return preds.reshape(len(alphas), G.shape[0], self.UTY.shape[1])
 
 
+class _BlockSpectral(_Spectral):
+    """The Gram path of one split of a single band, factored block by block
+    (``_factor_blocks``): eigenpairs of ``B = X_tr S^-2 X_tr^T`` in which
+    every centered solve happens (see the module notes)."""
+
+    def __init__(self, spectrum, ones, UTY, F, T):
+        self.spectrum, self.numerator, self.denominator = spectrum, 1.0, spectrum
+        self.cutoff = spectrum.max() * spectrum.size * _RCOND  # the Gram rule
+        self.n = spectrum.size
+        self.ones = ones  # U^T 1
+        self.UTY = UTY
+        self.F, self.T = F, T  # eval-by-train Gram times U, and its columns
+
+    def predict(self, alphas, units=slice(None)) -> np.ndarray:
+        """Centered predictions per alpha: (n_alphas, n_eval, n_units)."""
+        UTY = self.UTY[:, units]
+        D = self.filter(alphas)
+        Du = D * self.ones                                  # R 1
+        c = (Du @ UTY) / (Du @ self.ones)[:, None]          # 1^T R Yc / 1^T R 1
+        # x = R Yc - R 1 c is predicted as E x - 1 (1^T B x) / n
+        Bx = ((Du * self.spectrum) @ UTY
+              - (Du @ (self.spectrum * self.ones))[:, None] * c)
+        preds = np.matmul(D.T[self.T].transpose(0, 2, 1) * self.F[:, None, :],
+                          UTY[self.T])                      # E R Yc, eval-major
+        preds -= (Du.T[self.T] * self.F[:, :, None]).sum(axis=1)[:, :, None] * c
+        preds -= Bx / self.n
+        return preds.transpose(1, 0, 2)
+
+
+def _factor_blocks(X, blocks, train_idx, eval_idx, Yc):
+    """One split's ``_BlockSpectral``, or None when it fails the rank check.
+    Groups with equal training-row counts share one stacked ``eigh``."""
+    n = len(train_idx)
+    k_of = np.bincount(blocks.group[train_idx], minlength=blocks.n_groups)
+    if (k_of > blocks.n_cols).any():
+        return None  # a group with more training rows than columns is singular
+    tr_order, tr_start = _group_order(blocks.group[train_idx], k_of)
+    g_ev = blocks.group[eval_idx]
+    ev_count = np.bincount(g_ev, minlength=blocks.n_groups)
+    ev_order, ev_start = _group_order(g_ev, ev_count)
+    spectrum, ones = np.empty(n), np.empty(n)
+    UTY = np.empty((n, Yc.shape[1]))
+    width = k_of[g_ev].max(initial=0)
+    F = np.zeros((len(eval_idx), width))
+    T = np.zeros((len(eval_idx), width), dtype=np.intp)
+    for k in np.unique(k_of[k_of > 0]):
+        gs = np.flatnonzero(k_of == k)
+        slots = tr_start[gs][:, None] + np.arange(k)  # eigen-coordinates
+        cols, mask = blocks.columns(gs)
+        rows = train_idx[tr_order[slots]]
+        Xtr = X[rows[:, :, None], cols[:, None, :]] * mask[:, None, :]
+        mean = Xtr.sum(axis=1) / n  # the other training rows are 0 here
+        var = (((Xtr - mean[:, None, :]) ** 2).sum(axis=1)
+               + (n - k) * mean ** 2) / n
+        std = np.sqrt(var)
+        scale = np.divide(1.0, std, out=np.zeros_like(std), where=std > 0)
+        A = Xtr * scale[:, None, :]
+        lam, U = np.linalg.eigh(A @ A.transpose(0, 2, 1))
+        if not _passes_check(lam, n):
+            return None  # then so does the whole spectrum
+        spectrum[slots] = lam
+        ones[slots] = U.sum(axis=1)
+        UTY[slots] = U.transpose(0, 2, 1) @ Yc[tr_order[slots]]
+        n_ev = ev_count[gs].max()
+        if n_ev == 0:
+            continue
+        at = np.minimum(ev_start[gs][:, None] + np.arange(n_ev),
+                        len(eval_idx) - 1)
+        valid = np.arange(n_ev) < ev_count[gs][:, None]
+        Xev = (X[eval_idx[ev_order[at]][:, :, None], cols[:, None, :]]
+               * (valid[:, :, None] * mask[:, None, :]))
+        FU = (Xev * scale[:, None, :]) @ (A.transpose(0, 2, 1) @ U)
+        rows_ev = ev_order[at][valid]
+        F[rows_ev, :k] = FU[valid]
+        T[rows_ev, :k] = np.broadcast_to(slots[:, None, :], FU.shape)[valid]
+    if not _passes_check(spectrum, n):
+        return None
+    return _BlockSpectral(spectrum, ones, UTY, F, T)
+
+
+def _passes_check(spectrum, n_train) -> bool:
+    """The block path's rank check: every eigenvalue of B clears the Gram
+    path's pseudo-inverse cutoff twice over."""
+    return bool(spectrum.min() > 2.0 * spectrum.max() * n_train * _RCOND)
+
+
+def _group_order(groups, counts):
+    """Positions sorted by group, and where each group starts among them."""
+    return np.argsort(groups, kind="stable"), np.cumsum(counts) - counts
+
+
+@dataclass
+class _Blocks:
+    """Row groups of a band that share no nonzero column between groups."""
+
+    group: np.ndarray     # group per row
+    n_cols: np.ndarray    # nonzero columns per group
+    cols: np.ndarray      # those columns, group by group
+    col_start: np.ndarray
+
+    @property
+    def n_groups(self) -> int:
+        return self.n_cols.size
+
+    def columns(self, gs):
+        """(len(gs), widest) column indices of groups ``gs``, each with at
+        least one column, and a mask of the real ones (padding repeats a
+        real column)."""
+        width = self.n_cols[gs].max()
+        at = self.col_start[gs][:, None] + np.arange(width)
+        mask = np.arange(width) < self.n_cols[gs][:, None]
+        return self.cols[np.minimum(at, self.cols.size - 1)], mask
+
+
+def _band_blocks(X) -> Optional[_Blocks]:
+    """The groups of rows of X that share no nonzero column, found one group
+    at a time by breadth-first search over the nonzero pattern; None when
+    all rows form one group."""
+    nz = np.asarray(X) != 0
+    n, p = nz.shape
+    group = np.full(n, -1)
+    col_group = np.full(p, -1)
+    n_groups = 0
+    for first in range(n):
+        if group[first] >= 0:
+            continue
+        rows = np.array([first])
+        group[first] = n_groups
+        while rows.size:
+            cols = np.flatnonzero(nz[rows].any(axis=0) & (col_group < 0))
+            col_group[cols] = n_groups
+            rows = np.flatnonzero(nz[:, cols].any(axis=1) & (group < 0))
+            group[rows] = n_groups
+        n_groups += 1
+        if n_groups == 1 and group.min() >= 0:
+            return None
+    used = np.flatnonzero(col_group >= 0)
+    n_cols = np.bincount(col_group[used], minlength=n_groups)
+    order, start = _group_order(col_group[used], n_cols)
+    return _Blocks(group, n_cols, used[order], start)
+
+
 def ridge_solve(X_train, Y_train, X_eval, alphas) -> np.ndarray:
     """Predict X_eval for every alpha; returns (n_alphas, n_eval, n_units).
 
@@ -293,6 +450,7 @@ class FitResult:
     validation_r2: np.ndarray          # outer folds x units (best per unit)
     n_random_iterations: list[int]
     early_stopped: list[bool]
+    solver_paths: dict                 # factorizations per solver path
 
     def test_r2(self, responses) -> np.ndarray:
         Y = np.asarray(responses, dtype=np.float64)
@@ -316,22 +474,31 @@ class FitResult:
 
 
 class _FoldData:
-    """Standardized per-band matrices, and band Grams whenever some scaling
-    vector can take the Gram path, for one train/eval split. A band wider
-    than the training set keeps only its Grams."""
+    """One train/eval split: the block factorization of a single band that
+    passes its check, else standardized per-band matrices and, whenever some
+    scaling vector can take the Gram path, band Grams. A band wider than the
+    training set keeps only its Grams. ``paths`` counts factorizations."""
 
-    def __init__(self, band_mats, Y, train_idx, eval_idx):
+    def __init__(self, band_mats, Y, train_idx, eval_idx, blocks=None):
         self.eval_idx = eval_idx
         self.n_train = len(train_idx)
         self.widths = [X.shape[1] for X in band_mats]
+        self.y_mean = Y[train_idx].mean(axis=0)
+        self.Yc = Y[train_idx] - self.y_mean
+        self.paths = collections.Counter()
+        self.block = None
+        if blocks is not None:
+            self.block = _factor_blocks(band_mats[0], blocks, train_idx,
+                                        eval_idx, self.Yc)
+        if self.block is not None:
+            self.paths["block"] += 1
+            return
         self.Ztr = []
         self.Zev = []
         for X in band_mats:
             ztr, (zev,), _, _ = zscore_fit_apply(X[train_idx], [X[eval_idx]])
             self.Ztr.append(ztr)
             self.Zev.append(zev)
-        self.y_mean = Y[train_idx].mean(axis=0)
-        self.Yc = Y[train_idx] - self.y_mean
         self.grams = self.cross = None
         if _uses_gram(sum(self.widths), self.n_train):
             self.grams = [Z @ Z.T for Z in self.Ztr]
@@ -342,10 +509,17 @@ class _FoldData:
 
     def predict_grid(self, gamma, alphas, unit_slice=None):
         """(n_alphas, n_eval, n_units) predictions for one scaling vector."""
-        Yc = self.Yc if unit_slice is None else self.Yc[:, unit_slice]
+        units = slice(None) if unit_slice is None else unit_slice
+        if self.block is not None:
+            # scaling the band by g is the same as dividing alpha by g^2
+            g2 = gamma[0] ** 2
+            preds = self.block.predict([a / g2 for a in alphas], units)
+            return preds + self.y_mean[units]
+        Yc = self.Yc[:, units]
         active = np.flatnonzero(np.asarray(gamma) > 0)
         dims = sum(self.widths[b] for b in active)
         if _uses_gram(dims, self.n_train):
+            self.paths["gram"] += 1
             K = np.zeros((self.n_train, self.n_train))
             C = np.zeros((len(self.eval_idx), self.n_train))
             for b in active:
@@ -354,11 +528,11 @@ class _FoldData:
                 C += g2 * self.cross[b]
             preds = _Spectral(Yc, gram=K).predict(C, alphas)
         else:
+            self.paths["design"] += 1
             Xtr = np.hstack([gamma[b] * self.Ztr[b] for b in active])
             Xev = np.hstack([gamma[b] * self.Zev[b] for b in active])
             preds = _Spectral(Yc, design=Xtr).predict(Xev, alphas)
-        y_mean = self.y_mean if unit_slice is None else self.y_mean[unit_slice]
-        return preds + y_mean
+        return preds + self.y_mean[units]
 
 
 def _random_gamma(seed: int, iteration: int, n_bands: int) -> np.ndarray:
@@ -375,16 +549,16 @@ def _as_response_matrix(responses) -> np.ndarray:
     return Y
 
 
-def _fit_outer_fold(fold, band_mats, Y, alphas, search_cfg):
+def _fit_outer_fold(fold, band_mats, Y, alphas, search_cfg, blocks=None):
     """Search (gamma, alpha) per unit on one outer fold's inner folds, then
     refit each unit's winner on train+validation and predict the test rows.
 
     Returns the fold's rows of the result: (test predictions, training
     target means, chosen gamma, chosen alpha, best validation R^2, random
-    iterations, early stopped).
+    iterations, early stopped, factorizations per solver path).
     """
     n_units = Y.shape[1]
-    inner = [_FoldData(band_mats, Y, f.train, f.validation)
+    inner = [_FoldData(band_mats, Y, f.train, f.validation, blocks)
              for f in fold.inner_folds]
     y_val = Y[np.concatenate([f.eval_idx for f in inner])]
     icpt_val = np.concatenate(
@@ -435,7 +609,7 @@ def _fit_outer_fold(fold, band_mats, Y, alphas, search_cfg):
             stopped = stall >= search_cfg.patience
 
     trval = np.setdiff1d(np.arange(Y.shape[0]), fold.test)
-    refit = _FoldData(band_mats, Y, trval, fold.test)
+    refit = _FoldData(band_mats, Y, trval, fold.test, blocks)
     test_pred = np.zeros((len(fold.test), n_units))
     for cand_id in np.unique(best_cand):
         units = np.flatnonzero(best_cand == cand_id)
@@ -448,8 +622,9 @@ def _fit_outer_fold(fold, band_mats, Y, alphas, search_cfg):
             test_pred[:, units[sel]] = preds[pos][:, sel]
     chosen_gamma = np.stack([candidates[c] for c in best_cand])
     chosen_alpha = np.asarray(alphas)[best_alpha_idx]
+    paths = sum((f.paths for f in inner), refit.paths)
     return (test_pred, refit.y_mean, chosen_gamma, chosen_alpha, best_score,
-            i, stopped)
+            i, stopped, paths)
 
 
 def banded_search(features: Sequence[FeatureSpace], responses, plan: SplitPlan,
@@ -459,7 +634,8 @@ def banded_search(features: Sequence[FeatureSpace], responses, plan: SplitPlan,
     """Nested-CV banded ridge fit with per-unit hyperparameter selection.
 
     Up to ``threads`` outer folds are fitted at once; while BLAS is pinned
-    (``fit_blas_threads() == 1``) the result does not depend on it.
+    (``fit_blas_threads() == 1``) the result does not depend on it. A single
+    band is searched for row groups once, for the block path.
     """
     check_int("threads", threads, 1)
     ridge_cfg = ridge_cfg or RidgeConfig()
@@ -471,12 +647,17 @@ def banded_search(features: Sequence[FeatureSpace], responses, plan: SplitPlan,
     if not plan.outer_folds:
         raise DataError("the split plan has no outer folds")
 
+    blocks = _band_blocks(band_mats[0]) if len(band_mats) == 1 else None
+
     def fit_fold(fold):
-        return _fit_outer_fold(fold, band_mats, Y, ridge_cfg.alphas, search_cfg)
+        return _fit_outer_fold(fold, band_mats, Y, ridge_cfg.alphas, search_cfg,
+                               blocks)
 
     with _blas_pinned():
         folds = _map_ordered(fit_fold, plan.outer_folds, threads)
-    preds, means, gammas, chosen_alpha, scores, n_random, stopped = zip(*folds)
+    (preds, means, gammas, chosen_alpha, scores, n_random, stopped,
+     paths) = zip(*folds)
+    paths = sum(paths, collections.Counter())
     test_pred = np.zeros(Y.shape)
     intercept_pred = np.zeros(Y.shape)
     for fold, pred, mean in zip(plan.outer_folds, preds, means):
@@ -492,4 +673,5 @@ def banded_search(features: Sequence[FeatureSpace], responses, plan: SplitPlan,
         validation_r2=np.stack(scores),
         n_random_iterations=list(n_random),
         early_stopped=list(stopped),
+        solver_paths={path: paths[path] for path in ("block", "gram", "design")},
     )

@@ -479,6 +479,52 @@ class TestThreads:
         assert f"unrecognized arguments: {argv[-2]}" in capsys.readouterr().err
 
 
+class TestUnreadOptions:
+    # each used to be accepted and then ignored, exiting 0
+    @pytest.mark.parametrize("argv,option", [
+        (["split", "--scheme", "pereira", "--seed", "1"], "--seed"),
+        (["oasm-sweep", "--scheme", "pereira", "--seed", "1"], "--seed"),
+        (["split", "--scheme", "pereira", "--n-outer", "3"], "--n-outer"),
+        (["fit", "--scheme", "fedorenko", "--n-inner", "3"], "--n-inner"),
+        (["oasm-sweep", "--scheme", "blank", "--mode", "shuffled",
+          "--n-outer", "3"], "--n-outer"),
+        (["features", "--kind", "sp", "--passage-lengths", "4,3",
+          "--sigma", "2.0", "--blocks", "0,1"], "--blocks, --sigma"),
+        (["features", "--kind", "oasm", "--sigma", "1.0", "--blocks", "0,0",
+          "--sentences", "2"], "--sentences"),
+        (["features", "--kind", "oasm", "--sigma", "1.0", "--blocks", "0,0",
+          "--manifest", "MANIFEST"], "--manifest and --blocks"),
+    ])
+    def test_exits_2_naming_the_option(self, tmp_path, capsys, argv, option):
+        assert main(["synth", "--preset", "pereira-exp2", "--units", "4",
+                     "--output", str(tmp_path / "d")]) == 0
+        manifest = str(tmp_path / "d" / "manifest.json")
+        if argv[0] != "features":
+            argv = [argv[0], "--manifest", manifest, *argv[1:]]
+        argv = [manifest if a == "MANIFEST" else a for a in argv]
+        capsys.readouterr()
+        out = tmp_path / "out"
+        assert main([*argv, "--output", str(out)]) == 2
+        assert option in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_read_options_still_accepted(self, tmp_path, capsys):
+        assert main(["synth", "--preset", "pereira-exp2", "--units", "4",
+                     "--output", str(tmp_path / "d")]) == 0
+        manifest = str(tmp_path / "d" / "manifest.json")
+        plans = []
+        for seed in ("1", "2"):
+            out = tmp_path / f"plan-{seed}.json"
+            assert main(["split", "--manifest", manifest, "--scheme", "pereira",
+                         "--mode", "shuffled", "--seed", seed,
+                         "--output", str(out)]) == 0
+            plans.append(out.read_bytes())
+        assert plans[0] != plans[1]
+        assert main(["split", "--manifest", manifest, "--scheme", "grouped",
+                     "--n-outer", "3", "--n-inner", "2",
+                     "--output", str(tmp_path / "grouped.json")]) == 0
+
+
 class TestOutputContainment:
     def test_synth_writes_only_under_output(self, tmp_path, capsys,
                                             monkeypatch):

@@ -48,6 +48,28 @@ class TestOasm:
         np.testing.assert_allclose(
             fs.data, smooth_matrix_oracle(np.eye(8), blocks, 0.8), atol=1e-14)
 
+    @pytest.mark.parametrize("name", ["shuffle-demo", "subsumption-demo",
+                                      "pereira-exp1", "pereira-exp2",
+                                      "fedorenko", "blank"])
+    def test_identical_to_smoothing_the_identity(self, name):
+        # build_oasm writes each block's kernel Toeplitz directly; smoothing
+        # the identity column by column gives the same bytes
+        blocks = eb.preset(name)[0].block_ids
+        for sigma in (0.1, 2.1, 5.0):
+            fs = eb.build_oasm(blocks.size, blocks, sigma)
+            smoothed = eb.features.smooth_within_blocks(np.eye(blocks.size),
+                                                        blocks, sigma)
+            assert fs.data.tobytes() == smoothed.tobytes()
+
+    def test_mixed_block_sizes_match_oracle(self):
+        # blocks of 1, 3, 4, 8 and 17 rows, some shorter than the kernel
+        blocks = np.repeat(np.arange(5), [1, 3, 4, 8, 17])
+        for sigma in (0.1, 2.1, 5.0):
+            fs = eb.build_oasm(blocks.size, blocks, sigma)
+            np.testing.assert_allclose(
+                fs.data, smooth_matrix_oracle(np.eye(blocks.size), blocks,
+                                              sigma), rtol=1e-14, atol=1e-16)
+
     def test_noncontiguous_blocks_rejected(self):
         with pytest.raises(DataError):
             eb.build_oasm(3, [0, 1, 0], 1.0)

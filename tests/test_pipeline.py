@@ -416,6 +416,25 @@ class TestRunAnalysis:
         doc = json.loads((out / "report.json").read_text())
         assert set(doc) == {"dataset", "config", "modes"}
 
+    def test_provenance_records_solver_paths(self, tmp_path):
+        spec, extras = eb.preset("pereira-exp2", seed=0, n_units=6)
+        manifest = eb.write_dataset(spec, tmp_path / "data", "pereira-exp2",
+                                    extra_features=extras)
+        config = AnalysisConfig.from_dict({
+            "manifest": str(manifest),
+            "split": {"scheme": "pereira", "mode": "both", "shuffle_seed": 7},
+            "oasm_sigma": 1.0,
+            "spaces": [{"name": "OASM", "members": ["OASM"]}],
+            "families": [{"name": "main", "spaces": ["OASM"]}],
+        })
+        out = tmp_path / "report"
+        eb.run_analysis(config, output_dir=out)
+        prov = json.loads((out / "provenance.json").read_text())
+        assert set(prov["solver_paths"]) == set(prov["fit_durations"])
+        # 6 outer folds of 5 inner folds, and 6 refits, each factored once
+        for paths in prov["solver_paths"].values():
+            assert paths == {"block": 36, "gram": 0, "design": 0}
+
     def test_oasm_sigma_builds_space(self, tmp_path, rng):
         manifest = _make_dataset(tmp_path, rng)
         doc = _base_config(manifest)

@@ -2,6 +2,7 @@ import hashlib
 import sys
 import threading
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,9 +10,12 @@ import pytest
 import encodebench as eb
 from encodebench.errors import DataError
 from encodebench import ridge
+from encodebench.pipeline import SplitSpec, build_plan
+from encodebench.splits import OuterFold
 from encodebench.ridge import (
     BandedSearchConfig,
     RidgeConfig,
+    _band_blocks,
     _FoldData,
     _map_ordered,
 )
@@ -372,3 +376,144 @@ class TestBandedSearch:
         loaded = eb.load_matrix(tmp_path / "fit" / "test_predictions.bbsm")
         np.testing.assert_array_equal(loaded, fit.test_predictions)
 
+
+
+# every preset block layout: passages of 3 and 4 sentences, sentences of 8
+# words, stories of 150-180 samples; each with a smoothing width near the
+# widest at which the block path's rank check still passes
+BLOCK_LAYOUTS = [("pereira-exp2", "pereira", 2.1),
+                 ("pereira-exp1", "pereira", 2.1),
+                 ("fedorenko", "fedorenko", 2.1), ("blank", "blank", 1.5)]
+
+
+def _oasm_case(name, scheme, mode, sigma, n_inner=None):
+    """A preset's responses (6 units), its OASM band at ``sigma`` and its
+    plan under ``mode``, cut to the first outer fold (and its first
+    ``n_inner`` inner folds) to keep the dense comparisons cheap."""
+    spec, _ = eb.preset(name, seed=0, n_units=6)
+    recording, _ = eb.generate(spec)
+    plan = build_plan(SplitSpec(scheme), recording)
+    if mode == "shuffled":
+        plan = eb.shuffle_plan(plan, 7)
+    fold = plan.outer_folds[0]
+    plan = eb.SplitPlan([OuterFold(fold.test, fold.inner_folds[:n_inner])],
+                        plan.mode, plan.scheme, plan.n_samples)
+    oasm = eb.build_oasm(recording.n_samples, recording.block_ids, sigma)
+    return oasm, recording.responses, plan
+
+
+def _block_diagonal(rng, sizes):
+    """A band of dense square blocks, and each row's block."""
+    n = sum(sizes)
+    X = np.zeros((n, n))
+    start = 0
+    for size in sizes:
+        X[start:start + size, start:start + size] = rng.uniform(
+            0.5, 1.5, (size, size))
+        start += size
+    return X, np.repeat(np.arange(len(sizes)), sizes)
+
+
+def _same_partition(a, b):
+    pairs = set(zip(np.asarray(a).tolist(), np.asarray(b).tolist()))
+    return len(pairs) == len(set(a.tolist())) == len(set(b.tolist()))
+
+
+class TestBlockPath:
+    @pytest.mark.parametrize("mode", ["contiguous", "shuffled"])
+    @pytest.mark.parametrize("name,scheme,sigma", BLOCK_LAYOUTS)
+    def test_split_matches_dense_path(self, name, scheme, sigma, mode):
+        oasm, Y, plan = _oasm_case(name, scheme, mode, sigma, n_inner=1)
+        blocks = _band_blocks(oasm.data)
+        assert blocks is not None
+        fold = plan.outer_folds[0]
+        trval = np.setdiff1d(np.arange(plan.n_samples), fold.test)
+        alphas = eb.default_alpha_grid()
+        eps = np.finfo(float).eps
+        for train, ev in ((fold.inner_folds[0].train,
+                           fold.inner_folds[0].validation), (trval, fold.test)):
+            block = _FoldData([oasm.data], Y, train, ev, blocks)
+            dense = _FoldData([oasm.data], Y, train, ev)
+            assert block.block is not None and dense.block is None
+            got = block.predict_grid([1.0], alphas)
+            want = dense.predict_grid([1.0], alphas)
+            assert block.paths == {"block": 1}
+            assert dense.paths == {"gram": 1}
+            scale = np.abs(want - dense.y_mean).max()
+            spectrum = block.block.spectrum
+            cond = spectrum.max() / spectrum.min()
+            # the dense path's own rounding at alpha = 0 grows with cond(B)
+            bound = 1e-10 if cond <= 1e4 else 10 * len(train) * eps * cond
+            assert np.abs(got[0] - want[0]).max() <= bound * scale
+            assert np.abs(got[1:] - want[1:]).max() <= 1e-10 * scale
+
+    @pytest.mark.parametrize("mode", ["contiguous", "shuffled"])
+    @pytest.mark.parametrize("name,scheme,sigma", BLOCK_LAYOUTS)
+    def test_search_matches_alpha_grid_oracle(self, name, scheme, sigma, mode):
+        oasm, Y, plan = _oasm_case(name, scheme, mode, 1.0, n_inner=2)
+        fit = eb.banded_search([oasm], Y, plan)
+        assert fit.solver_paths == {"block": 3, "gram": 0, "design": 0}
+        oracle_pred, oracle_alpha, oracle_val = single_band_alpha_grid_oracle(
+            oasm.data, Y, plan, fit.alphas)
+        np.testing.assert_array_equal(fit.chosen_alpha, oracle_alpha)
+        np.testing.assert_allclose(fit.test_predictions, oracle_pred,
+                                   rtol=1e-10, atol=1e-10)
+        np.testing.assert_allclose(fit.validation_r2, oracle_val, atol=1e-10)
+
+    def test_failing_split_keeps_dense_path(self, monkeypatch):
+        # at sigma 4.1 fedorenko's 8-word blocks fail the rank check
+        oasm, Y, plan = _oasm_case("fedorenko", "fedorenko", "shuffled", 4.1,
+                                   n_inner=2)
+        fit = eb.banded_search([oasm], Y, plan)
+        assert fit.solver_paths == {"block": 0, "gram": 3, "design": 0}
+        monkeypatch.setattr(ridge, "_band_blocks", lambda X: None)
+        dense = eb.banded_search([oasm], Y, plan)
+        for key in ("test_predictions", "chosen_alpha", "validation_r2"):
+            assert getattr(fit, key).tobytes() == getattr(dense, key).tobytes()
+
+    def test_noncontiguous_groups(self, rng):
+        X, groups = _block_diagonal(rng, [3, 5, 4, 6])
+        rows, cols = rng.permutation(X.shape[0]), rng.permutation(X.shape[1])
+        X, groups = X[rows][:, cols], groups[rows]
+        blocks = _band_blocks(X)
+        assert blocks.n_groups == 4
+        assert _same_partition(blocks.group, groups)
+        # the block path needs no contiguous rows: it matches the dense path
+        Y = rng.standard_normal((X.shape[0], 3))
+        train, ev = np.arange(12), np.arange(12, 18)
+        alphas = [0.0, 0.5, 8.0]
+        block = _FoldData([X], Y, train, ev, blocks)
+        assert block.block is not None
+        np.testing.assert_allclose(block.predict_grid([1.0], alphas),
+                                   _FoldData([X], Y, train, ev).predict_grid(
+                                       [1.0], alphas), rtol=1e-10, atol=1e-10)
+
+    def test_linking_column_joins_two_groups(self, rng):
+        X, groups = _block_diagonal(rng, [3, 4, 5])
+        link = np.zeros((X.shape[0], 1))
+        link[[0, 10]] = 1.0  # a row of the first block and one of the last
+        blocks = _band_blocks(np.hstack([X, link]))
+        assert blocks.n_groups == 2
+        assert _same_partition(blocks.group, np.where(groups == 2, 0, groups))
+
+    def test_dense_band_has_no_blocks(self, rng):
+        X = rng.standard_normal((300, 500))
+        tracemalloc.start()
+        try:
+            assert _band_blocks(X) is None
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # the nonzero pattern is n * p bytes; one index array of it would
+        # be n * p * 8
+        assert peak < 4 * X.size
+
+    def test_multiband_fit_takes_no_block_path(self, tiny_recording,
+                                               small_plan, rng):
+        features, Y, _ = tiny_recording
+        oasm = eb.build_oasm(96, np.repeat(np.arange(24), 4), 1.0)
+        cfg = BandedSearchConfig(max_iters=5, patience=5)
+        fit = eb.banded_search([oasm, features], Y, small_plan, search_cfg=cfg)
+        assert fit.solver_paths["block"] == 0
+        solo = eb.banded_search([oasm], Y, small_plan)
+        assert solo.solver_paths == {"block": 36, "gram": 0, "design": 0}
