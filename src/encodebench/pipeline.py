@@ -475,16 +475,23 @@ def run_analysis(config: AnalysisConfig, threads: int = 1,
     fits = {}
     durations = {}
     solver_paths = {}
+    train_sets = {}
     for (mode, key), subset in jobs.items():
         t0 = time.time()
-        fits[(mode, key)] = banded_search(
+        fit = fits[(mode, key)] = banded_search(
             _subset_features(subset, spaces, matrices), Y, plans[mode],
             ridge_cfg=config.ridge, search_cfg=config.search, threads=threads,
         )
         elapsed = time.time() - t0
         logger.info("fit %s / %s in %.2fs", mode, "+".join(subset), elapsed)
-        durations[f"{mode}:{'+'.join(subset)}"] = elapsed
-        solver_paths[f"{mode}:{'+'.join(subset)}"] = fits[(mode, key)].solver_paths
+        name = f"{mode}:{'+'.join(subset)}"
+        durations[name] = elapsed
+        solver_paths[name] = fit.solver_paths
+        train_sets[name] = {
+            "inner_folds": sum(len(f.inner_folds)
+                               for f in plans[mode].outer_folds),
+            "distinct": fit.train_sets,
+        }
 
     participants = recording.unit_participants
     report_results: dict = {}
@@ -516,8 +523,10 @@ def run_analysis(config: AnalysisConfig, threads: int = 1,
         "elapsed_seconds": time.time() - started,
         "fit_durations": durations,
         "solver_paths": solver_paths,
+        "train_sets": train_sets,
         "threads": threads,
         "cpu_count": os.cpu_count(),
+        "blas": _blas_build(),
         "blas_threads": fit_blas_threads(),
         "numpy_version": np.__version__,
         "scipy_version": scipy.__version__,
@@ -535,6 +544,16 @@ def run_analysis(config: AnalysisConfig, threads: int = 1,
     if target is not None:
         report.save(target)
     return report
+
+
+def _blas_build() -> dict:
+    """Name and version of the BLAS numpy was built against, when numpy
+    records them."""
+    try:
+        blas = np.__config__.CONFIG["Build Dependencies"]["blas"]
+    except (AttributeError, KeyError):
+        blas = {}
+    return {"name": blas.get("name"), "version": blas.get("version")}
 
 
 def _run_tests(config: AnalysisConfig, fam: FamilySpec, Y, preds, r2,

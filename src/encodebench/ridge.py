@@ -37,19 +37,24 @@ multi-band fit, takes the dense path.
 
 Search notes
 ------------
-Each outer fold is searched and refit on its own, and the outer folds are
-the unit of parallel work: ``banded_search(..., threads=n)`` runs up to n of
-them at once. When numpy's bundled OpenBLAS is found, it runs on one thread
-while a search is in progress, so results do not depend on ``threads`` or on
-the machine's core count; otherwise BLAS keeps its own thread count and
-results can differ at ulp level between thread counts.
+Inner fold (test i, validation j) trains on the same rows as inner fold
+(test j, validation i), so a training set serves two outer folds. The outer
+folds step through one candidate sequence together. At each step every
+distinct training set that an unstopped outer fold uses is one task, the
+unit of parallel work (``threads=n`` runs up to n at once): it is factored
+once and predicts each of its inner folds' validation rows with the array
+shapes of a split of its own. Multi-band fits keep a set's training side
+while a fold uses it. When numpy's bundled OpenBLAS is found, it runs on one
+thread during a search, so results do not depend on ``threads`` or on the
+core count; otherwise they can differ at ulp level.
 
 Candidate scaling vectors come first from the subset-mask enumeration (every
 way of zeroing out feature spaces), then from Dirichlet draws whose RNG
 streams depend only on (seed, iteration index). Per unit, the best (gamma,
-alpha) by pooled inner-validation R^2 wins; strict improvement is required,
-so earlier candidates and smaller alphas win ties. The random phase stops
-early once the across-unit mean of running-best validation scores fails to
+alpha) by inner-validation R^2 wins, with squared residuals summed per inner
+fold and added in inner-fold order; strict improvement is required, so
+earlier candidates and smaller alphas win ties. An outer fold stops its
+random phase once the across-unit mean of its running-best scores fails to
 improve by more than ``min_improvement`` for ``patience`` consecutive
 iterations.
 """
@@ -173,14 +178,6 @@ def _blas_pinned():
                 set_threads(_pin["saved"])
 
 
-def _map_ordered(fn, items, threads):
-    """``[fn(item) for item in items]``, run on up to ``threads`` threads."""
-    if threads <= 1 or len(items) <= 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, items))
-
-
 def _uses_gram(n_dims: int, n_rows: int) -> bool:
     """The solver-path rule: factor the Gram once the design is wider than tall."""
     return n_dims > n_rows
@@ -211,70 +208,111 @@ class _Spectral:
 
     def filter(self, alphas) -> np.ndarray:
         """(n_alphas, rank) filter factors; ``alpha = 0`` is the pseudo-inverse."""
-        D = np.empty((len(alphas), self.spectrum.size))
-        for i, a in enumerate(alphas):
-            if a == 0.0:
-                keep = self.spectrum > self.cutoff
-                D[i] = np.where(keep, 1.0 / np.where(keep, self.spectrum, 1.0), 0.0)
-            else:
-                D[i] = self.numerator / (self.denominator + a)
+        alphas = np.asarray(alphas, dtype=np.float64)
+        D = np.empty((alphas.size, self.spectrum.size))
+        pos = alphas > 0.0
+        D[pos] = self.numerator / (self.denominator + alphas[pos, None])
+        keep = self.spectrum > self.cutoff
+        D[~pos] = np.where(keep, 1.0 / np.where(keep, self.spectrum, 1.0), 0.0)
         return D
 
-    def predict(self, eval_side, alphas) -> np.ndarray:
-        """Centered predictions per alpha: (n_alphas, n_eval, n_units)."""
-        if self.design is not None:
-            eval_side = eval_side @ self.design.T
-        G = eval_side @ self.right
-        scaled = G[None, :, :] * self.filter(alphas)[:, None, :]
-        preds = scaled.reshape(-1, self.spectrum.size) @ self.UTY
-        return preds.reshape(len(alphas), G.shape[0], self.UTY.shape[1])
+    def predict(self, eval_sides, alphas, scratch):
+        """Centered predictions per alpha, (n_alphas, n_eval, n_units), for
+        each eval side in turn, from one filter: each a view into ``scratch``
+        that the next one overwrites."""
+        D = self.filter(alphas)
+        rank, n_units = self.spectrum.size, self.UTY.shape[1]
+        for eval_side in eval_sides:
+            if self.design is not None:
+                eval_side = eval_side @ self.design.T
+            G = eval_side @ self.right
+            scaled = scratch.take("scaled", (len(D), len(G), rank))
+            np.multiply(G[None, :, :], D[:, None, :], out=scaled)
+            preds = scratch.take("preds", (len(D) * len(G), n_units))
+            np.matmul(scaled.reshape(-1, rank), self.UTY, out=preds)
+            yield preds.reshape(len(D), len(G), n_units)
 
 
 class _BlockSpectral(_Spectral):
-    """The Gram path of one split of a single band, factored block by block
-    (``_factor_blocks``): eigenpairs of ``B = X_tr S^-2 X_tr^T`` in which
-    every centered solve happens (see the module notes)."""
+    """The Gram path of one training set of a single band, factored block by
+    block (``_factor_blocks``): eigenpairs of ``B = X_tr S^-2 X_tr^T`` in
+    which every centered solve happens (see the module notes)."""
 
-    def __init__(self, spectrum, ones, UTY, F, T):
+    def __init__(self, spectrum, ones, UTY, parts, k_of):
         self.spectrum, self.numerator, self.denominator = spectrum, 1.0, spectrum
         self.cutoff = spectrum.max() * spectrum.size * _RCOND  # the Gram rule
         self.n = spectrum.size
         self.ones = ones  # U^T 1
         self.UTY = UTY
-        self.F, self.T = F, T  # eval-by-train Gram times U, and its columns
+        self.parts, self.k_of = parts, k_of  # see _factor_blocks
 
-    def predict(self, alphas, units=slice(None)) -> np.ndarray:
-        """Centered predictions per alpha: (n_alphas, n_eval, n_units)."""
+    def eval_side(self, X, group, eval_idx):
+        """(F, T) of the eval rows: the block-sparse eval-by-train Gram times
+        U, and the eigen-coordinates of its columns."""
+        g_ev = group[eval_idx]
+        ev_count = np.bincount(g_ev, minlength=self.k_of.size)
+        ev_order, ev_start = _group_order(g_ev, ev_count)
+        width = self.k_of[g_ev].max(initial=0)
+        F = np.zeros((len(eval_idx), width))
+        T = np.zeros((len(eval_idx), width), dtype=np.intp)
+        for gs, slots, cols, mask, scale, AU in self.parts:
+            n_ev = ev_count[gs].max()
+            if n_ev == 0:
+                continue
+            at = np.minimum(ev_start[gs][:, None] + np.arange(n_ev),
+                            len(eval_idx) - 1)
+            valid = np.arange(n_ev) < ev_count[gs][:, None]
+            Xev = (X[eval_idx[ev_order[at]][:, :, None], cols[:, None, :]]
+                   * (valid[:, :, None] * mask[:, None, :]))
+            FU = (Xev * scale[:, None, :]) @ AU
+            rows_ev = ev_order[at][valid]
+            F[rows_ev, :slots.shape[1]] = FU[valid]
+            T[rows_ev, :slots.shape[1]] = np.broadcast_to(
+                slots[:, None, :], FU.shape)[valid]
+        return F, T
+
+    def predict(self, eval_sides, alphas, units, scratch):
+        """Centered predictions per alpha, (n_alphas, n_eval, n_units), for
+        each (F, T) eval side in turn, as ``_Spectral.predict`` yields them."""
         UTY = self.UTY[:, units]
         D = self.filter(alphas)
         Du = D * self.ones                                  # R 1
         c = (Du @ UTY) / (Du @ self.ones)[:, None]          # 1^T R Yc / 1^T R 1
         # x = R Yc - R 1 c is predicted as E x - 1 (1^T B x) / n
         Bx = ((Du * self.spectrum) @ UTY
-              - (Du @ (self.spectrum * self.ones))[:, None] * c)
-        preds = np.matmul(D.T[self.T].transpose(0, 2, 1) * self.F[:, None, :],
-                          UTY[self.T])                      # E R Yc, eval-major
-        preds -= (Du.T[self.T] * self.F[:, :, None]).sum(axis=1)[:, :, None] * c
-        preds -= Bx / self.n
-        return preds.transpose(1, 0, 2)
+              - (Du @ (self.spectrum * self.ones))[:, None] * c) / self.n
+        for F, T in eval_sides:
+            preds = scratch.take("preds", (len(F), len(D), UTY.shape[1]))
+            np.matmul(D.T[T].transpose(0, 2, 1) * F[:, None, :], UTY[T],
+                      out=preds)                            # E R Yc, eval-major
+            preds -= (Du.T[T] * F[:, :, None]).sum(axis=1)[:, :, None] * c
+            preds -= Bx
+            yield preds.transpose(1, 0, 2)
 
 
-def _factor_blocks(X, blocks, train_idx, eval_idx, Yc):
-    """One split's ``_BlockSpectral``, or None when it fails the rank check.
-    Groups with equal training-row counts share one stacked ``eigh``."""
+class _Scratch(threading.local):
+    """Per-thread buffers, grown to the largest request and reused. A fresh
+    prediction-sized array per eval set would make the C allocator hand the
+    memory back to the system and page it in again, set after set."""
+
+    def take(self, name, shape):
+        size = int(np.prod(shape))
+        if getattr(self, name, np.empty(0)).size < size:
+            setattr(self, name, np.empty(size))
+        return getattr(self, name)[:size].reshape(shape)
+
+
+def _factor_blocks(X, blocks, train_idx, Yc):
+    """One training set's ``_BlockSpectral``, or None when it fails the rank
+    check. Groups with equal training-row counts share one stacked ``eigh``."""
     n = len(train_idx)
     k_of = np.bincount(blocks.group[train_idx], minlength=blocks.n_groups)
     if (k_of > blocks.n_cols).any():
         return None  # a group with more training rows than columns is singular
     tr_order, tr_start = _group_order(blocks.group[train_idx], k_of)
-    g_ev = blocks.group[eval_idx]
-    ev_count = np.bincount(g_ev, minlength=blocks.n_groups)
-    ev_order, ev_start = _group_order(g_ev, ev_count)
     spectrum, ones = np.empty(n), np.empty(n)
     UTY = np.empty((n, Yc.shape[1]))
-    width = k_of[g_ev].max(initial=0)
-    F = np.zeros((len(eval_idx), width))
-    T = np.zeros((len(eval_idx), width), dtype=np.intp)
+    parts = []
     for k in np.unique(k_of[k_of > 0]):
         gs = np.flatnonzero(k_of == k)
         slots = tr_start[gs][:, None] + np.arange(k)  # eigen-coordinates
@@ -293,21 +331,11 @@ def _factor_blocks(X, blocks, train_idx, eval_idx, Yc):
         spectrum[slots] = lam
         ones[slots] = U.sum(axis=1)
         UTY[slots] = U.transpose(0, 2, 1) @ Yc[tr_order[slots]]
-        n_ev = ev_count[gs].max()
-        if n_ev == 0:
-            continue
-        at = np.minimum(ev_start[gs][:, None] + np.arange(n_ev),
-                        len(eval_idx) - 1)
-        valid = np.arange(n_ev) < ev_count[gs][:, None]
-        Xev = (X[eval_idx[ev_order[at]][:, :, None], cols[:, None, :]]
-               * (valid[:, :, None] * mask[:, None, :]))
-        FU = (Xev * scale[:, None, :]) @ (A.transpose(0, 2, 1) @ U)
-        rows_ev = ev_order[at][valid]
-        F[rows_ev, :k] = FU[valid]
-        T[rows_ev, :k] = np.broadcast_to(slots[:, None, :], FU.shape)[valid]
+        # what _BlockSpectral.eval_side needs of this training-row count
+        parts.append((gs, slots, cols, mask, scale, A.transpose(0, 2, 1) @ U))
     if not _passes_check(spectrum, n):
         return None
-    return _BlockSpectral(spectrum, ones, UTY, F, T)
+    return _BlockSpectral(spectrum, ones, UTY, parts, k_of)
 
 
 def _passes_check(spectrum, n_train) -> bool:
@@ -398,7 +426,8 @@ def ridge_solve(X_train, Y_train, X_eval, alphas) -> np.ndarray:
     _check_finite("X_eval", Xe)
     x_mean = X.mean(axis=0)
     y_mean = Y.mean(axis=0)
-    preds = _Spectral(Y - y_mean, design=X - x_mean).predict(Xe - x_mean, alphas)
+    (preds,) = _Spectral(Y - y_mean, design=X - x_mean).predict(
+        [Xe - x_mean], alphas, _Scratch())
     preds += y_mean
     return preds[:, :, 0] if np.ndim(Y_train) == 1 else preds
 
@@ -451,6 +480,7 @@ class FitResult:
     n_random_iterations: list[int]
     early_stopped: list[bool]
     solver_paths: dict                 # factorizations per solver path
+    train_sets: int                    # distinct inner training sets factored
 
     def test_r2(self, responses) -> np.ndarray:
         Y = np.asarray(responses, dtype=np.float64)
@@ -474,65 +504,68 @@ class FitResult:
 
 
 class _FoldData:
-    """One train/eval split: the block factorization of a single band that
-    passes its check, else standardized per-band matrices and, whenever some
-    scaling vector can take the Gram path, band Grams. A band wider than the
-    training set keeps only its Grams. ``paths`` counts factorizations."""
+    """One training set and the eval sets predicted from it: the block
+    factorization of a single band that passes its check, else standardized
+    per-band matrices and, whenever some scaling vector can take the Gram
+    path, band Grams and eval-by-train Grams. A band wider than the training
+    set keeps only its Grams."""
 
-    def __init__(self, band_mats, Y, train_idx, eval_idx, blocks=None):
-        self.eval_idx = eval_idx
+    def __init__(self, band_mats, Y, train_idx, eval_idxs, blocks=None):
         self.n_train = len(train_idx)
         self.widths = [X.shape[1] for X in band_mats]
         self.y_mean = Y[train_idx].mean(axis=0)
         self.Yc = Y[train_idx] - self.y_mean
-        self.paths = collections.Counter()
         self.block = None
         if blocks is not None:
-            self.block = _factor_blocks(band_mats[0], blocks, train_idx,
-                                        eval_idx, self.Yc)
+            self.block = _factor_blocks(band_mats[0], blocks, train_idx, self.Yc)
         if self.block is not None:
-            self.paths["block"] += 1
+            self.evals = [self.block.eval_side(band_mats[0], blocks.group, idx)
+                          for idx in eval_idxs]
             return
-        self.Ztr = []
-        self.Zev = []
-        for X in band_mats:
-            ztr, (zev,), _, _ = zscore_fit_apply(X[train_idx], [X[eval_idx]])
-            self.Ztr.append(ztr)
-            self.Zev.append(zev)
+        z = [zscore_fit_apply(X[train_idx], [X[idx] for idx in eval_idxs])
+             for X in band_mats]
+        self.Ztr = [ztr for ztr, _, _, _ in z]
+        self.Zev = [zev for _, zev, _, _ in z]  # per band, one per eval set
         self.grams = self.cross = None
         if _uses_gram(sum(self.widths), self.n_train):
             self.grams = [Z @ Z.T for Z in self.Ztr]
-            self.cross = [Ze @ Z.T for Z, Ze in zip(self.Ztr, self.Zev)]
+            self.cross = [[Ze @ Z.T for Ze in zev]
+                          for Z, zev in zip(self.Ztr, self.Zev)]
             for b, width in enumerate(self.widths):
                 if _uses_gram(width, self.n_train):
                     self.Ztr[b] = self.Zev[b] = None
 
-    def predict_grid(self, gamma, alphas, unit_slice=None):
-        """(n_alphas, n_eval, n_units) predictions for one scaling vector."""
-        units = slice(None) if unit_slice is None else unit_slice
+    def path(self, gamma) -> str:
+        """The solver path that ``predict_grid`` takes for ``gamma``."""
         if self.block is not None:
+            return "block"
+        dims = sum(w for w, g in zip(self.widths, gamma) if g > 0)
+        return "gram" if _uses_gram(dims, self.n_train) else "design"
+
+    def predict_grid(self, gamma, alphas, evals, scratch, units=slice(None)):
+        """Centered (n_alphas, n_eval, n_units) predictions for one scaling
+        vector, one factorization, yielded per eval set in ``evals``."""
+        path = self.path(gamma)
+        if path == "block":
             # scaling the band by g is the same as dividing alpha by g^2
             g2 = gamma[0] ** 2
-            preds = self.block.predict([a / g2 for a in alphas], units)
-            return preds + self.y_mean[units]
+            return self.block.predict([self.evals[e] for e in evals],
+                                      [a / g2 for a in alphas], units, scratch)
         Yc = self.Yc[:, units]
         active = np.flatnonzero(np.asarray(gamma) > 0)
-        dims = sum(self.widths[b] for b in active)
-        if _uses_gram(dims, self.n_train):
-            self.paths["gram"] += 1
-            K = np.zeros((self.n_train, self.n_train))
-            C = np.zeros((len(self.eval_idx), self.n_train))
-            for b in active:
-                g2 = gamma[b] ** 2
-                K += g2 * self.grams[b]
-                C += g2 * self.cross[b]
-            preds = _Spectral(Yc, gram=K).predict(C, alphas)
-        else:
-            self.paths["design"] += 1
-            Xtr = np.hstack([gamma[b] * self.Ztr[b] for b in active])
-            Xev = np.hstack([gamma[b] * self.Zev[b] for b in active])
-            preds = _Spectral(Yc, design=Xtr).predict(Xev, alphas)
-        return preds + self.y_mean[units]
+        if path == "gram":
+            def mix(mats):  # the gamma^2-weighted sum, band by band
+                out = np.zeros_like(mats[0])
+                for b in active:
+                    out += gamma[b] ** 2 * mats[b]
+                return out
+            Cs = [mix([cross[e] for cross in self.cross]) for e in evals]
+            return _Spectral(Yc, gram=mix(self.grams)).predict(Cs, alphas,
+                                                                scratch)
+        Xtr = np.hstack([gamma[b] * self.Ztr[b] for b in active])
+        Xevs = [np.hstack([gamma[b] * self.Zev[b][e] for b in active])
+                for e in evals]
+        return _Spectral(Yc, design=Xtr).predict(Xevs, alphas, scratch)
 
 
 def _random_gamma(seed: int, iteration: int, n_bands: int) -> np.ndarray:
@@ -549,82 +582,15 @@ def _as_response_matrix(responses) -> np.ndarray:
     return Y
 
 
-def _fit_outer_fold(fold, band_mats, Y, alphas, search_cfg, blocks=None):
-    """Search (gamma, alpha) per unit on one outer fold's inner folds, then
-    refit each unit's winner on train+validation and predict the test rows.
-
-    Returns the fold's rows of the result: (test predictions, training
-    target means, chosen gamma, chosen alpha, best validation R^2, random
-    iterations, early stopped, factorizations per solver path).
-    """
-    n_units = Y.shape[1]
-    inner = [_FoldData(band_mats, Y, f.train, f.validation, blocks)
-             for f in fold.inner_folds]
-    y_val = Y[np.concatenate([f.eval_idx for f in inner])]
-    icpt_val = np.concatenate(
-        [np.broadcast_to(f.y_mean, (len(f.eval_idx), n_units)) for f in inner]
-    )
-    mse_icpt = ((y_val - icpt_val) ** 2).mean(axis=0)
-    if (mse_icpt == 0).any():
-        bad = np.flatnonzero(mse_icpt == 0).tolist()
-        raise DataError(f"constant validation target for units {bad}")
-
-    best_score = np.full(n_units, -np.inf)
-    best_cand = np.zeros(n_units, dtype=np.int64)
-    best_alpha_idx = np.zeros(n_units, dtype=np.int64)
-    candidates: list[np.ndarray] = []
-    pooled = np.empty((len(alphas), len(y_val), n_units))
-    bounds = np.cumsum([0] + [len(f.eval_idx) for f in inner])
-
-    def try_candidate(gamma):
-        for f, lo, hi in zip(inner, bounds, bounds[1:]):
-            pooled[:, lo:hi] = f.predict_grid(gamma, alphas)
-        np.subtract(pooled, y_val, out=pooled)
-        mse = np.square(pooled, out=pooled).mean(axis=1)
-        r2 = 1.0 - mse / mse_icpt[None, :]
-        alpha_idx = np.argmax(r2, axis=0)  # first max -> smallest alpha
-        scores = r2[alpha_idx, np.arange(n_units)]
-        improved = scores > best_score  # strict: earlier candidates win ties
-        best_score[improved] = scores[improved]
-        best_cand[improved] = len(candidates)
-        best_alpha_idx[improved] = alpha_idx[improved]
-        candidates.append(gamma)
-
-    n_bands = len(band_mats)
-    for gamma in enumerate_masks(n_bands):
-        try_candidate(gamma)
-
-    i = 0
-    stopped = False
-    if n_bands > 1:
-        prev_mean = best_score.mean()
-        stall = 0
-        while i < search_cfg.max_iters and not stopped:
-            try_candidate(_random_gamma(search_cfg.seed, i, n_bands))
-            i += 1
-            cur_mean = best_score.mean()
-            gain = cur_mean - prev_mean
-            prev_mean = cur_mean
-            stall = stall + 1 if gain < search_cfg.min_improvement else 0
-            stopped = stall >= search_cfg.patience
-
-    trval = np.setdiff1d(np.arange(Y.shape[0]), fold.test)
-    refit = _FoldData(band_mats, Y, trval, fold.test, blocks)
-    test_pred = np.zeros((len(fold.test), n_units))
-    for cand_id in np.unique(best_cand):
-        units = np.flatnonzero(best_cand == cand_id)
-        unit_alpha_idx = best_alpha_idx[units]
-        uniq = np.unique(unit_alpha_idx)
-        preds = refit.predict_grid(candidates[cand_id], [alphas[a] for a in uniq],
-                                   unit_slice=units)
-        for pos, ai in enumerate(uniq):
-            sel = unit_alpha_idx == ai
-            test_pred[:, units[sel]] = preds[pos][:, sel]
-    chosen_gamma = np.stack([candidates[c] for c in best_cand])
-    chosen_alpha = np.asarray(alphas)[best_alpha_idx]
-    paths = sum((f.paths for f in inner), refit.paths)
-    return (test_pred, refit.y_mean, chosen_gamma, chosen_alpha, best_score,
-            i, stopped, paths)
+def _train_sets(plan: SplitPlan) -> list:
+    """The plan's distinct inner training sets (equal row arrays, byte for
+    byte) in order of first use: (rows, (outer, inner) folds training on it)."""
+    sets = {}
+    for o, fold in enumerate(plan.outer_folds):
+        for j, inner in enumerate(fold.inner_folds):
+            key = inner.train.tobytes()
+            sets.setdefault(key, (inner.train, []))[1].append((o, j))
+    return list(sets.values())
 
 
 def banded_search(features: Sequence[FeatureSpace], responses, plan: SplitPlan,
@@ -633,9 +599,9 @@ def banded_search(features: Sequence[FeatureSpace], responses, plan: SplitPlan,
                   threads: int = 1) -> FitResult:
     """Nested-CV banded ridge fit with per-unit hyperparameter selection.
 
-    Up to ``threads`` outer folds are fitted at once; while BLAS is pinned
-    (``fit_blas_threads() == 1``) the result does not depend on it. A single
-    band is searched for row groups once, for the block path.
+    Up to ``threads`` distinct inner training sets are factored at once (see
+    the module notes); while BLAS is pinned (``fit_blas_threads() == 1``)
+    the result does not depend on it. A single band gets one block search.
     """
     check_int("threads", threads, 1)
     ridge_cfg = ridge_cfg or RidgeConfig()
@@ -648,30 +614,123 @@ def banded_search(features: Sequence[FeatureSpace], responses, plan: SplitPlan,
         raise DataError("the split plan has no outer folds")
 
     blocks = _band_blocks(band_mats[0]) if len(band_mats) == 1 else None
+    alphas = ridge_cfg.alphas
+    folds = plan.outer_folds
+    n_outer, n_units, n_bands = len(folds), Y.shape[1], len(band_mats)
+    sets = _train_sets(plan)
+    # validation targets centered on their training mean
+    yc = {(o, j): Y[folds[o].inner_folds[j].validation] - Y[train].mean(axis=0)
+          for train, users in sets for o, j in users}
+    sse_icpt = [sum((yc[o, j] ** 2).sum(axis=0)
+                    for j in range(len(fold.inner_folds)))
+                for o, fold in enumerate(folds)]
+    for icpt in sse_icpt:
+        if (icpt == 0).any():
+            bad = np.flatnonzero(icpt == 0).tolist()
+            raise DataError(f"constant validation target for units {bad}")
 
-    def fit_fold(fold):
-        return _fit_outer_fold(fold, band_mats, Y, ridge_cfg.alphas, search_cfg,
-                               blocks)
+    best_score = np.full((n_outer, n_units), -np.inf)
+    best_cand = np.zeros((n_outer, n_units), dtype=np.int64)
+    best_alpha_idx = np.zeros((n_outer, n_units), dtype=np.int64)
+    candidates = enumerate_masks(n_bands)
+    n_masks = len(candidates)
+    stopped = [False] * n_outer
+    n_random, stall, prev_mean = [0] * n_outer, [0] * n_outer, [0.0] * n_outer
+    kept = [None] * len(sets)  # training sides that multi-band fits reuse
+    scratch = _Scratch()
+    paths = collections.Counter()
+    test_pred, intercept_pred = np.zeros(Y.shape), np.zeros(Y.shape)
 
-    with _blas_pinned():
-        folds = _map_ordered(fit_fold, plan.outer_folds, threads)
-    (preds, means, gammas, chosen_alpha, scores, n_random, stopped,
-     paths) = zip(*folds)
-    paths = sum(paths, collections.Counter())
-    test_pred = np.zeros(Y.shape)
-    intercept_pred = np.zeros(Y.shape)
-    for fold, pred, mean in zip(plan.outer_folds, preds, means):
-        test_pred[fold.test] = pred
-        intercept_pred[fold.test] = mean
+    def score(s, gamma):
+        """Set s's solver path, and per (outer, inner) fold that it serves
+        and that still searches, the (n_alphas, n_units) validation SSE."""
+        train, users = sets[s]
+        fold = kept[s]
+        if fold is None:
+            fold = _FoldData(band_mats, Y, train, [
+                folds[o].inner_folds[j].validation for o, j in users], blocks)
+            if n_bands > 1:
+                kept[s] = fold  # written by this set's task alone
+        live = [u for u, (o, _) in enumerate(users) if not stopped[o]]
+        sse = {}
+        for u, preds in zip(live, fold.predict_grid(gamma, alphas, live,
+                                                    scratch)):
+            preds -= yc[users[u]]
+            sse[users[u]] = np.square(preds, out=preds).sum(axis=1)
+        return fold.path(gamma), sse
+
+    def step(run, cand_id):
+        live = [not all(stopped[o] for o, _ in users) for _, users in sets]
+        kept[:] = [fold if used else None for fold, used in zip(kept, live)]
+        tasks = [s for s, used in enumerate(live) if used]
+        sse = {}
+        for path, part in run(lambda s: score(s, candidates[cand_id]), tasks):
+            paths[path] += 1
+            sse.update(part)
+        for o, fold in enumerate(folds):
+            if stopped[o]:
+                continue
+            total = sum(sse[o, j] for j in range(len(fold.inner_folds)))
+            r2 = 1.0 - total / sse_icpt[o]
+            alpha_idx = np.argmax(r2, axis=0)  # first max -> smallest alpha
+            scores = r2[alpha_idx, np.arange(n_units)]
+            improved = scores > best_score[o]  # strict: earlier candidates win
+            best_score[o, improved] = scores[improved]
+            best_cand[o, improved] = cand_id
+            best_alpha_idx[o, improved] = alpha_idx[improved]
+            cur_mean = best_score[o].mean()
+            if cand_id >= n_masks:
+                n_random[o] += 1
+                gain = cur_mean - prev_mean[o]
+                stall[o] = stall[o] + 1 if gain < search_cfg.min_improvement else 0
+                stopped[o] = stall[o] >= search_cfg.patience
+            prev_mean[o] = cur_mean
+
+    def refit(o):
+        """Refit each unit's winner on train+validation to predict the test."""
+        fold = folds[o]
+        trval = np.setdiff1d(np.arange(Y.shape[0]), fold.test)
+        data = _FoldData(band_mats, Y, trval, [fold.test], blocks)
+        fold_pred = np.zeros((len(fold.test), n_units))
+        for cand_id in np.unique(best_cand[o]):
+            units = np.flatnonzero(best_cand[o] == cand_id)
+            unit_alpha_idx = best_alpha_idx[o, units]
+            uniq = np.unique(unit_alpha_idx)
+            (preds,) = data.predict_grid(candidates[cand_id],
+                                         [alphas[a] for a in uniq], [0],
+                                         scratch, units)
+            for pos, ai in enumerate(uniq):
+                sel = unit_alpha_idx == ai
+                fold_pred[:, units[sel]] = (preds[pos][:, sel]
+                                            + data.y_mean[units[sel]])
+        test_pred[fold.test] = fold_pred
+        intercept_pred[fold.test] = data.y_mean
+        return [data.path(candidates[c]) for c in np.unique(best_cand[o])]
+
+    n_random_max = search_cfg.max_iters if n_bands > 1 else 0
+    # one pool per fit; threads=1 runs every task on this thread
+    with _blas_pinned(), ThreadPoolExecutor(max_workers=threads) as pool:
+        run = pool.map if threads > 1 else map
+        for cand_id in range(n_masks + n_random_max):
+            if all(stopped):
+                break
+            if cand_id >= n_masks:
+                candidates.append(
+                    _random_gamma(search_cfg.seed, cand_id - n_masks, n_bands))
+            step(run, cand_id)
+        kept.clear()
+        for fold_paths in run(refit, range(n_outer)):
+            paths.update(fold_paths)
     return FitResult(
         band_names=band_names,
-        alphas=ridge_cfg.alphas,
+        alphas=alphas,
         test_predictions=test_pred,
         intercept_predictions=intercept_pred,
-        chosen_gamma=np.stack(gammas),
-        chosen_alpha=np.stack(chosen_alpha),
-        validation_r2=np.stack(scores),
-        n_random_iterations=list(n_random),
-        early_stopped=list(stopped),
+        chosen_gamma=np.asarray(candidates)[best_cand],
+        chosen_alpha=np.asarray(alphas)[best_alpha_idx],
+        validation_r2=best_score,
+        n_random_iterations=n_random,
+        early_stopped=stopped,
         solver_paths={path: paths[path] for path in ("block", "gram", "design")},
+        train_sets=len(sets),
     )

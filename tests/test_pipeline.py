@@ -413,6 +413,9 @@ class TestRunAnalysis:
         assert prov["blas_threads"] == fit_blas_threads()
         assert prov["blas_threads"] in (1, None)
         assert prov["scipy_version"] == scipy.__version__
+        blas = np.__config__.CONFIG["Build Dependencies"]["blas"]
+        assert prov["blas"] == {"name": blas["name"],
+                                "version": blas["version"]}
         doc = json.loads((out / "report.json").read_text())
         assert set(doc) == {"dataset", "config", "modes"}
 
@@ -431,9 +434,13 @@ class TestRunAnalysis:
         eb.run_analysis(config, output_dir=out)
         prov = json.loads((out / "provenance.json").read_text())
         assert set(prov["solver_paths"]) == set(prov["fit_durations"])
-        # 6 outer folds of 5 inner folds, and 6 refits, each factored once
-        for paths in prov["solver_paths"].values():
-            assert paths == {"block": 36, "gram": 0, "design": 0}
+        assert set(prov["train_sets"]) == set(prov["fit_durations"])
+        # 6 outer folds of 5 inner folds train on 15 distinct sets; each set
+        # and each of the 6 refits is factored once
+        for name, paths in prov["solver_paths"].items():
+            assert prov["train_sets"][name] == {"inner_folds": 30,
+                                                "distinct": 15}
+            assert paths == {"block": 21, "gram": 0, "design": 0}
 
     def test_oasm_sigma_builds_space(self, tmp_path, rng):
         manifest = _make_dataset(tmp_path, rng)

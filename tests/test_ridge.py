@@ -3,6 +3,7 @@ import sys
 import threading
 import time
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -17,7 +18,8 @@ from encodebench.ridge import (
     RidgeConfig,
     _band_blocks,
     _FoldData,
-    _map_ordered,
+    _Scratch,
+    _train_sets,
 )
 from oracles import (
     apply_band_scaling,
@@ -171,6 +173,9 @@ class TestBandedSearch:
                                    atol=1e-10)
         np.testing.assert_allclose(fit.validation_r2, oracle_val, atol=1e-10)
         assert fit.n_random_iterations == [0] * len(small_plan.outer_folds)
+        # 15 distinct inner training sets and 6 refits, each factored once
+        assert fit.train_sets == 15
+        assert fit.solver_paths == {"block": 0, "gram": 0, "design": 21}
 
     def test_signal_band_dominates(self, rng, small_blocks, small_plan):
         sig = eb.FeatureSpace("SIG", rng.standard_normal((96, 6)), "sig")
@@ -187,12 +192,22 @@ class TestBandedSearch:
         other = eb.FeatureSpace("OTH", rng.standard_normal((96, 3)), "oth")
         cfg = BandedSearchConfig(max_iters=60, patience=50, seed=9)
         a = eb.banded_search([features, other], Y, small_plan, search_cfg=cfg)
-        b = eb.banded_search([features, other], Y, small_plan, search_cfg=cfg,
-                             threads=2)
-        np.testing.assert_array_equal(a.test_predictions, b.test_predictions)
-        np.testing.assert_array_equal(a.chosen_gamma, b.chosen_gamma)
-        np.testing.assert_array_equal(a.chosen_alpha, b.chosen_alpha)
-        np.testing.assert_array_equal(a.validation_r2, b.validation_r2)
+        interval = sys.getswitchinterval()
+        try:
+            # more workers than training sets per step and a short switch
+            # interval stress the per-set state that workers write
+            sys.setswitchinterval(1e-5)
+            runs = [eb.banded_search([features, other], Y, small_plan,
+                                     search_cfg=cfg, threads=threads)
+                    for threads in (2, 16)]
+        finally:
+            sys.setswitchinterval(interval)
+        for b in runs:
+            np.testing.assert_array_equal(a.test_predictions,
+                                          b.test_predictions)
+            np.testing.assert_array_equal(a.chosen_gamma, b.chosen_gamma)
+            np.testing.assert_array_equal(a.chosen_alpha, b.chosen_alpha)
+            np.testing.assert_array_equal(a.validation_r2, b.validation_r2)
 
     def test_pinned_trajectory(self, tiny_recording, small_plan, rng):
         """Iteration counts, early stops and chosen (gamma, alpha) are pinned:
@@ -217,6 +232,30 @@ class TestBandedSearch:
             digest = hashlib.sha256(text.encode()).hexdigest()[:16]
             assert digest == "6e59c76e633e35e2"
 
+    def test_outer_fold_order_only_permutes_rows(self, tiny_recording,
+                                                 small_plan, rng):
+        # the outer folds stop at different steps, so some training sets
+        # serve one fold for part of the search
+        features, Y, _ = tiny_recording
+        other = eb.FeatureSpace("OTH", rng.standard_normal((96, 3)), "oth")
+        cfg = BandedSearchConfig(max_iters=20, patience=8, seed=9,
+                                 min_improvement=1e-8)
+        order = [3, 0, 5, 1, 4, 2]
+        permuted = eb.SplitPlan([small_plan.outer_folds[o] for o in order],
+                                small_plan.mode, small_plan.scheme,
+                                small_plan.n_samples)
+        a = eb.banded_search([features, other], Y, small_plan, search_cfg=cfg)
+        b = eb.banded_search([features, other], Y, permuted, search_cfg=cfg,
+                             threads=2)
+        for key in ("chosen_gamma", "chosen_alpha", "validation_r2"):
+            assert getattr(b, key).tobytes() == getattr(a, key)[order].tobytes()
+        for key in ("n_random_iterations", "early_stopped"):
+            assert getattr(b, key) == [getattr(a, key)[o] for o in order]
+        for key in ("test_predictions", "intercept_predictions"):
+            assert getattr(b, key).tobytes() == getattr(a, key).tobytes()
+        assert b.solver_paths == a.solver_paths
+        assert b.train_sets == a.train_sets == 15
+
     def test_gram_path_safe_across_threads(self, rng):
         class SlowMatmul(np.ndarray):
             # widens any window between building a band Gram and its cross Gram
@@ -226,22 +265,33 @@ class TestBandedSearch:
 
         bands = [rng.standard_normal((40, 3)), rng.standard_normal((40, 30))]
         Y = rng.standard_normal((40, 5))
-        fold = _FoldData(bands, Y, np.arange(24), np.arange(24, 40))
+        train, evals = np.arange(24), [np.arange(24, 31), np.arange(31, 40)]
+        fold = _FoldData(bands, Y, train, evals)
         assert sum(fold.widths) > fold.n_train
         # the 30-dim band is wider than the 24 training rows: Grams only
         assert fold.Ztr[1] is None and fold.Zev[1] is None
-        fold.Zev = [Z if Z is None else Z.view(SlowMatmul) for Z in fold.Zev]
-        gamma = np.array([0.6, 0.4])
+        assert len(fold.Zev[0]) == len(fold.cross[1]) == 2
+        fold.Zev = [Z if Z is None else [z.view(SlowMatmul) for z in Z]
+                    for Z in fold.Zev]
         alphas = [0.0, 1.0, 100.0]
+        for gamma in (np.array([0.6, 0.4]), np.array([1.0, 0.0])):
+            def predict(job):
+                delay, order = job
+                time.sleep(delay)
+                return [p.copy() for p in fold.predict_grid(
+                    gamma, alphas, order, _Scratch())]
 
-        def predict(delay):
-            time.sleep(delay)
-            return fold.predict_grid(gamma, alphas)
-
-        # the second call starts while a lazy cache would be mid-build
-        first, second = _map_ordered(predict, [0.0, 0.05], 2)
-        np.testing.assert_array_equal(first, second)
-        np.testing.assert_array_equal(first, fold.predict_grid(gamma, alphas))
+            # the second call starts while a lazy cache would be mid-build,
+            # and asks for the eval sets in the other order
+            with ThreadPoolExecutor(max_workers=2) as pool:
+                first, second = pool.map(predict, [(0.0, [0, 1]), (0.05, [1, 0])])
+            for e, ev in enumerate(evals):
+                # each eval set's predictions are those of a split that
+                # holds it alone, bit for bit
+                (alone,) = _FoldData(bands, Y, train, [ev]).predict_grid(
+                    gamma, alphas, [0], _Scratch())
+                np.testing.assert_array_equal(first[e], alone)
+                np.testing.assert_array_equal(second[1 - e], alone)
 
     def test_never_worse_than_best_single_band(self, rng, small_plan):
         bands = [
@@ -298,16 +348,18 @@ class TestBandedSearch:
         blas = ridge._openblas() or (lambda n: None, lambda: None)
         set_threads, get_threads = blas
         features, Y, _ = tiny_recording
-        Y = Y.copy()
-        Y[:, 3] = 1.5
         seen = []
-        fit_fold = ridge._fit_outer_fold
 
-        def recording(*args):
-            seen.append(get_threads())
-            return fit_fold(*args)
+        class Failing(_FoldData):
+            # a worker's error: every training set without sample 0 fails,
+            # each with its own message
+            def __init__(self, band_mats, Y, train_idx, *args):
+                seen.append(get_threads())
+                if 0 not in train_idx:
+                    raise DataError(f"set from row {train_idx[0]} fails")
+                super().__init__(band_mats, Y, train_idx, *args)
 
-        monkeypatch.setattr(ridge, "_fit_outer_fold", recording)
+        monkeypatch.setattr(ridge, "_FoldData", Failing)
         original = get_threads()
         set_threads(2)
         try:
@@ -321,7 +373,10 @@ class TestBandedSearch:
         finally:
             set_threads(original)
         assert errors[0] == errors[1]
-        assert "constant validation target for units [3]" in errors[0]
+        # the first failing set in the order of the plan's inner folds
+        first = next(f.train[0] for o in small_plan.outer_folds
+                     for f in o.inner_folds if 0 not in f.train)
+        assert errors[0] == f"set from row {first} fails"
         assert set(seen) == {ridge.fit_blas_threads()}
 
     def test_overlapping_pins_restore_once(self, monkeypatch):
@@ -378,6 +433,28 @@ class TestBandedSearch:
 
 
 
+class TestTrainSetSharing:
+    @pytest.mark.parametrize("mode", ["contiguous", "shuffled"])
+    @pytest.mark.parametrize("name,scheme", [("pereira-exp2", "pereira"),
+                                             ("fedorenko", "fedorenko"),
+                                             ("blank", "blank")])
+    def test_every_set_serves_two_outer_folds(self, name, scheme, mode):
+        # inner fold (test i, validation j) trains on the rows of (j, i)
+        spec, _ = eb.preset(name, seed=0, n_units=2)
+        recording, _ = eb.generate(spec)
+        plan = build_plan(SplitSpec(scheme), recording)
+        if mode == "shuffled":
+            plan = eb.shuffle_plan(plan, 7)
+        sets = _train_sets(plan)
+        assert 2 * len(sets) == sum(len(f.inner_folds)
+                                    for f in plan.outer_folds)
+        for train, users in sets:
+            assert len({o for o, _ in users}) == len(users) == 2
+            for o, j in users:
+                assert np.array_equal(
+                    plan.outer_folds[o].inner_folds[j].train, train)
+
+
 # every preset block layout: passages of 3 and 4 sentences, sentences of 8
 # words, stories of 150-180 samples; each with a smoothing width near the
 # widest at which the block path's rank check still passes
@@ -432,14 +509,14 @@ class TestBlockPath:
         eps = np.finfo(float).eps
         for train, ev in ((fold.inner_folds[0].train,
                            fold.inner_folds[0].validation), (trval, fold.test)):
-            block = _FoldData([oasm.data], Y, train, ev, blocks)
-            dense = _FoldData([oasm.data], Y, train, ev)
+            block = _FoldData([oasm.data], Y, train, [ev], blocks)
+            dense = _FoldData([oasm.data], Y, train, [ev])
             assert block.block is not None and dense.block is None
-            got = block.predict_grid([1.0], alphas)
-            want = dense.predict_grid([1.0], alphas)
-            assert block.paths == {"block": 1}
-            assert dense.paths == {"gram": 1}
-            scale = np.abs(want - dense.y_mean).max()
+            (got,) = block.predict_grid([1.0], alphas, [0], _Scratch())
+            (want,) = dense.predict_grid([1.0], alphas, [0], _Scratch())
+            assert block.path([1.0]) == "block"
+            assert dense.path([1.0]) == "gram"
+            scale = np.abs(want).max()
             spectrum = block.block.spectrum
             cond = spectrum.max() / spectrum.min()
             # the dense path's own rounding at alpha = 0 grows with cond(B)
@@ -482,11 +559,12 @@ class TestBlockPath:
         Y = rng.standard_normal((X.shape[0], 3))
         train, ev = np.arange(12), np.arange(12, 18)
         alphas = [0.0, 0.5, 8.0]
-        block = _FoldData([X], Y, train, ev, blocks)
+        block = _FoldData([X], Y, train, [ev], blocks)
         assert block.block is not None
-        np.testing.assert_allclose(block.predict_grid([1.0], alphas),
-                                   _FoldData([X], Y, train, ev).predict_grid(
-                                       [1.0], alphas), rtol=1e-10, atol=1e-10)
+        (got,) = block.predict_grid([1.0], alphas, [0], _Scratch())
+        (want,) = _FoldData([X], Y, train, [ev]).predict_grid([1.0], alphas, [0],
+                                                              _Scratch())
+        np.testing.assert_allclose(got, want, rtol=1e-10, atol=1e-10)
 
     def test_linking_column_joins_two_groups(self, rng):
         X, groups = _block_diagonal(rng, [3, 4, 5])
@@ -516,4 +594,6 @@ class TestBlockPath:
         fit = eb.banded_search([oasm, features], Y, small_plan, search_cfg=cfg)
         assert fit.solver_paths["block"] == 0
         solo = eb.banded_search([oasm], Y, small_plan)
-        assert solo.solver_paths == {"block": 36, "gram": 0, "design": 0}
+        # 15 distinct inner training sets and 6 refits, each factored once
+        assert solo.train_sets == 15
+        assert solo.solver_paths == {"block": 21, "gram": 0, "design": 0}
