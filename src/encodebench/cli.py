@@ -35,12 +35,14 @@ from .pipeline import (
     split_plans,
 )
 from .ridge import BandedSearchConfig, banded_search
-from .synthgen import preset, write_dataset
+from .synthgen import PRESETS, preset, write_dataset
 
 logger = logging.getLogger("encodebench")
 
-PRESETS = ("shuffle-demo", "subsumption-demo", "pereira-exp1", "pereira-exp2",
-           "fedorenko", "blank")
+# the features options each kind reads
+_KIND_OPTIONS = {"oasm": ("manifest", "blocks", "sigma"),
+                 "sp": ("passage_lengths",), "sl": ("word_counts",),
+                 "wp": ("sentences",)}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -102,7 +104,7 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("synth", parents=[output],
                        help="write a synthetic dataset (manifest + matrices)")
-    p.add_argument("--preset", required=True, choices=PRESETS)
+    p.add_argument("--preset", required=True, choices=tuple(PRESETS))
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--units", type=int, default=None)
     p.add_argument("--participants", type=int, default=None)
@@ -113,7 +115,7 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("features", parents=[output],
                        help="build a derived feature space matrix")
-    p.add_argument("--kind", required=True, choices=("oasm", "sp", "sl", "wp"))
+    p.add_argument("--kind", required=True, choices=tuple(_KIND_OPTIONS))
     p.add_argument("--manifest", type=Path, default=None,
                    help="take block ids from this manifest (oasm)")
     p.add_argument("--blocks", type=_int_list, default=None,
@@ -198,12 +200,6 @@ def cmd_synth(args) -> int:
            "manifest": str(manifest), "n_samples": spec.n_samples,
            "n_units": spec.n_units})
     return 0
-
-
-# the features options each kind reads
-_KIND_OPTIONS = {"oasm": ("manifest", "blocks", "sigma"),
-                 "sp": ("passage_lengths",), "sl": ("word_counts",),
-                 "wp": ("sentences",)}
 
 
 def _option(dest: str) -> str:

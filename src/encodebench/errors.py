@@ -1,4 +1,4 @@
-"""Exception types shared across the package, and the integer check that
+"""Exception types shared across the package, and the number checks that
 config classes share."""
 
 import numbers
@@ -31,3 +31,9 @@ def check_int(what: str, value, minimum: int) -> None:
         raise DataError(f"{what} must be an integer, got {value!r}")
     if value < minimum:
         raise DataError(f"{what} must be >= {minimum}, got {value}")
+
+
+def check_real(what: str, value) -> None:
+    """Raise ``DataError`` unless ``value`` is a real number (not a bool)."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise DataError(f"{what} must be a number, got {value!r}")

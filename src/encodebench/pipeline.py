@@ -28,7 +28,7 @@ import numpy as np
 import scipy
 
 from . import __version__
-from .errors import DataError, ManifestError, check_int
+from .errors import DataError, ManifestError, check_int, check_real
 from .features import FeatureSpace, build_oasm
 from .matrixio import LoadedDataset, load_manifest, read_json, save_matrix, write_json
 from .metrics import (
@@ -191,10 +191,13 @@ class AnalysisConfig:
     echo: dict = field(default_factory=dict, init=False)
 
     def __post_init__(self):
+        check_real("alpha_level", self.alpha_level)
         if not 0 < self.alpha_level < 1:
             raise DataError(f"alpha_level must lie in (0, 1), got {self.alpha_level!r}")
-        if self.oasm_sigma is not None and not 0 < self.oasm_sigma < math.inf:
-            raise DataError(f"oasm_sigma must be finite and > 0, got {self.oasm_sigma!r}")
+        if self.oasm_sigma is not None:
+            check_real("oasm_sigma", self.oasm_sigma)
+            if not 0 < self.oasm_sigma < math.inf:
+                raise DataError(f"oasm_sigma must be finite and > 0, got {self.oasm_sigma!r}")
         if not self.families:
             raise DataError("config declares no families")
         self.validate()

@@ -65,7 +65,6 @@ import collections
 import contextlib
 import ctypes
 import functools
-import numbers
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -75,7 +74,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import metrics
-from .errors import DataError, check_int
+from .errors import DataError, check_int, check_real
 from .features import FeatureSpace, zscore_fit_apply
 from .matrixio import save_matrix, write_json
 from .splits import SplitPlan
@@ -95,9 +94,8 @@ class RidgeConfig:
     alphas: tuple[float, ...] = field(default_factory=default_alpha_grid)
 
     def __post_init__(self):
-        if not all(isinstance(a, numbers.Real) and not isinstance(a, bool)
-                   for a in self.alphas):
-            raise DataError(f"alpha grid must hold numbers, got {self.alphas!r}")
+        for a in self.alphas:
+            check_real("alpha grid entry", a)
         alphas = tuple(float(a) for a in self.alphas)
         if not alphas or alphas[0] != 0.0:
             raise DataError("alpha grid must start at 0")
@@ -119,6 +117,7 @@ class BandedSearchConfig:
         check_int("search seed", self.seed, 0)
         if self.max_iters < self.patience:
             raise DataError("search max_iters must be >= patience")
+        check_real("search min_improvement", self.min_improvement)
         if not self.min_improvement > 0:
             raise DataError("min_improvement must be > 0")
 
@@ -188,9 +187,6 @@ class _Spectral:
     rows are design rows) or its Gram (eval rows are eval-by-train Gram rows)."""
 
     def __init__(self, Yc, design=None, gram=None):
-        self.design = None
-        if gram is None and _uses_gram(design.shape[1], design.shape[0]):
-            self.design, gram = design, design @ design.T
         if gram is None:
             U, s, Vt = np.linalg.svd(design, full_matrices=False)
             self.spectrum, self.numerator, self.denominator = s, s, s ** 2
@@ -223,8 +219,6 @@ class _Spectral:
         D = self.filter(alphas)
         rank, n_units = self.spectrum.size, self.UTY.shape[1]
         for eval_side in eval_sides:
-            if self.design is not None:
-                eval_side = eval_side @ self.design.T
             G = eval_side @ self.right
             scaled = scratch.take("scaled", (len(D), len(G), rank))
             np.multiply(G[None, :, :], D[:, None, :], out=scaled)
@@ -426,8 +420,12 @@ def ridge_solve(X_train, Y_train, X_eval, alphas) -> np.ndarray:
     _check_finite("X_eval", Xe)
     x_mean = X.mean(axis=0)
     y_mean = Y.mean(axis=0)
-    (preds,) = _Spectral(Y - y_mean, design=X - x_mean).predict(
-        [Xe - x_mean], alphas, _Scratch())
+    Xc, Xe = X - x_mean, Xe - x_mean
+    if _uses_gram(X.shape[1], X.shape[0]):
+        spectral, eval_side = _Spectral(Y - y_mean, gram=Xc @ Xc.T), Xe @ Xc.T
+    else:
+        spectral, eval_side = _Spectral(Y - y_mean, design=Xc), Xe
+    (preds,) = spectral.predict([eval_side], alphas, _Scratch())
     preds += y_mean
     return preds[:, :, 0] if np.ndim(Y_train) == 1 else preds
 

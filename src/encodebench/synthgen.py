@@ -119,20 +119,56 @@ def write_dataset(spec: SynthSpec, out_dir, dataset_name: str,
     return manifest_path
 
 
-def _passage_layout(n_categories: int, passages_per_category: int,
-                    sentences_per_passage: int):
-    n_passages = n_categories * passages_per_category
-    lengths = [sentences_per_passage] * n_passages
-    blocks = np.repeat(np.arange(n_passages), sentences_per_passage)
-    categories = np.repeat(np.arange(n_passages) // passages_per_category,
-                           sentences_per_passage)
-    return lengths, blocks, categories
+def _passages(n_categories: int, per_category: int, sentences: int,
+              stream: Optional[int] = None, llm_dims: int = 0):
+    """Layout of n_categories x per_category passages of ``sentences``
+    sentences. With an RNG ``stream``, SP and SL carry the signal (word counts
+    from ``(seed, stream)``), and ``llm_dims`` adds an LLM space projecting
+    them, drawn next from the same stream."""
+
+    def build(seed: int):
+        n_passages = n_categories * per_category
+        blocks = np.repeat(np.arange(n_passages), sentences)
+        categories = blocks // per_category
+        if stream is None:
+            return blocks, categories, [], []
+        rng = np.random.default_rng((seed, stream))
+        sp = build_sentence_position([sentences] * n_passages, band_group="spsl")
+        sl = build_sentence_length(
+            rng.integers(4, 13, size=blocks.size), band_group="spsl")
+        if not llm_dims:
+            return blocks, categories, [sp, sl], []
+        base = np.hstack([sp.data, sl.data])
+        proj = rng.standard_normal((base.shape[1], llm_dims))
+        return blocks, categories, [sp, sl], [
+            FeatureSpace("LLM", base @ proj, band_group="llm")]
+
+    return build
 
 
-def _spread_participants(n_units: int, n_participants: int) -> np.ndarray:
-    check_int("units", n_units, 1)
-    check_int("participants", n_participants, 1)
-    return np.arange(n_units) % n_participants
+def _fedorenko(seed: int):
+    """52 sentences of 8 words, word position as the signal."""
+    return np.repeat(np.arange(52), 8), None, [build_word_position(52)], []
+
+
+def _blank(seed: int):
+    """8 stories, 1317 samples in all, no signal."""
+    story_lengths = [150, 160, 170, 155, 165, 175, 180, 162]
+    return np.repeat(np.arange(len(story_lengths)), story_lengths), None, [], []
+
+
+# name -> (layout builder, defaults of (units, participants, autocorr_sigma,
+# noise_scale, signal_scale)). A layout builder takes the seed and returns
+# (block_ids, categories, signal_features, extra_features).
+PRESETS = {
+    "shuffle-demo": (_passages(24, 4, 4), (200, 5, 2.0, 1.0, 0.0)),
+    "subsumption-demo": (_passages(12, 4, 4, stream=9001, llm_dims=512),
+                         (48, 3, 0.0, 0.6, 1.0)),
+    "pereira-exp1": (_passages(24, 4, 4, stream=9002), (60, 9, 1.0, 1.0, 0.5)),
+    "pereira-exp2": (_passages(24, 3, 3, stream=9002), (60, 6, 1.0, 1.0, 0.5)),
+    "fedorenko": (_fedorenko, (97, 5, 1.0, 1.0, 0.5)),
+    "blank": (_blank, (60, 5, 1.5, 1.0, 0.0)),
+}
 
 
 def preset(name: str, seed: int = 0, n_units: Optional[int] = None,
@@ -140,99 +176,23 @@ def preset(name: str, seed: int = 0, n_units: Optional[int] = None,
            noise_scale: Optional[float] = None,
            signal_scale: Optional[float] = None,
            autocorr_sigma: Optional[float] = None):
-    """Named desk-scale dataset shapes. Returns (SynthSpec, extra_features).
-
-    shuffle-demo      96 blocks of 4 samples, autocorrelated noise only
-    subsumption-demo  position+length signal plus a 512-dim projection of it
-    pereira-exp1      24 categories x 4 passages x 4 sentences
-    pereira-exp2      24 categories x 3 passages x 3 sentences
-    fedorenko         52 sentences x 8 words
-    blank             8 stories, 1317 samples total
-    """
-
-    def pick(value, default):
-        return default if value is None else value
-
-    if name == "shuffle-demo":
-        lengths, blocks, categories = _passage_layout(24, 4, 4)
-        units = pick(n_units, 200)
-        spec = SynthSpec(
-            n_samples=blocks.size, n_units=units, block_ids=blocks,
-            signal_features=[], autocorr_sigma=pick(autocorr_sigma, 2.0),
-            noise_scale=pick(noise_scale, 1.0),
-            signal_scale=pick(signal_scale, 0.0),
-            participants=_spread_participants(units, pick(n_participants, 5)),
-            categories=categories, seed=seed,
-        )
-        return spec, []
-
-    if name == "subsumption-demo":
-        lengths, blocks, categories = _passage_layout(12, 4, 4)
-        units = pick(n_units, 48)
-        rng = np.random.default_rng((seed, 9001))
-        sp = build_sentence_position(lengths, band_group="spsl")
-        sl = build_sentence_length(
-            rng.integers(4, 13, size=blocks.size), band_group="spsl")
-        base = np.hstack([sp.data, sl.data])
-        proj = rng.standard_normal((base.shape[1], 512))
-        llm = FeatureSpace("LLM", base @ proj, band_group="llm")
-        spec = SynthSpec(
-            n_samples=blocks.size, n_units=units, block_ids=blocks,
-            signal_features=[sp, sl], autocorr_sigma=pick(autocorr_sigma, 0.0),
-            noise_scale=pick(noise_scale, 0.6),
-            signal_scale=pick(signal_scale, 1.0),
-            participants=_spread_participants(units, pick(n_participants, 3)),
-            categories=categories, seed=seed,
-        )
-        return spec, [llm]
-
-    if name in ("pereira-exp1", "pereira-exp2"):
-        per_cat = 4 if name == "pereira-exp1" else 3
-        sent = 4 if name == "pereira-exp1" else 3
-        lengths, blocks, categories = _passage_layout(24, per_cat, sent)
-        units = pick(n_units, 60)
-        rng = np.random.default_rng((seed, 9002))
-        sp = build_sentence_position(lengths, band_group="spsl")
-        sl = build_sentence_length(
-            rng.integers(4, 13, size=blocks.size), band_group="spsl")
-        spec = SynthSpec(
-            n_samples=blocks.size, n_units=units, block_ids=blocks,
-            signal_features=[sp, sl], autocorr_sigma=pick(autocorr_sigma, 1.0),
-            noise_scale=pick(noise_scale, 1.0),
-            signal_scale=pick(signal_scale, 0.5),
-            participants=_spread_participants(
-                units, pick(n_participants, 9 if per_cat == 4 else 6)),
-            categories=categories, seed=seed,
-        )
-        return spec, []
-
-    if name == "fedorenko":
-        n_sentences = 52
-        blocks = np.repeat(np.arange(n_sentences), 8)
-        units = pick(n_units, 97)
-        wp = build_word_position(n_sentences)
-        spec = SynthSpec(
-            n_samples=blocks.size, n_units=units, block_ids=blocks,
-            signal_features=[wp], autocorr_sigma=pick(autocorr_sigma, 1.0),
-            noise_scale=pick(noise_scale, 1.0),
-            signal_scale=pick(signal_scale, 0.5),
-            participants=_spread_participants(units, pick(n_participants, 5)),
-            seed=seed,
-        )
-        return spec, []
-
-    if name == "blank":
-        story_lengths = [150, 160, 170, 155, 165, 175, 180, 162]  # sums to 1317
-        blocks = np.repeat(np.arange(len(story_lengths)), story_lengths)
-        units = pick(n_units, 60)
-        spec = SynthSpec(
-            n_samples=blocks.size, n_units=units, block_ids=blocks,
-            signal_features=[], autocorr_sigma=pick(autocorr_sigma, 1.5),
-            noise_scale=pick(noise_scale, 1.0),
-            signal_scale=pick(signal_scale, 0.0),
-            participants=_spread_participants(units, pick(n_participants, 5)),
-            seed=seed,
-        )
-        return spec, []
-
-    raise DataError(f"unknown preset {name!r}")
+    """The dataset shape ``PRESETS[name]``, with each option left ``None``
+    taken from the row's defaults. Returns (SynthSpec, extra_features)."""
+    if name not in PRESETS:
+        raise DataError(f"unknown preset {name!r}")
+    layout, defaults = PRESETS[name]
+    given = (n_units, n_participants, autocorr_sigma, noise_scale, signal_scale)
+    units, participants, autocorr, noise, signal = (
+        default if value is None else value
+        for value, default in zip(given, defaults))
+    check_int("units", units, 1)
+    check_int("participants", participants, 1)
+    blocks, categories, signal_features, extras = layout(seed)
+    spec = SynthSpec(
+        n_samples=blocks.size, n_units=units, block_ids=blocks,
+        signal_features=signal_features, autocorr_sigma=autocorr,
+        noise_scale=noise, signal_scale=signal,
+        participants=np.arange(units) % participants,
+        categories=categories, seed=seed,
+    )
+    return spec, extras

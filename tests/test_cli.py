@@ -80,6 +80,29 @@ class TestFeatures:
         assert main(["features", "--kind", "oasm",
                      "--output", str(tmp_path / "x.bbsm")]) == 2
 
+    def test_oasm_from_manifest(self, tmp_path, capsys):
+        assert main(["synth", "--preset", "pereira-exp2", "--units", "4",
+                     "--output", str(tmp_path / "d")]) == 0
+        manifest = tmp_path / "d" / "manifest.json"
+        out = tmp_path / "oasm.bbsm"
+        assert main(["features", "--kind", "oasm", "--manifest", str(manifest),
+                     "--sigma", "1.0", "--output", str(out)]) == 0
+        blocks = eb.load_manifest(manifest).recording.block_ids
+        np.testing.assert_array_equal(
+            eb.load_matrix(out), eb.build_oasm(len(blocks), blocks, 1.0).data)
+
+    @pytest.mark.parametrize("argv,message", [
+        (["oasm", "--sigma", "1.0"], "oasm needs --manifest or --blocks"),
+        (["sp"], "sp needs --passage-lengths"),
+        (["sl"], "sl needs --word-counts"),
+        (["wp"], "wp needs --sentences"),
+    ])
+    def test_missing_input_exits_2(self, tmp_path, capsys, argv, message):
+        out = tmp_path / "x.bbsm"
+        assert main(["features", "--kind", *argv, "--output", str(out)]) == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestSplit:
     def test_plan_emitted(self, tmp_path, capsys):
@@ -170,7 +193,50 @@ class TestExitCodes:
         assert not out.exists()
 
 
+@pytest.fixture
+def searches(monkeypatch):
+    """The feature names and search config of each banded_search call the
+    CLI makes; the calls still run."""
+    calls = []
+    real = eb.cli.banded_search
+
+    def recording(features, Y, plan, search_cfg):
+        calls.append(([fs.name for fs in features], search_cfg))
+        return real(features, Y, plan, search_cfg=search_cfg)
+
+    monkeypatch.setattr(eb.cli, "banded_search", recording)
+    return calls
+
+
 class TestFit:
+    @pytest.fixture
+    def fit_argv(self, tmp_path, capsys):
+        assert main(["synth", "--preset", "pereira-exp2", "--units", "4",
+                     "--output", str(tmp_path / "d")]) == 0
+        return ["fit", "--manifest", str(tmp_path / "d" / "manifest.json"),
+                "--scheme", "pereira", "--max-iters", "1", "--patience", "1"]
+
+    def test_spaces_select_named_spaces(self, tmp_path, capsys, fit_argv,
+                                        searches):
+        assert main([*fit_argv, "--output", str(tmp_path / "all")]) == 0
+        assert main([*fit_argv, "--spaces", "SL",
+                     "--output", str(tmp_path / "sl")]) == 0
+        assert [names for names, _ in searches] == [["SP", "SL"], ["SL"]]
+
+    def test_unknown_space_exits_2(self, tmp_path, capsys, fit_argv, searches):
+        out = tmp_path / "fit"
+        assert main([*fit_argv, "--spaces", "SP,NOPE", "--output", str(out)]) == 2
+        assert "unknown feature spaces: ['NOPE']" in capsys.readouterr().err
+        assert searches == [] and not out.exists()
+
+    def test_seed_seeds_the_random_search(self, tmp_path, capsys, fit_argv,
+                                          searches):
+        assert main([*fit_argv, "--output", str(tmp_path / "a")]) == 0
+        assert main([*fit_argv, "--seed", "5",
+                     "--output", str(tmp_path / "b")]) == 0
+        assert ([cfg.seed for _, cfg in searches]
+                == [eb.BandedSearchConfig.seed, 5])
+
     def test_fit_writes_result(self, tmp_path, capsys):
         assert main(["synth", "--preset", "pereira-exp2", "--units", "8",
                      "--output", str(tmp_path / "d")]) == 0
@@ -332,6 +398,19 @@ class TestCompare:
             "spaces": [], "families": [],
         }))
         assert main(["compare", "--config", str(cfg_path)]) == 2
+
+    def test_no_output_in_either_place_exits_2(self, tmp_path, capsys,
+                                               monkeypatch):
+        cfg_path = tmp_path / "c.json"
+        cfg_path.write_text(json.dumps({
+            "manifest": "nope.json", "split": {"scheme": "pereira"},
+            "spaces": [{"name": "SP", "members": ["SP"]}],
+            "families": [{"name": "main", "spaces": ["SP"]}],
+        }))
+        monkeypatch.chdir(tmp_path)
+        assert main(["compare", "--config", str(cfg_path)]) == 2
+        assert "no output directory" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == [cfg_path]
 
 
 class TestOasmSweep:

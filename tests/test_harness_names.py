@@ -102,3 +102,10 @@ def test_script_names_resolve(script):
             and isinstance(node.value, ast.Name) and node.value.id == "eb"}
     assert used, f"{script.name} uses no eb.<name>"
     assert sorted(name for name in used if not hasattr(eb, name)) == []
+
+
+def test_workload_presets_exist():
+    """A renamed preset fails here before it fails the benchmark's synth."""
+    workloads = json.loads((PERFBENCH / "workloads.json").read_text())["workloads"]
+    named = {w["preset"] for w in workloads.values()}
+    assert named and named <= set(eb.synthgen.PRESETS)

@@ -250,6 +250,10 @@ class TestConfig:
         ("search", {"max_iters": 5.5}), ("search", {"seed": 1.5}),
         ("ridge", {"alphas": [0, "x"]}), ("ridge", {"alphas": [0, "1"]}),
         ("top", {"oasm_sigma": "2"}), ("top", {"oasm_sigma": 0.0}),
+        # a bool is not a number: oasm_sigma true ran OASM at sigma 1, and
+        # min_improvement true was taken as 1.0
+        ("top", {"oasm_sigma": True}), ("top", {"alpha_level": True}),
+        ("search", {"min_improvement": True}), ("ridge", {"alphas": [0, True]}),
     ])
     def test_bad_values_rejected_at_load(self, tmp_path, section, values):
         doc = _base_config("manifest.json", ridge={})

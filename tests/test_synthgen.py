@@ -130,18 +130,27 @@ class TestWriteDataset:
         np.testing.assert_array_equal(by_name["LLM"].data, extra.data)
 
 
+# preset -> (samples, blocks, has categories, extra feature spaces)
+SHAPES = {
+    "shuffle-demo": (384, 96, True, 0),
+    "subsumption-demo": (192, 48, True, 1),
+    "pereira-exp1": (384, 96, True, 0),
+    "pereira-exp2": (216, 72, True, 0),
+    "fedorenko": (416, 52, False, 0),
+    "blank": (1317, 8, False, 0),
+}
+
+
 class TestPresets:
-    @pytest.mark.parametrize("name,n_samples,n_blocks", [
-        ("shuffle-demo", 384, 96),
-        ("pereira-exp1", 384, 96),
-        ("pereira-exp2", 216, 72),
-        ("fedorenko", 416, 52),
-        ("blank", 1317, 8),
-    ])
-    def test_shapes(self, name, n_samples, n_blocks):
-        spec, _ = eb.preset(name, seed=0)
+    @pytest.mark.parametrize("name", eb.synthgen.PRESETS, ids=lambda name: (
+        "-".join(map(str, (name, *SHAPES.get(name, ())[:2])))))
+    def test_shapes(self, name):
+        n_samples, n_blocks, has_categories, n_extras = SHAPES[name]
+        spec, extras = eb.preset(name, seed=0)
         assert spec.n_samples == n_samples
         assert np.unique(spec.block_ids).size == n_blocks
+        assert (spec.categories is not None) == has_categories
+        assert len(extras) == n_extras
 
     def test_subsumption_demo_llm_contains_signal(self):
         spec, extras = eb.preset("subsumption-demo", seed=0)
