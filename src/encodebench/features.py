@@ -64,12 +64,15 @@ def block_runs(block_ids) -> list[tuple[int, int]]:
 
 
 def gaussian_kernel(sigma: float) -> np.ndarray:
-    """Truncated, sum-normalized discrete Gaussian (radius ceil(4*sigma))."""
+    """Truncated, sum-normalized discrete Gaussian (radius ceil(4*sigma)).
+    Taps below eps times the peak are zero: z-scoring would blow a column
+    made of such far tails up to unit variance."""
     if not (math.isfinite(sigma) and sigma > 0):
         raise DataError(f"sigma must be finite and > 0, got {sigma!r}")
     radius = math.ceil(4.0 * sigma)
     offsets = np.arange(-radius, radius + 1, dtype=np.float64)
-    kernel = np.exp(-0.5 * (offsets / sigma) ** 2)
+    kernel = np.exp(-0.5 * (offsets / sigma) ** 2)  # peak 1
+    kernel[kernel < np.finfo(np.float64).eps] = 0.0
     return kernel / kernel.sum()
 
 

@@ -476,9 +476,7 @@ def run_analysis(config: AnalysisConfig, threads: int = 1,
                 jobs.setdefault((mode, frozenset(subset)), subset)
 
     fits = {}
-    durations = {}
-    solver_paths = {}
-    train_sets = {}
+    durations, solver_paths, alpha_edges, train_sets = {}, {}, {}, {}
     for (mode, key), subset in jobs.items():
         t0 = time.time()
         fit = fits[(mode, key)] = banded_search(
@@ -490,6 +488,9 @@ def run_analysis(config: AnalysisConfig, threads: int = 1,
         name = f"{mode}:{'+'.join(subset)}"
         durations[name] = elapsed
         solver_paths[name] = fit.solver_paths
+        alpha_edges[name] = {  # (outer fold, unit) choices at the grid's ends
+            end: int((fit.chosen_alpha == fit.alphas[i]).sum())
+            for end, i in (("zero", 0), ("max", -1))}
         train_sets[name] = {
             "inner_folds": sum(len(f.inner_folds)
                                for f in plans[mode].outer_folds),
@@ -526,6 +527,7 @@ def run_analysis(config: AnalysisConfig, threads: int = 1,
         "elapsed_seconds": time.time() - started,
         "fit_durations": durations,
         "solver_paths": solver_paths,
+        "alpha_edges": alpha_edges,
         "train_sets": train_sets,
         "threads": threads,
         "cpu_count": os.cpu_count(),

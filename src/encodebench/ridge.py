@@ -22,18 +22,22 @@ drops the standardized matrices of any band wider than its training set:
 every scaling vector that uses such a band takes the Gram path.
 
 A single-band fit whose rows fall into groups that share no nonzero column
-(OASM: one group per block) can take the block path instead. With ``S`` the
-training-column std and ``P`` the centering projection, the standardized
-train Gram is ``P B P`` with ``B = X_tr S^-2 X_tr^T`` block-diagonal over the
-groups. Each split factors ``B`` group by group (one stacked ``eigh`` per
-training-row count), solves on the complement of the ones vector,
-``x = R Yc - R 1 (1^T R Yc) / (1^T R 1)`` with ``R = (B + aI)^-1``, and
-predicts through the block-sparse eval-by-train Gram; it never forms the
-standardized matrices or any dense Gram. A split takes the block path only
-when ``lambda_min(B) > 2 * lambda_max(B) * n_train * eps``: then the Gram
-path's pseudo-inverse keeps every direction but the ones vector, so
-``alpha = 0`` means the same on both paths. Any other split, and every
-multi-band fit, takes the dense path.
+(OASM: one group per block) takes the block path instead, on every split
+but one where a group has more training rows than columns (a narrow one-hot
+band, cheaper on the design path). With ``S`` the training-column std and
+``P`` the centering projection, the standardized train Gram is ``P B P``
+with ``B = X_tr S^-2 X_tr^T`` block-diagonal over the groups. Each split
+factors ``B`` group by group (one stacked ``eigh`` per training-row count),
+solves on the complement of the ones vector, ``x = R Yc - R 1 c`` with
+``R = (B + aI)^-1`` and ``c = 1^T R Yc / 1^T R 1``, and predicts through the
+block-sparse eval-by-train Gram; it never forms the standardized matrices
+or any dense Gram. ``alpha = 0`` is the limit ``alpha -> 0+``, eigenvalues
+of ``B`` at or below the Gram cutoff taken as exact zeros: if the ones
+vector has weight ``w`` on them, ``c = w^T (U^T Yc)_dropped / w^T w``. That
+is the dense path's minimum-norm solution in exact arithmetic; ``w`` counts
+only when ``w^T w / 1^T R 1``, the eigenvalue it adds to ``P B P``, clears
+the cutoff too. On a numerically singular split ``alpha = 0`` is dominated
+by rounding on either path.
 
 Search notes
 ------------
@@ -235,7 +239,6 @@ class _BlockSpectral(_Spectral):
     def __init__(self, spectrum, ones, UTY, parts, k_of):
         self.spectrum, self.numerator, self.denominator = spectrum, 1.0, spectrum
         self.cutoff = spectrum.max() * spectrum.size * _RCOND  # the Gram rule
-        self.n = spectrum.size
         self.ones = ones  # U^T 1
         self.UTY = UTY
         self.parts, self.k_of = parts, k_of  # see _factor_blocks
@@ -271,10 +274,15 @@ class _BlockSpectral(_Spectral):
         UTY = self.UTY[:, units]
         D = self.filter(alphas)
         Du = D * self.ones                                  # R 1
-        c = (Du @ UTY) / (Du @ self.ones)[:, None]          # 1^T R Yc / 1^T R 1
+        num, den = Du @ UTY, Du @ self.ones                 # 1^T R Yc, 1^T R 1
+        drop = self.spectrum <= self.cutoff  # alpha = 0: see the module notes
+        w = self.ones[drop]
+        limit = (np.asarray(alphas) == 0.0) & (w @ w > self.cutoff * den)
+        num[limit], den[limit] = w @ UTY[drop], w @ w
+        c = num / den[:, None]
         # x = R Yc - R 1 c is predicted as E x - 1 (1^T B x) / n
         Bx = ((Du * self.spectrum) @ UTY
-              - (Du @ (self.spectrum * self.ones))[:, None] * c) / self.n
+              - (Du @ (self.spectrum * self.ones))[:, None] * c) / D.shape[1]
         for F, T in eval_sides:
             preds = scratch.take("preds", (len(F), len(D), UTY.shape[1]))
             np.matmul(D.T[T].transpose(0, 2, 1) * F[:, None, :], UTY[T],
@@ -297,8 +305,9 @@ class _Scratch(threading.local):
 
 
 def _factor_blocks(X, blocks, train_idx, Yc):
-    """One training set's ``_BlockSpectral``, or None when it fails the rank
-    check. Groups with equal training-row counts share one stacked ``eigh``."""
+    """One training set's ``_BlockSpectral``, or None when a group has more
+    training rows than columns. Groups with equal training-row counts share
+    one stacked ``eigh``."""
     n = len(train_idx)
     k_of = np.bincount(blocks.group[train_idx], minlength=blocks.n_groups)
     if (k_of > blocks.n_cols).any():
@@ -320,22 +329,12 @@ def _factor_blocks(X, blocks, train_idx, Yc):
         scale = np.divide(1.0, std, out=np.zeros_like(std), where=std > 0)
         A = Xtr * scale[:, None, :]
         lam, U = np.linalg.eigh(A @ A.transpose(0, 2, 1))
-        if not _passes_check(lam, n):
-            return None  # then so does the whole spectrum
-        spectrum[slots] = lam
+        spectrum[slots] = np.maximum(lam, 0.0)
         ones[slots] = U.sum(axis=1)
         UTY[slots] = U.transpose(0, 2, 1) @ Yc[tr_order[slots]]
         # what _BlockSpectral.eval_side needs of this training-row count
         parts.append((gs, slots, cols, mask, scale, A.transpose(0, 2, 1) @ U))
-    if not _passes_check(spectrum, n):
-        return None
     return _BlockSpectral(spectrum, ones, UTY, parts, k_of)
-
-
-def _passes_check(spectrum, n_train) -> bool:
-    """The block path's rank check: every eigenvalue of B clears the Gram
-    path's pseudo-inverse cutoff twice over."""
-    return bool(spectrum.min() > 2.0 * spectrum.max() * n_train * _RCOND)
 
 
 def _group_order(groups, counts):
@@ -435,20 +434,15 @@ def group_bands(spaces: Sequence[FeatureSpace]):
     if not spaces:
         raise DataError("need at least one feature space")
     n = spaces[0].n_samples
-    order: list[str] = []
-    members: dict[str, list[np.ndarray]] = {}
+    members: dict[str, list[np.ndarray]] = {}  # in first-seen order
     for fs in spaces:
         if fs.n_samples != n:
             raise DataError(
                 f"feature space {fs.name!r} has {fs.n_samples} rows, expected {n}"
             )
-        if fs.band_group not in members:
-            order.append(fs.band_group)
-            members[fs.band_group] = []
-        members[fs.band_group].append(fs.data)
-    mats = [np.hstack(members[g]) if len(members[g]) > 1 else members[g][0]
-            for g in order]
-    return order, mats
+        members.setdefault(fs.band_group, []).append(fs.data)
+    return list(members), [np.hstack(m) if len(m) > 1 else m[0]
+                           for m in members.values()]
 
 
 def enumerate_masks(n_bands: int) -> list[np.ndarray]:
@@ -503,10 +497,10 @@ class FitResult:
 
 class _FoldData:
     """One training set and the eval sets predicted from it: the block
-    factorization of a single band that passes its check, else standardized
-    per-band matrices and, whenever some scaling vector can take the Gram
-    path, band Grams and eval-by-train Grams. A band wider than the training
-    set keeps only its Grams."""
+    factorization of a single band that splits into row groups, else
+    standardized per-band matrices and, whenever some scaling vector can take
+    the Gram path, band Grams and eval-by-train Grams. A band wider than the
+    training set keeps only its Grams."""
 
     def __init__(self, band_mats, Y, train_idx, eval_idxs, blocks=None):
         self.n_train = len(train_idx)

@@ -216,3 +216,29 @@ def single_band_alpha_grid_oracle(X, Y, plan, alphas):
         for unit in range(n_units):
             test_pred[fold.test, unit] = preds[aidx[unit], :, unit]
     return test_pred, chosen_alpha, val_r2
+
+
+def min_norm_ridge_oracle(X, Y, train, eval_rows, alphas):
+    """Predictions of ``X[eval_rows]`` per alpha from a fit on
+    ``X[train]``: columns z-scored on the training rows (a constant column
+    becomes 0), ridge by the normal equations, and ``alpha = 0`` as the
+    minimum-norm least-squares solution, ``pinv`` with singular values below
+    1e-10 of the largest taken as zero."""
+    X = np.asarray(X, float)
+    Y = np.asarray(Y, float)
+    mean = X[train].mean(axis=0)
+    std = X[train].std(axis=0)
+    scale = np.zeros_like(std)
+    scale[std > 0] = 1.0 / std[std > 0]
+    Z = (X[train] - mean) * scale
+    Z_eval = (X[eval_rows] - mean) * scale
+    y_mean = Y[train].mean(axis=0)
+    Yc = Y[train] - y_mean
+    out = []
+    for alpha in alphas:
+        if alpha == 0.0:
+            W = np.linalg.pinv(Z, rcond=1e-10) @ Yc
+        else:
+            W = np.linalg.solve(Z.T @ Z + alpha * np.eye(Z.shape[1]), Z.T @ Yc)
+        out.append(Z_eval @ W + y_mean)
+    return np.array(out)

@@ -193,6 +193,13 @@ class TestExitCodes:
         assert not out.exists()
 
 
+def _child_env(**extra):
+    """The environment of a fresh ``python -m encodebench``: the package under
+    test first on PYTHONPATH, whatever the pytest run had there."""
+    src = os.path.dirname(os.path.dirname(eb.__file__))
+    return dict(os.environ, PYTHONPATH=src, **extra)
+
+
 @pytest.fixture
 def searches(monkeypatch):
     """The feature names and search config of each banded_search call the
@@ -487,17 +494,15 @@ class TestThreads:
     def _run_grid(self, tmp_path, argv, outputs, thread_args):
         """Run ``argv`` in a fresh process under OPENBLAS_NUM_THREADS 1 and 2
         and each of ``thread_args``; return each run's output bytes."""
-        src = os.path.dirname(os.path.dirname(eb.__file__))
         runs = {}
         for blas in ("1", "2"):
             for i, extra in enumerate(thread_args):
                 out = tmp_path / f"out-{blas}-{i}"
-                env = dict(os.environ, OPENBLAS_NUM_THREADS=blas,
-                           PYTHONPATH=src)
                 proc = subprocess.run(
                     [sys.executable, "-m", "encodebench", *argv, *extra,
                      "--output", str(out)],
-                    cwd=tmp_path, env=env, capture_output=True, text=True)
+                    cwd=tmp_path, env=_child_env(OPENBLAS_NUM_THREADS=blas),
+                    capture_output=True, text=True)
                 assert proc.returncode == 0, proc.stderr
                 runs[(blas, *extra)] = {name: (out / name).read_bytes()
                                         for name in outputs(out)}
@@ -620,6 +625,6 @@ class TestOutputContainment:
 def test_module_entrypoint_runs():
     proc = subprocess.run(
         [sys.executable, "-m", "encodebench", "--help"],
-        capture_output=True, text=True)
+        env=_child_env(), capture_output=True, text=True)
     assert proc.returncode == 0
     assert "synth" in proc.stdout

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 import encodebench as eb
 from encodebench.errors import DataError
+from encodebench.pipeline import SplitSpec, build_plan
 from oracles import gaussian_kernel_oracle, smooth_matrix_oracle
 
 
@@ -14,6 +15,11 @@ class TestGaussianKernel:
             np.testing.assert_allclose(
                 eb.features.gaussian_kernel(sigma),
                 gaussian_kernel_oracle(sigma), atol=1e-15)
+
+    def test_far_tails_are_zero(self):
+        # exp(-50) at sigma 0.1 is below eps: the kernel is the identity tap
+        assert eb.features.gaussian_kernel(0.1).tolist() == [0.0, 1.0, 0.0]
+        assert (eb.features.gaussian_kernel(0.3) > 0).all()
 
     def test_normalized_and_symmetric(self):
         k = eb.features.gaussian_kernel(1.7)
@@ -99,6 +105,17 @@ class TestSigmaSweep:
         sweep = eb.sweep_oasm_sigma(recording, blocks, plan)
         assert abs(sweep.best_sigma - 2.0) <= 0.3
         assert sweep.scores.size == 50
+
+    def test_narrow_width_keeps_validation_r2_bounded(self):
+        # kernel tails of 1.9e-22 that z-scoring scaled to unit variance made
+        # this fit choose alpha 2^34 everywhere and score R^2 down to -1e28
+        spec, _ = eb.preset("fedorenko", seed=3)
+        recording, _ = eb.generate(spec)
+        plan = eb.shuffle_plan(
+            build_plan(SplitSpec("fedorenko"), recording), 7)
+        oasm = eb.build_oasm(recording.n_samples, recording.block_ids, 0.1)
+        fit = eb.banded_search([oasm], recording.responses, plan)
+        assert fit.validation_r2.min() >= -1.0
 
     def test_tie_breaks_to_smaller_sigma(self, tiny_recording, small_blocks,
                                          small_plan):

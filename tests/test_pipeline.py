@@ -446,6 +446,31 @@ class TestRunAnalysis:
                                                 "distinct": 15}
             assert paths == {"block": 21, "gram": 0, "design": 0}
 
+    def test_provenance_counts_alpha_grid_edges(self, tmp_path, rng,
+                                                monkeypatch):
+        fits = []
+        real = eb.pipeline.banded_search
+
+        def recording(*args, **kwargs):
+            fits.append(real(*args, **kwargs))
+            return fits[-1]
+
+        monkeypatch.setattr(eb.pipeline, "banded_search", recording)
+        config = AnalysisConfig.from_dict(
+            _base_config(_make_dataset(tmp_path, rng)), base_dir=tmp_path)
+        out = tmp_path / "report"
+        eb.run_analysis(config, output_dir=out)
+        prov = json.loads((out / "provenance.json").read_text())
+        assert set(prov["alpha_edges"]) == set(prov["fit_durations"])
+        # (outer fold, unit) choices at alpha 0 and at the largest alpha
+        want = [{"zero": int((fit.chosen_alpha == 0.0).sum()),
+                 "max": int((fit.chosen_alpha == fit.alphas[-1]).sum())}
+                for fit in fits]
+        key = lambda edges: (edges["zero"], edges["max"])
+        assert (sorted(prov["alpha_edges"].values(), key=key)
+                == sorted(want, key=key))
+        assert sum(e["zero"] + e["max"] for e in want) > 0
+
     def test_oasm_sigma_builds_space(self, tmp_path, rng):
         manifest = _make_dataset(tmp_path, rng)
         doc = _base_config(manifest)

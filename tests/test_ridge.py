@@ -10,7 +10,7 @@ import pytest
 
 import encodebench as eb
 from encodebench.errors import DataError
-from encodebench import ridge
+from encodebench import ridge, synthgen
 from encodebench.pipeline import SplitSpec, build_plan
 from encodebench.splits import OuterFold
 from encodebench.ridge import (
@@ -24,6 +24,7 @@ from encodebench.ridge import (
 from oracles import (
     apply_band_scaling,
     block_penalty_oracle,
+    min_norm_ridge_oracle,
     ridge_normal_eq_oracle,
     single_band_alpha_grid_oracle,
 )
@@ -457,7 +458,8 @@ class TestTrainSetSharing:
 
 # every preset block layout: passages of 3 and 4 sentences, sentences of 8
 # words, stories of 150-180 samples; each with a smoothing width near the
-# widest at which the block path's rank check still passes
+# widest at which every split's B keeps its smallest eigenvalue above twice
+# the Gram cutoff, so that alpha = 0 drops no direction of B
 BLOCK_LAYOUTS = [("pereira-exp2", "pereira", 2.1),
                  ("pereira-exp1", "pereira", 2.1),
                  ("fedorenko", "fedorenko", 2.1), ("blank", "blank", 1.5)]
@@ -489,6 +491,17 @@ def _block_diagonal(rng, sizes):
             0.5, 1.5, (size, size))
         start += size
     return X, np.repeat(np.arange(len(sizes)), sizes)
+
+
+def _tied_groups(rng, tie):
+    """Ten dense 6 x 6 blocks whose first four rows, the training rows, are
+    tied by ``tie`` (it edits a block's rows in place); the last two rows of
+    each block are evaluation rows."""
+    X, _ = _block_diagonal(rng, [6] * 10)
+    for g in range(10):
+        tie(X[6 * g:6 * g + 6])
+    train = np.flatnonzero(np.arange(60) % 6 < 4)
+    return X, train, np.setdiff1d(np.arange(60), train)
 
 
 def _same_partition(a, b):
@@ -537,16 +550,77 @@ class TestBlockPath:
                                    rtol=1e-10, atol=1e-10)
         np.testing.assert_allclose(fit.validation_r2, oracle_val, atol=1e-10)
 
-    def test_failing_split_keeps_dense_path(self, monkeypatch):
-        # at sigma 4.1 fedorenko's 8-word blocks fail the rank check
+    def test_singular_smoothing_takes_block_path(self, monkeypatch):
+        # at sigma 4.1 B on fedorenko's 8-word blocks is numerically singular
         oasm, Y, plan = _oasm_case("fedorenko", "fedorenko", "shuffled", 4.1,
                                    n_inner=2)
         fit = eb.banded_search([oasm], Y, plan)
-        assert fit.solver_paths == {"block": 0, "gram": 3, "design": 0}
+        assert fit.solver_paths == {"block": 3, "gram": 0, "design": 0}
+        inner = plan.outer_folds[0].inner_folds[0]
+        alphas = eb.default_alpha_grid()
+        block = _FoldData([oasm.data], Y, inner.train, [inner.validation],
+                          _band_blocks(oasm.data))
+        assert (block.block.spectrum <= block.block.cutoff).any()
+        (got,) = block.predict_grid([1.0], alphas, [0], _Scratch())
+        (want,) = _FoldData([oasm.data], Y, inner.train, [inner.validation]
+                            ).predict_grid([1.0], alphas, [0], _Scratch())
+        assert np.isfinite(got).all()
+        scale = np.abs(want[1:]).max()
+        assert np.abs(got[1:] - want[1:]).max() <= 1e-10 * scale
         monkeypatch.setattr(ridge, "_band_blocks", lambda X: None)
         dense = eb.banded_search([oasm], Y, plan)
-        for key in ("test_predictions", "chosen_alpha", "validation_r2"):
-            assert getattr(fit, key).tobytes() == getattr(dense, key).tobytes()
+        assert dense.solver_paths == {"block": 0, "gram": 3, "design": 0}
+        np.testing.assert_array_equal(fit.chosen_alpha, dense.chosen_alpha)
+        assert (fit.chosen_alpha > 0).all()
+        np.testing.assert_allclose(fit.test_predictions,
+                                   dense.test_predictions, rtol=1e-10,
+                                   atol=1e-10 * np.abs(Y).max())
+        np.testing.assert_allclose(fit.validation_r2, dense.validation_r2,
+                                   rtol=0, atol=1e-10)
+
+    # each group's third training row is a combination of its first two: its
+    # null vector (1, 1, -1, 0) has weight on the ones vector, (1, 1, -2, 0)
+    # has none
+    @pytest.mark.parametrize("weight", [1.0, 0.5])
+    def test_exact_null_groups_match_min_norm_oracle(self, rng, weight):
+        def tie(rows):
+            rows[2] = weight * (rows[0] + rows[1])
+        X, train, ev = _tied_groups(rng, tie)
+        Y = rng.standard_normal((X.shape[0], 3))
+        alphas = eb.default_alpha_grid()
+        block = _FoldData([X], Y, train, [ev], _band_blocks(X))
+        assert block.path([1.0]) == "block"
+        assert (block.block.spectrum <= block.block.cutoff).sum() == 10
+        (got,) = block.predict_grid([1.0], alphas, [0], _Scratch())
+        want = min_norm_ridge_oracle(X, Y, train, ev, alphas) - Y[train].mean(0)
+        assert np.abs(got - want).max() <= 1e-10 * np.abs(want).max()
+
+    def test_ones_in_null_space_of_every_group(self, rng):
+        # training rows in +- pairs: each group's ones vector is a null vector
+        # of B, so at alpha = 0 every term of 1^T R 1 is on dropped directions
+        def pairs(rows):
+            rows[1], rows[3] = -rows[0], -rows[2]
+        X, train, ev = _tied_groups(rng, pairs)
+        Y = rng.standard_normal((X.shape[0], 2))
+        alphas = eb.default_alpha_grid()
+        block = _FoldData([X], Y, train, [ev], _band_blocks(X))
+        assert block.path([1.0]) == "block"
+        kept = block.block.spectrum > block.block.cutoff
+        np.testing.assert_allclose(block.block.ones[kept], 0.0, atol=1e-12)
+        (got,) = block.predict_grid([1.0], alphas, [0], _Scratch())
+        (want,) = _FoldData([X], Y, train, [ev]).predict_grid(
+            [1.0], alphas, [0], _Scratch())
+        assert np.isfinite(got).all()
+        assert np.abs(got - want).max() <= 1e-10 * np.abs(want).max()
+
+    @pytest.mark.parametrize("mode", ["contiguous", "shuffled"])
+    @pytest.mark.parametrize("sigma", [0.1, 2.5, 5.0])
+    @pytest.mark.parametrize("name", sorted(synthgen.PRESETS))
+    def test_every_preset_layout_takes_block_path(self, name, sigma, mode):
+        scheme = name if name in ("fedorenko", "blank") else "pereira"
+        oasm, Y, plan = _oasm_case(name, scheme, mode, sigma, n_inner=2)
+        fit = eb.banded_search([oasm], Y, plan)
+        assert fit.solver_paths["gram"] == fit.solver_paths["design"] == 0
 
     def test_noncontiguous_groups(self, rng):
         X, groups = _block_diagonal(rng, [3, 5, 4, 6])
