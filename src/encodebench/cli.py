@@ -149,8 +149,8 @@ def build_parser() -> _Parser:
                        help="run a full analysis config and write a report")
     p.add_argument("--config", type=Path, required=True)
     p.add_argument("--threads", type=int, default=None,
-                   help="outer folds fitted at once (default: the CPU "
-                        "count)")
+                   help="distinct inner training sets, or outer-fold "
+                        "refits, factored at once (default: the CPU count)")
     p.set_defaults(handler=cmd_compare)
 
     p = sub.add_parser("report", help="print summary lines from an existing report")

@@ -446,8 +446,8 @@ def _subset_features(subset: Sequence[str], spaces: dict[str, SpaceSpec],
 
 def run_analysis(config: AnalysisConfig, threads: int = 1,
                  output_dir=None) -> RunReport:
-    """Fit every (mode, subset) in turn, each on up to ``threads`` outer
-    folds at once, then score, test and, given a target, write the report."""
+    """Fit every (mode, subset) in turn (``threads`` as in ``banded_search``),
+    then score, test and, given a target, write the report."""
     started = time.time()
     logger.info("resolved config: %s", json.dumps(config.echo, sort_keys=True))
 
@@ -475,8 +475,7 @@ def run_analysis(config: AnalysisConfig, threads: int = 1,
             for subset in subsets(fam.spaces):
                 jobs.setdefault((mode, frozenset(subset)), subset)
 
-    fits = {}
-    durations, solver_paths, alpha_edges, train_sets = {}, {}, {}, {}
+    fits, records = {}, {mode: {} for mode in plans}  # per-fit provenance
     for (mode, key), subset in jobs.items():
         t0 = time.time()
         fit = fits[(mode, key)] = banded_search(
@@ -484,17 +483,17 @@ def run_analysis(config: AnalysisConfig, threads: int = 1,
             ridge_cfg=config.ridge, search_cfg=config.search, threads=threads,
         )
         elapsed = time.time() - t0
-        logger.info("fit %s / %s in %.2fs", mode, "+".join(subset), elapsed)
-        name = f"{mode}:{'+'.join(subset)}"
-        durations[name] = elapsed
-        solver_paths[name] = fit.solver_paths
-        alpha_edges[name] = {  # (outer fold, unit) choices at the grid's ends
-            end: int((fit.chosen_alpha == fit.alphas[i]).sum())
-            for end, i in (("zero", 0), ("max", -1))}
-        train_sets[name] = {
-            "inner_folds": sum(len(f.inner_folds)
-                               for f in plans[mode].outer_folds),
-            "distinct": fit.train_sets,
+        name = _subset_name(key)  # as report.json names the subset
+        logger.info("fit %s / %s in %.2fs", mode, name, elapsed)
+        records[mode][name] = {
+            "seconds": elapsed,
+            "solver_paths": fit.solver_paths,
+            "alpha_edges": {  # (outer fold, unit) choices at the grid's ends
+                end: int((fit.chosen_alpha == fit.alphas[i]).sum())
+                for end, i in (("zero", 0), ("max", -1))},
+            "train_sets": {"inner_folds": sum(len(f.inner_folds) for f in
+                                              plans[mode].outer_folds),
+                           "distinct": fit.train_sets},
         }
 
     participants = recording.unit_participants
@@ -525,10 +524,7 @@ def run_analysis(config: AnalysisConfig, threads: int = 1,
     provenance = {
         "created_at": time.strftime("%Y-%m-%dT%H:%M:%S%z"),
         "elapsed_seconds": time.time() - started,
-        "fit_durations": durations,
-        "solver_paths": solver_paths,
-        "alpha_edges": alpha_edges,
-        "train_sets": train_sets,
+        "fits": records,
         "threads": threads,
         "cpu_count": os.cpu_count(),
         "blas": _blas_build(),

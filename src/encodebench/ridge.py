@@ -22,11 +22,11 @@ drops the standardized matrices of any band wider than its training set:
 every scaling vector that uses such a band takes the Gram path.
 
 A single-band fit whose rows fall into groups that share no nonzero column
-(OASM: one group per block) takes the block path instead, on every split
-but one where a group has more training rows than columns (a narrow one-hot
-band, cheaper on the design path). With ``S`` the training-column std and
-``P`` the centering projection, the standardized train Gram is ``P B P``
-with ``B = X_tr S^-2 X_tr^T`` block-diagonal over the groups. Each split
+(OASM: one group per block) takes the block path instead on every split, or
+on none if a group has more rows than columns (a narrow one-hot band, cheaper
+on the design path). With ``S`` the training-column std and ``P`` the
+centering projection, the standardized train Gram is ``P B P`` with
+``B = X_tr S^-2 X_tr^T`` block-diagonal over the groups. Each split
 factors ``B`` group by group (one stacked ``eigh`` per training-row count),
 solves on the complement of the ones vector, ``x = R Yc - R 1 c`` with
 ``R = (B + aI)^-1`` and ``c = 1^T R Yc / 1^T R 1``, and predicts through the
@@ -305,13 +305,10 @@ class _Scratch(threading.local):
 
 
 def _factor_blocks(X, blocks, train_idx, Yc):
-    """One training set's ``_BlockSpectral``, or None when a group has more
-    training rows than columns. Groups with equal training-row counts share
-    one stacked ``eigh``."""
+    """One training set's ``_BlockSpectral``. Groups with equal training-row
+    counts share one stacked ``eigh``."""
     n = len(train_idx)
     k_of = np.bincount(blocks.group[train_idx], minlength=blocks.n_groups)
-    if (k_of > blocks.n_cols).any():
-        return None  # a group with more training rows than columns is singular
     tr_order, tr_start = _group_order(blocks.group[train_idx], k_of)
     spectrum, ones = np.empty(n), np.empty(n)
     UTY = np.empty((n, Yc.shape[1]))
@@ -368,7 +365,7 @@ class _Blocks:
 def _band_blocks(X) -> Optional[_Blocks]:
     """The groups of rows of X that share no nonzero column, found one group
     at a time by breadth-first search over the nonzero pattern; None when
-    all rows form one group."""
+    all rows form one group or a group has more rows than columns."""
     nz = np.asarray(X) != 0
     n, p = nz.shape
     group = np.full(n, -1)
@@ -389,6 +386,8 @@ def _band_blocks(X) -> Optional[_Blocks]:
             return None
     used = np.flatnonzero(col_group >= 0)
     n_cols = np.bincount(col_group[used], minlength=n_groups)
+    if (np.bincount(group, minlength=n_groups) > n_cols).any():
+        return None  # its block of B is singular on a split that trains on it all
     order, start = _group_order(col_group[used], n_cols)
     return _Blocks(group, n_cols, used[order], start)
 
@@ -510,7 +509,6 @@ class _FoldData:
         self.block = None
         if blocks is not None:
             self.block = _factor_blocks(band_mats[0], blocks, train_idx, self.Yc)
-        if self.block is not None:
             self.evals = [self.block.eval_side(band_mats[0], blocks.group, idx)
                           for idx in eval_idxs]
             return
@@ -538,11 +536,9 @@ class _FoldData:
         """Centered (n_alphas, n_eval, n_units) predictions for one scaling
         vector, one factorization, yielded per eval set in ``evals``."""
         path = self.path(gamma)
-        if path == "block":
-            # scaling the band by g is the same as dividing alpha by g^2
-            g2 = gamma[0] ** 2
-            return self.block.predict([self.evals[e] for e in evals],
-                                      [a / g2 for a in alphas], units, scratch)
+        if path == "block":  # a single band: its one candidate is [1.0]
+            return self.block.predict([self.evals[e] for e in evals], alphas,
+                                      units, scratch)
         Yc = self.Yc[:, units]
         active = np.flatnonzero(np.asarray(gamma) > 0)
         if path == "gram":
@@ -593,7 +589,9 @@ def banded_search(features: Sequence[FeatureSpace], responses, plan: SplitPlan,
 
     Up to ``threads`` distinct inner training sets are factored at once (see
     the module notes); while BLAS is pinned (``fit_blas_threads() == 1``)
-    the result does not depend on it. A single band gets one block search.
+    the result does not depend on it. A single band that ``_band_blocks``
+    splits into row groups takes the block path on every split, any other
+    band on none.
     """
     check_int("threads", threads, 1)
     ridge_cfg = ridge_cfg or RidgeConfig()

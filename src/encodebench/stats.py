@@ -13,7 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import stdtr
 
 from .errors import DataError
 
@@ -29,6 +28,9 @@ def paired_squared_error_ttest(y_true, pred_a, pred_b):
     Degenerate difference variance yields p = 0.5 when the differences are
     identically zero and raises otherwise.
     """
+    # imported here: it is slow to load, and most commands run no t-test
+    from scipy.special import stdtr
+
     yt = _as_matrix(y_true)
     pa = _as_matrix(pred_a)
     pb = _as_matrix(pred_b)

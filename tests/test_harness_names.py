@@ -5,6 +5,9 @@ signature change would break them."""
 import ast
 import importlib
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -29,17 +32,43 @@ def test_traced_names_resolve(harness):
     assert callable(eb.pipeline.RunReport.save)
 
 
-def test_sweep_runs_as_the_harness_runs_it(harness, tmp_path):
-    """child.py's sweep: build_plan(SplitSpec(scheme=...), recording),
-    shuffle_plan, then sweep_oasm_sigma(..., sigmas=...), all traced."""
-    tracer, child = harness
+def _sweep_config(tmp_path) -> dict:
+    """A 48-sample fedorenko-style dataset and a two-sigma sweep config."""
     blocks = np.repeat(np.arange(12), 4)
     spec = eb.SynthSpec(n_samples=48, n_units=4, block_ids=blocks,
                         signal_scale=0.0, autocorr_sigma=1.0, seed=3,
                         participants=np.arange(4) % 2)
     eb.write_dataset(spec, tmp_path / "data", dataset_name="harness")
-    config = {"manifest": "manifest.json", "sigma_stride": 25,
-              "split": {"scheme": "fedorenko", "shuffle_seed": 0}}
+    return {"manifest": "manifest.json", "sigma_stride": 25,
+            "split": {"scheme": "fedorenko", "shuffle_seed": 0}}
+
+
+def _compare_config(tmp_path) -> dict:
+    """A 24-sample passage dataset and a two-space compare config."""
+    blocks = np.repeat(np.arange(8), 3)
+    sp = eb.build_sentence_position([3] * 8, band_group="sp")
+    spec = eb.SynthSpec(n_samples=24, n_units=4, block_ids=blocks,
+                        signal_features=[sp], noise_scale=1.0, seed=3,
+                        participants=np.arange(4) % 2,
+                        categories=np.repeat(np.arange(8) // 2, 3))
+    eb.write_dataset(spec, tmp_path / "data", dataset_name="harness")
+    return {
+        "manifest": "manifest.json", "oasm_sigma": 1.0,
+        "split": {"scheme": "pereira", "mode": "contiguous"},
+        "spaces": [{"name": "OASM", "members": ["OASM"]},
+                   {"name": "SP", "members": ["SP"]}],
+        "families": [{"name": "main", "spaces": ["OASM", "SP"], "llm": "SP"}],
+        "tests": [{"name": "sp-vs-chance", "model_a": {"spaces": ["SP"]},
+                   "model_b": "intercept"}],
+        "search": {"max_iters": 2, "patience": 1},
+    }
+
+
+def test_sweep_runs_as_the_harness_runs_it(harness, tmp_path):
+    """child.py's sweep: build_plan(SplitSpec(scheme=...), recording),
+    shuffle_plan, then sweep_oasm_sigma(..., sigmas=...), all traced."""
+    tracer, child = harness
+    config = _sweep_config(tmp_path)
     recorder = tracer.Recorder()
     recorder.install()
     try:
@@ -58,25 +87,8 @@ def test_sweep_runs_as_the_harness_runs_it(harness, tmp_path):
 def test_compare_runs_as_the_harness_runs_it(harness, tmp_path):
     """child.py's compare: encodebench.cli.main(["compare", ...]), traced."""
     tracer, child = harness
-    blocks = np.repeat(np.arange(8), 3)
-    sp = eb.build_sentence_position([3] * 8, band_group="sp")
-    spec = eb.SynthSpec(n_samples=24, n_units=4, block_ids=blocks,
-                        signal_features=[sp], noise_scale=1.0, seed=3,
-                        participants=np.arange(4) % 2,
-                        categories=np.repeat(np.arange(8) // 2, 3))
-    eb.write_dataset(spec, tmp_path / "data", dataset_name="harness")
-    config = {
-        "manifest": "manifest.json", "oasm_sigma": 1.0,
-        "split": {"scheme": "pereira", "mode": "contiguous"},
-        "spaces": [{"name": "OASM", "members": ["OASM"]},
-                   {"name": "SP", "members": ["SP"]}],
-        "families": [{"name": "main", "spaces": ["OASM", "SP"], "llm": "SP"}],
-        "tests": [{"name": "sp-vs-chance", "model_a": {"spaces": ["SP"]},
-                   "model_b": "intercept"}],
-        "search": {"max_iters": 2, "patience": 1},
-    }
     config_path = tmp_path / "data" / "config.json"
-    config_path.write_text(json.dumps(config))
+    config_path.write_text(json.dumps(_compare_config(tmp_path)))
     recorder = tracer.Recorder()
     recorder.install()
     try:
@@ -91,6 +103,26 @@ def test_compare_runs_as_the_harness_runs_it(harness, tmp_path):
             "ridge.banded_search"} <= names
     saves = [s for s in recorder.spans if s.name == "pipeline.RunReport.save"]
     assert len(saves) == 1 and saves[0].info["bytes"] > 0
+
+
+@pytest.mark.parametrize("kind,make_config", [("sweep", _sweep_config),
+                                               ("compare", _compare_config)])
+def test_setup_probe_writes_its_stamp(tmp_path, kind, make_config):
+    """run.py's set-up probe: ``child.py run --stamp F --probe`` writes the
+    time of the first ridge.banded_search call to F and exits 0 there."""
+    config_path = tmp_path / "data" / "config.json"
+    config_path.write_text(json.dumps(make_config(tmp_path)))
+    stamp, out = tmp_path / "stamp", tmp_path / "out"
+    src = os.path.dirname(os.path.dirname(eb.__file__))
+    proc = subprocess.run(
+        [sys.executable, str(PERFBENCH / "child.py"), "run", "--kind", kind,
+         "--config", str(config_path), "--out", str(out), "--threads", "1",
+         "--stamp", str(stamp), "--probe"],
+        cwd=tmp_path, env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    float(stamp.read_text())  # raises unless the stamp is a float
+    assert not out.exists()  # the probe stops before any fit
 
 
 @pytest.mark.parametrize("script", SCRIPTS, ids=lambda path: path.name)

@@ -437,39 +437,49 @@ class TestRunAnalysis:
         out = tmp_path / "report"
         eb.run_analysis(config, output_dir=out)
         prov = json.loads((out / "provenance.json").read_text())
-        assert set(prov["solver_paths"]) == set(prov["fit_durations"])
-        assert set(prov["train_sets"]) == set(prov["fit_durations"])
-        # 6 outer folds of 5 inner folds train on 15 distinct sets; each set
-        # and each of the 6 refits is factored once
-        for name, paths in prov["solver_paths"].items():
-            assert prov["train_sets"][name] == {"inner_folds": 30,
-                                                "distinct": 15}
-            assert paths == {"block": 21, "gram": 0, "design": 0}
+        assert not {"fit_durations", "solver_paths", "alpha_edges",
+                    "train_sets"} & set(prov)
+        assert set(prov["fits"]) == {"contiguous", "shuffled"}
+        for records in prov["fits"].values():
+            (record,) = records.values()
+            assert set(record) == {"seconds", "solver_paths", "alpha_edges",
+                                   "train_sets"}
+            assert record["seconds"] > 0
+            # 6 outer folds of 5 inner folds train on 15 distinct sets; each
+            # set and each of the 6 refits is factored once
+            assert record["train_sets"] == {"inner_folds": 30, "distinct": 15}
+            assert record["solver_paths"] == {"block": 21, "gram": 0,
+                                              "design": 0}
 
     def test_provenance_counts_alpha_grid_edges(self, tmp_path, rng,
                                                 monkeypatch):
-        fits = []
+        fits = {}
         real = eb.pipeline.banded_search
 
-        def recording(*args, **kwargs):
-            fits.append(real(*args, **kwargs))
-            return fits[-1]
+        def recording(features, *args, **kwargs):
+            fit = real(features, *args, **kwargs)
+            fits["+".join(sorted(fs.name for fs in features))] = fit
+            return fit
 
         monkeypatch.setattr(eb.pipeline, "banded_search", recording)
-        config = AnalysisConfig.from_dict(
-            _base_config(_make_dataset(tmp_path, rng)), base_dir=tmp_path)
+        doc = _base_config(_make_dataset(tmp_path, rng))
+        doc["families"][0]["spaces"] = ["F1", "F0"]  # fitted as F1+F0
+        config = AnalysisConfig.from_dict(doc, base_dir=tmp_path)
         out = tmp_path / "report"
         eb.run_analysis(config, output_dir=out)
         prov = json.loads((out / "provenance.json").read_text())
-        assert set(prov["alpha_edges"]) == set(prov["fit_durations"])
+        report = json.loads((out / "report.json").read_text())
+        # each fit's record is named as report.json names its subset
+        records = prov["fits"]["contiguous"]
+        assert (set(records) == set(fits) == {"F0", "F1", "F0+F1"}
+                == set(report["modes"]["contiguous"]["main"]["subsets"]))
         # (outer fold, unit) choices at alpha 0 and at the largest alpha
-        want = [{"zero": int((fit.chosen_alpha == 0.0).sum()),
-                 "max": int((fit.chosen_alpha == fit.alphas[-1]).sum())}
-                for fit in fits]
-        key = lambda edges: (edges["zero"], edges["max"])
-        assert (sorted(prov["alpha_edges"].values(), key=key)
-                == sorted(want, key=key))
-        assert sum(e["zero"] + e["max"] for e in want) > 0
+        for name, fit in fits.items():
+            assert records[name]["alpha_edges"] == {
+                "zero": int((fit.chosen_alpha == 0.0).sum()),
+                "max": int((fit.chosen_alpha == fit.alphas[-1]).sum())}
+        assert sum(r["alpha_edges"]["zero"] + r["alpha_edges"]["max"]
+                   for r in records.values()) > 0
 
     def test_oasm_sigma_builds_space(self, tmp_path, rng):
         manifest = _make_dataset(tmp_path, rng)

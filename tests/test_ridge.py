@@ -660,6 +660,18 @@ class TestBlockPath:
         # be n * p * 8
         assert peak < 4 * X.size
 
+    def test_one_path_per_band(self, rng):
+        # one 4 x 3 group beside five 4 x 4 groups: the first group's block
+        # of B is singular on every split that trains on all four of its rows
+        X, _ = _block_diagonal(rng, [4] * 6)
+        X = np.delete(X, 3, axis=1)
+        Y = rng.standard_normal((24, 3))
+        plan = eb.plan_grouped(np.repeat(np.arange(6), 4), 3, 2)
+        fit = eb.banded_search([eb.FeatureSpace("M", X, "m")], Y, plan)
+        # 3 distinct inner training sets and 3 refits, all on one path
+        assert fit.solver_paths == {"block": 0, "gram": 6, "design": 0}
+        assert _band_blocks(X) is None
+
     def test_multiband_fit_takes_no_block_path(self, tiny_recording,
                                                small_plan, rng):
         features, Y, _ = tiny_recording

@@ -1,3 +1,7 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -135,3 +139,14 @@ class TestChanceLevelTest:
         icpt = np.tile(y.mean(0), (1317, 1))
         result = eb.chance_level_test(y, model, icpt, [0, 1])
         assert result.p.shape == (2,) and np.isfinite(result.t).all()
+
+
+def test_import_leaves_scipy_special_unloaded():
+    # only paired_squared_error_ttest needs it, and it is slow to load
+    src = os.path.dirname(os.path.dirname(eb.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, encodebench; print('scipy.special' in sys.modules)"],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
