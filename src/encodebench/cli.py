@@ -99,6 +99,12 @@ def build_parser() -> _Parser:
     planned.add_argument("--n-outer", type=int, default=None)
     planned.add_argument("--n-inner", type=int, default=None)
 
+    threaded = _Parser(add_help=False)
+    threaded.add_argument("--threads", type=int, default=None,
+                          help="distinct inner training sets, or outer-fold "
+                               "refits, factored at once (default: the CPU "
+                               "count)")
+
     parser = _Parser(prog="encodebench")
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -130,7 +136,7 @@ def build_parser() -> _Parser:
                        help="emit a fold plan as JSON")
     p.set_defaults(handler=cmd_split)
 
-    p = sub.add_parser("fit", parents=[output, planned],
+    p = sub.add_parser("fit", parents=[output, planned, threaded],
                        help="banded ridge fit of selected feature spaces")
     p.add_argument("--spaces", default=None,
                    help="comma-separated feature-space names (default: all)")
@@ -141,16 +147,13 @@ def build_parser() -> _Parser:
                    default=BandedSearchConfig.min_improvement)
     p.set_defaults(handler=cmd_fit)
 
-    p = sub.add_parser("oasm-sweep", parents=[output, planned],
+    p = sub.add_parser("oasm-sweep", parents=[output, planned, threaded],
                        help="sweep the OASM smoothing width")
     p.set_defaults(handler=cmd_oasm_sweep)
 
-    p = sub.add_parser("compare", parents=[output],
+    p = sub.add_parser("compare", parents=[output, threaded],
                        help="run a full analysis config and write a report")
     p.add_argument("--config", type=Path, required=True)
-    p.add_argument("--threads", type=int, default=None,
-                   help="distinct inner training sets, or outer-fold "
-                        "refits, factored at once (default: the CPU count)")
     p.set_defaults(handler=cmd_compare)
 
     p = sub.add_parser("report", help="print summary lines from an existing report")
@@ -275,6 +278,7 @@ def cmd_split(args) -> int:
 
 
 def cmd_fit(args) -> int:
+    threads = _resolve_threads(args.threads)
     out = _require_output(args)
     dataset, plan = _plan_from_args(args, seed_read=True)
     matrices = feature_matrices(dataset, args.oasm_sigma)
@@ -293,7 +297,8 @@ def cmd_fit(args) -> int:
                              min_improvement=args.min_improvement,
                              seed=BandedSearchConfig.seed if args.seed is None
                              else args.seed)
-    fit = banded_search(features, dataset.recording.responses, plan, search_cfg=cfg)
+    fit = banded_search(features, dataset.recording.responses, plan,
+                        search_cfg=cfg, threads=threads)
     fit.save(out)
     r2 = fit.test_r2(dataset.recording.responses)
     _emit({"event": "fit", "bands": fit.band_names,
@@ -303,10 +308,11 @@ def cmd_fit(args) -> int:
 
 
 def cmd_oasm_sweep(args) -> int:
+    threads = _resolve_threads(args.threads)
     out = _require_output(args)
     dataset, plan = _plan_from_args(args)
     result = sweep_oasm_sigma(dataset.recording, dataset.recording.block_ids,
-                              plan)
+                              plan, threads=threads)
     out.mkdir(parents=True, exist_ok=True)
     write_json(out / "sweep.json", {
         "best_sigma": result.best_sigma,

@@ -132,13 +132,14 @@ class SigmaSweepResult:
     scores: np.ndarray  # mean clipped validation R^2 per sigma
 
 
-def sweep_oasm_sigma(recording, block_ids, plan, sigmas=None) -> SigmaSweepResult:
+def sweep_oasm_sigma(recording, block_ids, plan, sigmas=None,
+                     threads: int = 1) -> SigmaSweepResult:
     """Pick the smoothing width that maximizes validation performance.
 
     Each candidate sigma gets a full alpha-grid fit on the plan's inner
-    folds; a unit's score is its best-alpha validation R^2 averaged over
-    outer folds, clipped at zero before averaging across units. Exact ties
-    resolve to the smaller sigma.
+    folds (``threads`` as in ``banded_search``); a unit's score is its
+    best-alpha validation R^2 averaged over outer folds, clipped at zero
+    before averaging across units. Exact ties resolve to the smaller sigma.
     """
     from .ridge import banded_search  # deferred: features is imported by ridge
 
@@ -147,7 +148,7 @@ def sweep_oasm_sigma(recording, block_ids, plan, sigmas=None) -> SigmaSweepResul
     scores = np.empty(sigmas.size)
     for i, sigma in enumerate(sigmas):
         oasm = build_oasm(responses.shape[0], block_ids, float(sigma))
-        fit = banded_search([oasm], responses, plan)
+        fit = banded_search([oasm], responses, plan, threads=threads)
         per_unit = fit.validation_r2.mean(axis=0)
         scores[i] = np.maximum(per_unit, 0.0).mean()
     best = int(np.argmax(scores))  # first max -> smallest sigma on ties

@@ -125,6 +125,7 @@ class PartitionResult:
     mean: float                   # over the defined participants; NaN if none
     sem: float
     n_excluded: int
+    denominators: Optional[np.ndarray] = None  # phi: per-participant mean R2_OASM
 
 
 def _partition(per_unit, included, participants, clip_at=None) -> PartitionResult:
@@ -174,7 +175,8 @@ def omega(r2_m_star, r2_m_llm_star, r2_llm, participants) -> PartitionResult:
 
 def phi(r2_oasm_llm_star, r2_oasm, participants) -> PartitionResult:
     """Unique variance over the autocorrelation-only model:
-    ``(R2_{OASM+LLM}* / R2_OASM - 1) * 100``; no clipping."""
+    ``(R2_{OASM+LLM}* / R2_OASM - 1) * 100``; no clipping. ``denominators``
+    holds each participant's mean R2_OASM over its included units."""
     r2_oasm_llm_star = np.asarray(r2_oasm_llm_star, dtype=np.float64)
     r2_oasm = np.asarray(r2_oasm, dtype=np.float64)
     included = r2_oasm > 0
@@ -182,7 +184,10 @@ def phi(r2_oasm_llm_star, r2_oasm, participants) -> PartitionResult:
     per_unit[included] = (
         r2_oasm_llm_star[included] / r2_oasm[included] - 1.0
     ) * 100.0
-    return _partition(per_unit, included, participants)
+    result = _partition(per_unit, included, participants)
+    result.denominators = _partition(r2_oasm, included,
+                                     participants).participant_values
+    return result
 
 
 @dataclass

@@ -435,6 +435,9 @@ def _family_doc(fr: FamilyResult) -> dict:
                     [_none_if_nan(v) for v in part.participant_values.tolist()],
                 "n_excluded": part.n_excluded,
             }
+            if part.denominators is not None:
+                doc[key]["r2_oasm_per_participant"] = [
+                    _none_if_nan(v) for v in part.denominators.tolist()]
     return doc
 
 

@@ -207,9 +207,9 @@ def searches(monkeypatch):
     calls = []
     real = eb.cli.banded_search
 
-    def recording(features, Y, plan, search_cfg):
+    def recording(features, Y, plan, search_cfg, threads):
         calls.append(([fs.name for fs in features], search_cfg))
-        return real(features, Y, plan, search_cfg=search_cfg)
+        return real(features, Y, plan, search_cfg=search_cfg, threads=threads)
 
     monkeypatch.setattr(eb.cli, "banded_search", recording)
     return calls
@@ -479,9 +479,8 @@ class TestThreads:
         assert message in capsys.readouterr().err
         assert not out.exists()
 
+    # the commands that fit nothing; compare, fit and oasm-sweep take --threads
     @pytest.mark.parametrize("argv", [
-        ["fit", "--manifest", "m.json", "--scheme", "grouped"],
-        ["oasm-sweep", "--manifest", "m.json", "--scheme", "grouped"],
         ["synth", "--preset", "blank"],
         ["features", "--kind", "sp"],
         ["split", "--manifest", "m.json", "--scheme", "grouped"],
@@ -490,6 +489,17 @@ class TestThreads:
     def test_only_compare_takes_threads(self, capsys, argv):
         assert main([*argv, "--threads", "2"]) == 1
         assert "unrecognized arguments: --threads" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["fit", "oasm-sweep"])
+    @pytest.mark.parametrize("value", ["0", "-2"])
+    def test_fitting_commands_check_threads_before_reading(
+            self, tmp_path, capsys, command, value):
+        out = tmp_path / "out"
+        assert main([command, "--manifest", str(tmp_path / "missing.json"),
+                     "--scheme", "pereira", "--threads", value,
+                     "--output", str(out)]) == 2
+        assert "--threads must be >= 1" in capsys.readouterr().err
+        assert not out.exists()
 
     def _run_grid(self, tmp_path, argv, outputs, thread_args):
         """Run ``argv`` in a fresh process under OPENBLAS_NUM_THREADS 1 and 2
@@ -541,13 +551,23 @@ class TestThreads:
 
     def test_fit_outputs_identical_across_blas_thread_counts(
             self, tmp_path, small_pereira):
-        # fit runs its outer folds serially and takes no --threads
         argv = ["fit", "--manifest", str(small_pereira), "--scheme", "pereira",
                 "--oasm-sigma", "1.0", "--max-iters", "5", "--patience", "5"]
         names = ["fit.json", "test_predictions.bbsm",
                  "intercept_predictions.bbsm"]
-        runs = self._run_grid(tmp_path, argv, lambda out: names, [[]])
-        first = runs[("1",)]
+        runs = self._run_grid(tmp_path, argv, lambda out: names,
+                              [["--threads", "1"], ["--threads", "2"]])
+        first = runs[("1", "--threads", "1")]
+        for key, run in runs.items():
+            assert run == first, key
+
+    def test_oasm_sweep_outputs_identical_across_thread_counts(
+            self, tmp_path, small_pereira):
+        argv = ["oasm-sweep", "--manifest", str(small_pereira),
+                "--scheme", "pereira", "--mode", "shuffled", "--seed", "3"]
+        runs = self._run_grid(tmp_path, argv, lambda out: ["sweep.json"],
+                              [["--threads", "1"], ["--threads", "2"]])
+        first = runs[("1", "--threads", "1")]
         for key, run in runs.items():
             assert run == first, key
 

@@ -207,6 +207,14 @@ class TestPhi:
         out = eb.phi([0.1, 0.1], [0.05, 0.0], [0, 0])
         assert out.n_excluded == 1
 
+    def test_denominators_are_included_oasm_means(self):
+        out = eb.phi([0.1, 0.1, 0.3, 0.2, 0.1], [0.05, 0.0, 0.02, 0.04, -0.1],
+                     [0, 0, 1, 1, 2])
+        np.testing.assert_allclose(out.denominators[:2], [0.05, 0.03],
+                                   rtol=1e-15)
+        assert np.isnan(out.denominators[2])
+        assert eb.omega([0.1], [0.2], [0.2], [0]).denominators is None
+
 
 class TestComparisonReport:
     def _table(self, rng):

@@ -534,6 +534,21 @@ class TestRunAnalysis:
         assert out["sem"] is None
         assert out["n_excluded"] == int(np.isnan(phi.per_unit).sum())
 
+    def test_phi_block_lists_each_participant_oasm_denominator(self, tmp_path):
+        # a huge phi mean is traced to the participant whose R^2_OASM is tiny
+        manifest = _passage_dataset(tmp_path / "data")
+        config = AnalysisConfig.from_dict(_passage_config(manifest),
+                                          base_dir=tmp_path)
+        report = eb.run_analysis(config, output_dir=tmp_path / "out")
+        fam = report.results["contiguous"]["main"]
+        r2_oasm = fam.subset_r2[frozenset(["OASM"])]
+        included = (r2_oasm > 0) & (report.participants == 1)
+        doc = json.loads((tmp_path / "out" / "report.json").read_text())
+        block = doc["modes"]["contiguous"]["main"]
+        assert block["phi"]["r2_oasm_per_participant"] == [
+            None, r2_oasm[included].mean()]
+        assert "r2_oasm_per_participant" not in block["omega"]
+
 
 def _read_csv(path):
     with open(path, newline="") as fh:

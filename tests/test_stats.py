@@ -1,3 +1,4 @@
+import json
 import os
 import subprocess
 import sys
@@ -9,7 +10,63 @@ from hypothesis import strategies as st
 
 import encodebench as eb
 from encodebench.errors import DataError
+from encodebench.stats import _student_t_cdf
 from oracles import bh_stepup_oracle, student_t_cdf_oracle
+
+CDF_DFS = [2, 3, 10, 47, 191, 215, 1316, 5000]
+CDF_TS = [0.0, 1e-12, -1e-12, 0.5, -0.5, 3.0, -3.0, 30.0, -30.0, 300.0, -300.0,
+          np.inf, -np.inf]
+
+
+def _assert_close_to(p, expected):
+    """Relative error <= 1e-10 where the expected p is >= 1e-300, and both
+    below 1e-300 elsewhere."""
+    p, expected = np.asarray(p), np.asarray(expected)
+    normal = expected >= 1e-300
+    np.testing.assert_allclose(p[normal], expected[normal], rtol=1e-10, atol=0)
+    assert (p[~normal] < 1e-300).all()
+
+
+class TestStudentTCdf:
+    @pytest.mark.parametrize("df", CDF_DFS)
+    def test_matches_stdtr_on_the_grid(self, df):
+        from scipy.special import stdtr  # the reference, in this test only
+        t = np.array(CDF_TS)
+        _assert_close_to(_student_t_cdf(t, df), stdtr(df, t))
+
+    @pytest.mark.parametrize("df", CDF_DFS)
+    def test_matches_stdtr_on_random_draws(self, df):
+        from scipy.special import stdtr
+        rng = np.random.default_rng(df)
+        t = rng.standard_normal(400) * rng.choice([0.01, 1.0, 5.0, 40.0], 400)
+        _assert_close_to(_student_t_cdf(t, df), stdtr(df, t))
+
+    @pytest.mark.parametrize("df", CDF_DFS)
+    def test_matches_incomplete_beta_oracle(self, df):
+        t = [v for v in CDF_TS if np.isfinite(v)]
+        _assert_close_to(_student_t_cdf(t, df),
+                         [student_t_cdf_oracle(v, df) for v in t])
+
+    @pytest.mark.parametrize("df", CDF_DFS)
+    def test_tails_sum_to_one(self, df):
+        rng = np.random.default_rng(df + 1)
+        t = np.concatenate([CDF_TS, rng.standard_normal(200) * 10])
+        total = _student_t_cdf(t, df) + _student_t_cdf(-t, df)
+        np.testing.assert_allclose(total, 1.0, rtol=0, atol=1e-15)
+
+    def test_exact_edge_values(self):
+        p = _student_t_cdf([0.0, -0.0, np.inf, -np.inf, np.nan], 7)
+        assert p[0] == p[1] == 0.5
+        assert p[2] == 1.0 and p[3] == 0.0
+        assert np.isnan(p[4])
+
+    def test_keeps_the_input_shape(self):
+        t = np.linspace(-4, 4, 12).reshape(3, 4)
+        p = _student_t_cdf(t, 9)
+        assert p.shape == (3, 4)
+        assert (np.diff(p.ravel()) > 0).all()
+        assert _student_t_cdf(np.array([]), 9).shape == (0,)
+
 
 
 class TestPairedTtest:
@@ -142,7 +199,7 @@ class TestChanceLevelTest:
 
 
 def test_import_leaves_scipy_special_unloaded():
-    # only paired_squared_error_ttest needs it, and it is slow to load
+    # it is slow to load, and no module of the package uses it
     src = os.path.dirname(os.path.dirname(eb.__file__))
     proc = subprocess.run(
         [sys.executable, "-c",
@@ -150,3 +207,38 @@ def test_import_leaves_scipy_special_unloaded():
         env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
+
+
+def test_compare_leaves_scipy_special_unloaded(tmp_path):
+    # the t-tests use their own Student-t CDF: scipy.special would load
+    # scipy's own BLAS and special-function libraries
+    blocks = np.repeat(np.arange(8), 3)
+    sp = eb.build_sentence_position([3] * 8, band_group="sp")
+    spec = eb.SynthSpec(n_samples=24, n_units=4, block_ids=blocks,
+                        signal_features=[sp], noise_scale=1.0, seed=3,
+                        participants=np.arange(4) % 2,
+                        categories=np.repeat(np.arange(8) // 2, 3))
+    manifest = eb.write_dataset(spec, tmp_path / "data", dataset_name="small")
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({
+        "manifest": str(manifest), "oasm_sigma": 1.0,
+        "split": {"scheme": "pereira", "mode": "contiguous"},
+        "spaces": [{"name": "OASM", "members": ["OASM"]},
+                   {"name": "SP", "members": ["SP"]}],
+        "families": [{"name": "main", "spaces": ["OASM", "SP"], "llm": "SP"}],
+        "tests": [{"name": "sp-vs-chance", "model_a": {"spaces": ["SP"]},
+                   "model_b": "intercept"}],
+        "search": {"max_iters": 2, "patience": 1},
+    }))
+    out = tmp_path / "out"
+    code = ("import sys; from encodebench.cli import main; "
+            f"code = main(['compare', '--config', {str(config)!r}, "
+            f"'--output', {str(out)!r}]); "
+            "print(code, 'scipy.special' in sys.modules)")
+    src = os.path.dirname(os.path.dirname(eb.__file__))
+    proc = subprocess.run([sys.executable, "-c", code],
+                          env=dict(os.environ, PYTHONPATH=src),
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "0 False"
+    assert (out / "tables" / "contiguous__main__tests.csv").exists()
