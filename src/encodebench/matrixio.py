@@ -8,9 +8,7 @@ Binary matrix layout (extension ``.bbsm`` by convention):
     bytes 12-15  cols,    uint32 little-endian
     bytes 16-    rows*cols IEEE-754 float64 values, little-endian, row-major
 
-NaN payloads are rejected on load and on save. Headerless CSV
-(comma-separated float64, one row per line) is additionally accepted for
-small fixtures; parsing goes through ``float()`` so the conversion is exact.
+NaN payloads are rejected on load and on save.
 
 Manifests are JSON documents tying feature matrices, a response matrix,
 and the per-sample / per-unit labels together. Matrix paths are resolved
@@ -58,12 +56,10 @@ def save_matrix(path, matrix) -> None:
 
 
 def load_matrix(path) -> np.ndarray:
-    """Load a matrix written by :func:`save_matrix` (or a headerless CSV)."""
+    """Load a matrix written by :func:`save_matrix`."""
     path = Path(path)
     if not path.exists():
         raise ManifestError(f"matrix file not found: {path}")
-    if path.suffix.lower() == ".csv":
-        return _load_csv(path)
     raw = path.read_bytes()
     if len(raw) < _HEADER.size:
         raise MatrixFormatError(f"{path}: file shorter than the 16-byte header")
@@ -82,30 +78,6 @@ def load_matrix(path) -> np.ndarray:
         )
     data = np.frombuffer(raw, dtype="<f8", offset=_HEADER.size)
     out = data.reshape(rows, cols).astype(np.float64)
-    if np.isnan(out).any():
-        raise MatrixDataError(f"{path}: payload contains NaN values")
-    return out
-
-
-def _load_csv(path: Path) -> np.ndarray:
-    rows = []
-    width = None
-    with open(path, "r", encoding="ascii") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            values = [float(tok) for tok in line.split(",")]
-            if width is None:
-                width = len(values)
-            elif len(values) != width:
-                raise MatrixFormatError(
-                    f"{path}:{lineno}: ragged row ({len(values)} vs {width} columns)"
-                )
-            rows.append(values)
-    if not rows:
-        raise MatrixFormatError(f"{path}: empty CSV matrix")
-    out = np.array(rows, dtype=np.float64)
     if np.isnan(out).any():
         raise MatrixDataError(f"{path}: payload contains NaN values")
     return out

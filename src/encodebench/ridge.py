@@ -21,6 +21,30 @@ front whenever the bands together are wider than its training set, and then
 drops the standardized matrices of any band wider than its training set:
 every scaling vector that uses such a band takes the Gram path.
 
+The update path replaces that when exactly one band is wider than the
+training set and the other, narrow bands have r columns in all with
+``8 r <= n`` (``_uses_update``; past that a dense ``eigh`` of the n x n
+mixed Gram is cheaper than the rank-r terms per eval row). Each split
+factors the wide band's Gram once, ``K_w = U diag(lam) U^T``, and keeps
+``U^T Yc``, ``U^T W`` (``W`` the standardized narrow columns, n x r), the
+narrow eval rows and ``K_w,ev U``. A scaling vector that uses the wide band
+then needs no factorization: with ``W' = W diag(gamma_n)`` the mixed Gram is
+``A + W' W'^T``, ``A = gamma_w^2 K_w + aI`` is diagonal in U, and by
+Woodbury with ``S = I + W'^T A^-1 W'`` and ``x = S^-1 W'^T A^-1 Yc`` the
+predictions are ``gamma_w^2 K_w,ev A^-1 (Yc - W' x) + W'_ev x``: per eval
+set one GEMM of ``gamma_w^2 K_w,ev U`` scaled per alpha against ``U^T Yc``
+and ``U^T W'``, then r columns of correction; per alpha an r x r ``S``.
+Eigenvalues of ``K_w`` at or below its Gram cutoff are taken as exact zeros
+for every alpha, so their columns of ``K_w,ev U`` vanish and only the
+r x r Gram terms of ``W^T U`` there enter ``S`` (with ``A^-1 = 1/a``).
+``alpha = 0`` is the limit ``alpha -> 0+``: where the narrow columns' weight
+``M`` on those directions clears the cutoff, it constrains ``M x`` to the
+targets' part there, and ``x`` minimizes the kept-direction problem under
+that constraint; without such weight (always so on the ones vector, as the
+columns are centered) ``x`` is the kept-direction solve. Narrow-only scaling
+vectors keep the design path, and two or more wide bands keep the dense
+Gram.
+
 A single-band fit whose rows fall into groups that share no nonzero column
 (OASM: one group per block) takes the block path instead on every split, or
 on none if a group has more rows than columns (a narrow one-hot band, cheaper
@@ -85,6 +109,7 @@ from .splits import SplitPlan
 
 _RCOND = np.finfo(np.float64).eps
 _DIRICHLET_CONCENTRATION = 1.0  # uniform draws over the scaling simplex
+_UPDATE_RATIO = 8  # training rows per narrow column at the update crossover
 
 
 def default_alpha_grid() -> tuple[float, ...]:
@@ -186,6 +211,13 @@ def _uses_gram(n_dims: int, n_rows: int) -> bool:
     return n_dims > n_rows
 
 
+def _uses_update(narrow_dims: int, n_rows: int) -> bool:
+    """The update path's crossover: beside one wide band, narrow bands of
+    ``narrow_dims`` columns in all are cheaper to fold in per candidate by a
+    rank-``narrow_dims`` update than by a dense ``eigh`` of the mixed Gram."""
+    return 0 < _UPDATE_RATIO * narrow_dims <= n_rows
+
+
 class _Spectral:
     """One factorization of a centered ridge problem, from its design (eval
     rows are design rows) or its Gram (eval rows are eval-by-train Gram rows)."""
@@ -229,6 +261,83 @@ class _Spectral:
             preds = scratch.take("preds", (len(D) * len(G), n_units))
             np.matmul(scaled.reshape(-1, rank), self.UTY, out=preds)
             yield preds.reshape(len(D), len(G), n_units)
+
+
+class _Update(_Spectral):
+    """The update path of one training set (see the module notes): the wide
+    band's Gram ``K_w = U diag(lam) U^T``, factored once. On the directions
+    whose eigenvalue clears the cutoff it keeps the spectrum, ``U^T Yc``,
+    ``U^T W`` (``W`` the narrow bands' standardized columns) and, per eval
+    set, ``K_w,ev U``; on the others, exact zeros of ``K_w``, it keeps
+    ``U^T [Yc | W]`` and the Gram terms of its ``W`` part."""
+
+    def __init__(self, Yc, narrow, gram, cross, narrow_evs):
+        super().__init__(np.hstack([Yc, narrow]), gram=gram)
+        keep = self.spectrum > self.cutoff
+        self.G = [C @ self.right[:, keep] for C in cross]
+        self.right = None  # the eval sides above were all it served
+        self.spectrum = self.denominator = self.spectrum[keep]
+        n_units = Yc.shape[1]
+        self.null_Y = self.UTY[~keep, :n_units]
+        self.null_W = self.UTY[~keep, n_units:]
+        self.null_WW = self.null_W.T @ self.null_W
+        self.null_WY = self.null_W.T @ self.null_Y
+        self.UTW = self.UTY[keep, n_units:]
+        self.UTY = self.UTY[keep, :n_units]
+        self.narrow_evs = narrow_evs
+
+    def _null_weight(self, active):
+        """``(B, y)`` for the limit ``alpha -> 0+``: the active narrow
+        columns' weight on the dropped directions, and the targets', in an
+        orthonormal basis of the part those columns span that clears the
+        cutoff."""
+        M = self.null_W * active
+        if np.square(M).sum() <= self.cutoff:  # no singular value clears it
+            return M[:0], self.null_Y[:0]
+        Q, sv, _ = np.linalg.svd(M, full_matrices=False)
+        Q = Q[:, sv ** 2 > self.cutoff]
+        return Q.T @ self.null_W, Q.T @ self.null_Y
+
+    def predict(self, gamma_w, gamma_n, alphas, evals, scratch, units):
+        """Centered predictions per alpha for wide-band scale ``gamma_w`` and
+        narrow-column scales ``gamma_n``, yielded as ``_Spectral.predict``
+        yields them."""
+        alphas = np.asarray(alphas, dtype=np.float64)
+        D = self.filter(alphas / gamma_w ** 2)     # gamma_w^2 A^-1, kept
+        Y_hat, W_hat = self.UTY[:, units], self.UTW * gamma_n
+        AW = W_hat.T[None, :, :] * (D / gamma_w ** 2)[:, None, :]  # W'^T A^-1
+        S, V = AW @ W_hat, AW @ Y_hat
+        # A^-1 is 1/alpha on the dropped directions
+        pos = np.flatnonzero(alphas > 0.0)
+        inv = 1.0 / alphas[pos, None, None]
+        S[pos] += inv * (gamma_n[:, None] * self.null_WW * gamma_n)
+        V[pos] += inv * (gamma_n[:, None] * self.null_WY[:, units])
+        S[:, np.arange(len(gamma_n)), np.arange(len(gamma_n))] += 1.0
+        # S_a^-1 V_a per alpha; S_a is r x r, V_a has a column per unit
+        x = np.linalg.inv(S) @ V
+        B, y0 = self._null_weight(gamma_n > 0)
+        B, y0 = B * gamma_n, y0[:, units]
+        if len(B):
+            for a in np.flatnonzero(alphas == 0.0):
+                SB = np.linalg.solve(S[a], B.T)
+                x[a] += SB @ np.linalg.solve(B @ SB, y0 - B @ x[a])
+        n_alphas, rank, n_units = len(D), D.shape[1], Y_hat.shape[1]
+        for e in evals:
+            G = self.G[e]
+            scaled = scratch.take("scaled", (n_alphas, len(G), rank))
+            np.multiply(G[None, :, :], D[:, None, :], out=scaled)
+            scaled = scaled.reshape(-1, rank)       # gamma_w^2 K_w,ev U A^-1
+            preds = scratch.take("preds", (n_alphas * len(G), n_units))
+            np.matmul(scaled, Y_hat, out=preds)
+            rest = scratch.take("rest", (n_alphas * len(G), len(gamma_n)))
+            np.matmul(scaled, W_hat, out=rest)
+            rest = rest.reshape(n_alphas, len(G), -1)    # W'_ev minus that
+            np.subtract(self.narrow_evs[e] * gamma_n, rest, out=rest)
+            fix = scratch.take("fix", (n_alphas, len(G), n_units))
+            np.matmul(rest, x, out=fix)
+            preds = preds.reshape(n_alphas, len(G), n_units)
+            preds += fix
+            yield preds
 
 
 class _BlockSpectral(_Spectral):
@@ -498,15 +607,16 @@ class _FoldData:
     """One training set and the eval sets predicted from it: the block
     factorization of a single band that splits into row groups, else
     standardized per-band matrices and, whenever some scaling vector can take
-    the Gram path, band Grams and eval-by-train Grams. A band wider than the
-    training set keeps only its Grams."""
+    the Gram path, either the update path's factorization of the one wide
+    band or band Grams and eval-by-train Grams. A band wider than the
+    training set keeps no standardized matrices."""
 
     def __init__(self, band_mats, Y, train_idx, eval_idxs, blocks=None):
         self.n_train = len(train_idx)
         self.widths = [X.shape[1] for X in band_mats]
         self.y_mean = Y[train_idx].mean(axis=0)
         self.Yc = Y[train_idx] - self.y_mean
-        self.block = None
+        self.block = self.update = None
         if blocks is not None:
             self.block = _factor_blocks(band_mats[0], blocks, train_idx, self.Yc)
             self.evals = [self.block.eval_side(band_mats[0], blocks.group, idx)
@@ -517,28 +627,47 @@ class _FoldData:
         self.Ztr = [ztr for ztr, _, _, _ in z]
         self.Zev = [zev for _, zev, _, _ in z]  # per band, one per eval set
         self.grams = self.cross = None
-        if _uses_gram(sum(self.widths), self.n_train):
+        wide = [b for b, w in enumerate(self.widths)
+                if _uses_gram(w, self.n_train)]
+        self.narrow = [b for b in range(len(band_mats)) if b not in wide]
+        if len(wide) == 1 and _uses_update(
+                sum(self.widths[b] for b in self.narrow), self.n_train):
+            (self.wide,) = wide
+            Z, Zev = self.Ztr[self.wide], self.Zev[self.wide]
+            self.update = _Update(
+                self.Yc, np.hstack([self.Ztr[b] for b in self.narrow]),
+                Z @ Z.T, [Ze @ Z.T for Ze in Zev],
+                [np.hstack([self.Zev[b][e] for b in self.narrow])
+                 for e in range(len(eval_idxs))])
+        elif _uses_gram(sum(self.widths), self.n_train):
             self.grams = [Z @ Z.T for Z in self.Ztr]
             self.cross = [[Ze @ Z.T for Ze in zev]
                           for Z, zev in zip(self.Ztr, self.Zev)]
-            for b, width in enumerate(self.widths):
-                if _uses_gram(width, self.n_train):
-                    self.Ztr[b] = self.Zev[b] = None
+        for b in wide:
+            self.Ztr[b] = self.Zev[b] = None
 
     def path(self, gamma) -> str:
         """The solver path that ``predict_grid`` takes for ``gamma``."""
         if self.block is not None:
             return "block"
+        if self.update is not None and gamma[self.wide] > 0:
+            return "update"
         dims = sum(w for w, g in zip(self.widths, gamma) if g > 0)
         return "gram" if _uses_gram(dims, self.n_train) else "design"
 
     def predict_grid(self, gamma, alphas, evals, scratch, units=slice(None)):
         """Centered (n_alphas, n_eval, n_units) predictions for one scaling
-        vector, one factorization, yielded per eval set in ``evals``."""
+        vector, one factorization (or update), yielded per eval set in
+        ``evals``. ``units`` is ``slice(None)`` or an index array."""
         path = self.path(gamma)
         if path == "block":  # a single band: its one candidate is [1.0]
             return self.block.predict([self.evals[e] for e in evals], alphas,
                                       units, scratch)
+        if path == "update":
+            gamma_n = np.repeat([gamma[b] for b in self.narrow],
+                                [self.widths[b] for b in self.narrow])
+            return self.update.predict(gamma[self.wide], gamma_n, alphas,
+                                       evals, scratch, units)
         Yc = self.Yc[:, units]
         active = np.flatnonzero(np.asarray(gamma) > 0)
         if path == "gram":
@@ -721,6 +850,7 @@ def banded_search(features: Sequence[FeatureSpace], responses, plan: SplitPlan,
         validation_r2=best_score,
         n_random_iterations=n_random,
         early_stopped=stopped,
-        solver_paths={path: paths[path] for path in ("block", "gram", "design")},
+        solver_paths={path: paths[path]
+                      for path in ("block", "gram", "design", "update")},
         train_sets=len(sets),
     )

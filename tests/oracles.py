@@ -218,18 +218,21 @@ def single_band_alpha_grid_oracle(X, Y, plan, alphas):
     return test_pred, chosen_alpha, val_r2
 
 
-def min_norm_ridge_oracle(X, Y, train, eval_rows, alphas):
+def min_norm_ridge_oracle(X, Y, train, eval_rows, alphas, standardize=True):
     """Predictions of ``X[eval_rows]`` per alpha from a fit on
     ``X[train]``: columns z-scored on the training rows (a constant column
-    becomes 0), ridge by the normal equations, and ``alpha = 0`` as the
-    minimum-norm least-squares solution, ``pinv`` with singular values below
-    1e-10 of the largest taken as zero."""
+    becomes 0; with ``standardize=False`` only centered, so a band scaling
+    applied to X stays in effect), ridge by the normal equations, and
+    ``alpha = 0`` as the minimum-norm least-squares solution, ``pinv`` with
+    singular values below 1e-10 of the largest taken as zero."""
     X = np.asarray(X, float)
     Y = np.asarray(Y, float)
     mean = X[train].mean(axis=0)
     std = X[train].std(axis=0)
     scale = np.zeros_like(std)
     scale[std > 0] = 1.0 / std[std > 0]
+    if not standardize:
+        scale = np.ones_like(std)
     Z = (X[train] - mean) * scale
     Z_eval = (X[eval_rows] - mean) * scale
     y_mean = Y[train].mean(axis=0)

@@ -549,6 +549,38 @@ class TestThreads:
         for key, run in runs.items():
             assert run == first, key
 
+    def test_update_path_outputs_identical_across_thread_counts(
+            self, tmp_path, capsys):
+        # SP+SL (5 columns) beside the 512-column LLM band: the joint fit
+        # scores its candidates on the update path
+        assert main(["synth", "--preset", "subsumption-demo", "--seed", "0",
+                     "--units", "12", "--output", str(tmp_path / "data")]) == 0
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({
+            "manifest": str(tmp_path / "data" / "manifest.json"),
+            "split": {"scheme": "pereira", "mode": "contiguous"},
+            "spaces": [{"name": "SPSL", "members": ["SP", "SL"]},
+                       {"name": "LLM", "members": ["LLM"]}],
+            "families": [{"name": "main", "spaces": ["SPSL", "LLM"]}],
+            "search": {"max_iters": 4, "patience": 4},
+        }))
+
+        def outputs(out):
+            return ["report.json"] + sorted(
+                str(p.relative_to(out)) for sub in ("tables", "predictions")
+                for p in (out / sub).iterdir())
+
+        runs = self._run_grid(tmp_path, ["compare", "--config", str(config)],
+                              outputs, [["--threads", "1"], ["--threads", "2"]])
+        prov = json.loads(
+            (tmp_path / "out-1-0" / "provenance.json").read_text())
+        paths = prov["fits"]["contiguous"]["LLM+SPSL"]["solver_paths"]
+        assert paths["update"] > 0 and paths["gram"] == 0
+        first = runs[("1", "--threads", "1")]
+        assert len(first) > 3
+        for key, run in runs.items():
+            assert run == first, key
+
     def test_fit_outputs_identical_across_blas_thread_counts(
             self, tmp_path, small_pereira):
         argv = ["fit", "--manifest", str(small_pereira), "--scheme", "pereira",

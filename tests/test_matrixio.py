@@ -80,22 +80,12 @@ def test_save_load_is_identity(tmp_path_factory, matrix):
     np.testing.assert_array_equal(eb.load_matrix(path), matrix)
 
 
-def test_csv_import_exact(tmp_path):
+def test_csv_matrix_rejected(tmp_path):
+    # matrices are read from the binary layout only, whatever the suffix
     path = tmp_path / "m.csv"
-    path.write_text("1.5,2.25\n-3.0,4.125\n")
-    np.testing.assert_array_equal(
-        eb.load_matrix(path), np.array([[1.5, 2.25], [-3.0, 4.125]]))
-
-
-def test_csv_rejects_nan_and_ragged(tmp_path):
-    bad = tmp_path / "bad.csv"
-    bad.write_text("nan,1.0\n")
-    with pytest.raises(MatrixDataError):
-        eb.load_matrix(bad)
-    ragged = tmp_path / "ragged.csv"
-    ragged.write_text("1.0,2.0\n3.0\n")
-    with pytest.raises(MatrixFormatError):
-        eb.load_matrix(ragged)
+    path.write_text("1.5,2.25,8.0,16.0\n-3.0,4.125,0.5,1.0\n")
+    with pytest.raises(MatrixFormatError, match="bad magic"):
+        eb.load_matrix(path)
 
 
 def _write_dataset(tmp_path, n_samples=8, n_units=3, blocks=None,

@@ -449,7 +449,34 @@ class TestRunAnalysis:
             # set and each of the 6 refits is factored once
             assert record["train_sets"] == {"inner_folds": 30, "distinct": 15}
             assert record["solver_paths"] == {"block": 21, "gram": 0,
-                                              "design": 0}
+                                              "design": 0, "update": 0}
+
+        # SP+SL (5 columns) beside OASM (216 columns, wider than every
+        # training set): per distinct set, the SPSL-only mask takes the
+        # design path and the OASM-only mask, the even mask and the one
+        # random draw take the update path; each refit takes its winner's
+        config = AnalysisConfig.from_dict({
+            "manifest": str(manifest),
+            "split": {"scheme": "pereira", "mode": "contiguous"},
+            "oasm_sigma": 1.0,
+            "spaces": [{"name": "OASM", "members": ["OASM"]},
+                       {"name": "SPSL", "members": ["SP", "SL"]}],
+            "families": [{"name": "main", "spaces": ["OASM", "SPSL"]}],
+            "search": {"max_iters": 1, "patience": 1},
+        })
+        eb.run_analysis(config, output_dir=out)
+        prov = json.loads((out / "provenance.json").read_text())
+        record = prov["fits"]["contiguous"]["OASM+SPSL"]
+        paths = record["solver_paths"]
+        assert record["train_sets"]["distinct"] == 15
+        assert paths["block"] == paths["gram"] == 0
+        assert paths["design"] >= 15 and paths["update"] >= 45
+        assert 15 + 45 + 6 <= sum(paths.values()) <= 15 + 45 + 6 * 4
+        # the one-band fits keep their paths
+        fits = prov["fits"]["contiguous"]
+        assert fits["OASM"]["solver_paths"]["block"] == 21
+        assert fits["SPSL"]["solver_paths"] == {"block": 0, "gram": 0,
+                                                "design": 21, "update": 0}
 
     def test_provenance_counts_alpha_grid_edges(self, tmp_path, rng,
                                                 monkeypatch):

@@ -176,7 +176,8 @@ class TestBandedSearch:
         assert fit.n_random_iterations == [0] * len(small_plan.outer_folds)
         # 15 distinct inner training sets and 6 refits, each factored once
         assert fit.train_sets == 15
-        assert fit.solver_paths == {"block": 0, "gram": 0, "design": 21}
+        assert fit.solver_paths == {"block": 0, "gram": 0,
+                                   "design": 21, "update": 0}
 
     def test_signal_band_dominates(self, rng, small_blocks, small_plan):
         sig = eb.FeatureSpace("SIG", rng.standard_normal((96, 6)), "sig")
@@ -264,35 +265,42 @@ class TestBandedSearch:
                 time.sleep(0.2)
                 return np.asarray(self) @ other
 
-        bands = [rng.standard_normal((40, 3)), rng.standard_normal((40, 30))]
         Y = rng.standard_normal((40, 5))
         train, evals = np.arange(24), [np.arange(24, 31), np.arange(31, 40)]
-        fold = _FoldData(bands, Y, train, evals)
-        assert sum(fold.widths) > fold.n_train
-        # the 30-dim band is wider than the 24 training rows: Grams only
-        assert fold.Ztr[1] is None and fold.Zev[1] is None
-        assert len(fold.Zev[0]) == len(fold.cross[1]) == 2
-        fold.Zev = [Z if Z is None else [z.view(SlowMatmul) for z in Z]
-                    for Z in fold.Zev]
-        alphas = [0.0, 1.0, 100.0]
-        for gamma in (np.array([0.6, 0.4]), np.array([1.0, 0.0])):
-            def predict(job):
-                delay, order = job
-                time.sleep(delay)
-                return [p.copy() for p in fold.predict_grid(
-                    gamma, alphas, order, _Scratch())]
+        # 4 narrow columns beside the 30-dim band take the dense Gram path, 3
+        # take the update path
+        for width, path in ((4, "gram"), (3, "update")):
+            bands = [rng.standard_normal((40, width)),
+                     rng.standard_normal((40, 30))]
+            fold = _FoldData(bands, Y, train, evals)
+            assert sum(fold.widths) > fold.n_train
+            assert fold.path(np.array([0.6, 0.4])) == path
+            # the 30-dim band is wider than the 24 training rows: Grams only
+            assert fold.Ztr[1] is None and fold.Zev[1] is None
+            eval_sides = fold.cross[1] if path == "gram" else fold.update.G
+            assert len(fold.Zev[0]) == len(eval_sides) == 2
+            fold.Zev = [Z if Z is None else [z.view(SlowMatmul) for z in Z]
+                        for Z in fold.Zev]
+            alphas = [0.0, 1.0, 100.0]
+            for gamma in (np.array([0.6, 0.4]), np.array([1.0, 0.0])):
+                def predict(job):
+                    delay, order = job
+                    time.sleep(delay)
+                    return [p.copy() for p in fold.predict_grid(
+                        gamma, alphas, order, _Scratch())]
 
-            # the second call starts while a lazy cache would be mid-build,
-            # and asks for the eval sets in the other order
-            with ThreadPoolExecutor(max_workers=2) as pool:
-                first, second = pool.map(predict, [(0.0, [0, 1]), (0.05, [1, 0])])
-            for e, ev in enumerate(evals):
-                # each eval set's predictions are those of a split that
-                # holds it alone, bit for bit
-                (alone,) = _FoldData(bands, Y, train, [ev]).predict_grid(
-                    gamma, alphas, [0], _Scratch())
-                np.testing.assert_array_equal(first[e], alone)
-                np.testing.assert_array_equal(second[1 - e], alone)
+                # the second call starts while a lazy cache would be
+                # mid-build, and asks for the eval sets in the other order
+                with ThreadPoolExecutor(max_workers=2) as pool:
+                    first, second = pool.map(predict,
+                                             [(0.0, [0, 1]), (0.05, [1, 0])])
+                for e, ev in enumerate(evals):
+                    # each eval set's predictions are those of a split that
+                    # holds it alone, bit for bit
+                    (alone,) = _FoldData(bands, Y, train, [ev]).predict_grid(
+                        gamma, alphas, [0], _Scratch())
+                    np.testing.assert_array_equal(first[e], alone)
+                    np.testing.assert_array_equal(second[1 - e], alone)
 
     def test_never_worse_than_best_single_band(self, rng, small_plan):
         bands = [
@@ -542,7 +550,8 @@ class TestBlockPath:
     def test_search_matches_alpha_grid_oracle(self, name, scheme, sigma, mode):
         oasm, Y, plan = _oasm_case(name, scheme, mode, 1.0, n_inner=2)
         fit = eb.banded_search([oasm], Y, plan)
-        assert fit.solver_paths == {"block": 3, "gram": 0, "design": 0}
+        assert fit.solver_paths == {"block": 3, "gram": 0,
+                                   "design": 0, "update": 0}
         oracle_pred, oracle_alpha, oracle_val = single_band_alpha_grid_oracle(
             oasm.data, Y, plan, fit.alphas)
         np.testing.assert_array_equal(fit.chosen_alpha, oracle_alpha)
@@ -555,7 +564,8 @@ class TestBlockPath:
         oasm, Y, plan = _oasm_case("fedorenko", "fedorenko", "shuffled", 4.1,
                                    n_inner=2)
         fit = eb.banded_search([oasm], Y, plan)
-        assert fit.solver_paths == {"block": 3, "gram": 0, "design": 0}
+        assert fit.solver_paths == {"block": 3, "gram": 0,
+                                   "design": 0, "update": 0}
         inner = plan.outer_folds[0].inner_folds[0]
         alphas = eb.default_alpha_grid()
         block = _FoldData([oasm.data], Y, inner.train, [inner.validation],
@@ -569,7 +579,8 @@ class TestBlockPath:
         assert np.abs(got[1:] - want[1:]).max() <= 1e-10 * scale
         monkeypatch.setattr(ridge, "_band_blocks", lambda X: None)
         dense = eb.banded_search([oasm], Y, plan)
-        assert dense.solver_paths == {"block": 0, "gram": 3, "design": 0}
+        assert dense.solver_paths == {"block": 0, "gram": 3,
+                                     "design": 0, "update": 0}
         np.testing.assert_array_equal(fit.chosen_alpha, dense.chosen_alpha)
         assert (fit.chosen_alpha > 0).all()
         np.testing.assert_allclose(fit.test_predictions,
@@ -669,7 +680,8 @@ class TestBlockPath:
         plan = eb.plan_grouped(np.repeat(np.arange(6), 4), 3, 2)
         fit = eb.banded_search([eb.FeatureSpace("M", X, "m")], Y, plan)
         # 3 distinct inner training sets and 3 refits, all on one path
-        assert fit.solver_paths == {"block": 0, "gram": 6, "design": 0}
+        assert fit.solver_paths == {"block": 0, "gram": 6,
+                                   "design": 0, "update": 0}
         assert _band_blocks(X) is None
 
     def test_multiband_fit_takes_no_block_path(self, tiny_recording,
@@ -682,4 +694,135 @@ class TestBlockPath:
         solo = eb.banded_search([oasm], Y, small_plan)
         # 15 distinct inner training sets and 6 refits, each factored once
         assert solo.train_sets == 15
-        assert solo.solver_paths == {"block": 21, "gram": 0, "design": 0}
+        assert solo.solver_paths == {"block": 21, "gram": 0,
+                                    "design": 0, "update": 0}
+
+
+def _update_case(rng, narrow_widths, tied_rows=False):
+    """Narrow bands beside one 80-column band; 40 training rows of 60. With
+    ``tied_rows`` two training rows of the wide band repeat others, which
+    gives its train Gram two exact null directions besides the ones vector,
+    and the narrow bands weight on them."""
+    wide = rng.standard_normal((60, 80))
+    if tied_rows:
+        wide[1] = wide[0]
+        wide[5] = 0.5 * (wide[2] + wide[3])
+    bands = [rng.standard_normal((60, w)) for w in narrow_widths] + [wide]
+    Y = rng.standard_normal((60, 4))
+    return bands, Y, np.arange(40), np.arange(40, 60)
+
+
+def _update_predictions(bands, Y, train, ev, gamma):
+    """The update path's centered predictions per default alpha."""
+    fold = _FoldData(bands, Y, train, [ev])
+    assert fold.path(gamma) == "update"
+    (got,) = fold.predict_grid(gamma, eb.default_alpha_grid(), [0], _Scratch())
+    return got.copy()
+
+
+def _block_penalty_want(bands, Y, train, ev, gamma):
+    """``block_penalty_oracle`` per positive default alpha on the bands
+    z-scored on the training rows, centered; bands with gamma 0 left out."""
+    on = np.flatnonzero(gamma > 0)
+    z = [eb.zscore_fit_apply(bands[b][train], [bands[b][ev]]) for b in on]
+    return np.array([
+        block_penalty_oracle([ztr for ztr, _, _, _ in z], Y[train],
+                             [zev for _, (zev,), _, _ in z], alpha, gamma[on])
+        for alpha in eb.default_alpha_grid()[1:]]) - Y[train].mean(0)
+
+
+def _min_norm_want(bands, Y, train, ev, gamma):
+    """``min_norm_ridge_oracle`` at alpha 0 on the bands z-scored on the
+    training rows and scaled by gamma, centered."""
+    Z = [eb.zscore_fit_apply(B[train], [B])[1][0] for B in bands]
+    (want,) = min_norm_ridge_oracle(apply_band_scaling(Z, gamma), Y, train, ev,
+                                    [0.0], standardize=False)
+    return want - Y[train].mean(0)
+
+
+def _assert_close(got, want):
+    assert np.abs(got - want).max() <= 1e-10 * np.abs(want).max()
+
+
+# one narrow band (1e-6 at either edge of the simplex) and two narrow bands,
+# one of them off
+UPDATE_CASES = [
+    ((3,), [0.3, 0.7]),
+    ((3,), [1e-6, 1 - 1e-6]),
+    ((3,), [1 - 1e-6, 1e-6]),
+    ((3, 2), [0.2, 0.3, 0.5]),
+    ((3, 2), [1e-6, 0.5, 0.5 - 1e-6]),
+    ((3, 2), [0.0, 0.4, 0.6]),
+]
+
+
+class TestUpdatePath:
+    @pytest.mark.parametrize("narrow, gamma", UPDATE_CASES)
+    def test_matches_block_penalty_oracle(self, rng, narrow, gamma):
+        bands, Y, train, ev = _update_case(rng, narrow)
+        gamma = np.array(gamma)
+        got = _update_predictions(bands, Y, train, ev, gamma)
+        _assert_close(got[1:], _block_penalty_want(bands, Y, train, ev, gamma))
+
+    @pytest.mark.parametrize("narrow, gamma", UPDATE_CASES)
+    def test_alpha_zero_matches_min_norm_oracle(self, rng, narrow, gamma):
+        bands, Y, train, ev = _update_case(rng, narrow)
+        gamma = np.array(gamma)
+        got = _update_predictions(bands, Y, train, ev, gamma)
+        _assert_close(got[0], _min_norm_want(bands, Y, train, ev, gamma))
+
+    @pytest.mark.parametrize("gamma", [[0.3, 0.7], [0.7, 0.3]])
+    def test_null_directions_with_narrow_weight(self, rng, gamma):
+        bands, Y, train, ev = _update_case(rng, (3,), tied_rows=True)
+        update = _FoldData(bands, Y, train, [ev]).update
+        # the ones vector and the two tied rows' directions are dropped; the
+        # ones vector has no narrow weight
+        assert len(update.null_W) == 3
+        assert len(update._null_weight(np.ones(3, dtype=bool))[0]) == 2
+        gamma = np.array(gamma)
+        got = _update_predictions(bands, Y, train, ev, gamma)
+        _assert_close(got[0], _min_norm_want(bands, Y, train, ev, gamma))
+        _assert_close(got[1:], _block_penalty_want(bands, Y, train, ev, gamma))
+
+    def test_wide_band_alone_matches_dense_gram(self, rng, monkeypatch):
+        bands, Y, train, ev = _update_case(rng, (3, 2))
+        gamma = np.array([0.0, 0.0, 1.0])
+        got = _update_predictions(bands, Y, train, ev, gamma)
+        monkeypatch.setattr(ridge, "_uses_update", lambda *args: False)
+        dense = _FoldData(bands, Y, train, [ev])
+        assert dense.path(gamma) == "gram"
+        (want,) = dense.predict_grid(gamma, eb.default_alpha_grid(), [0],
+                                     _Scratch())
+        _assert_close(got, want)
+
+    def test_path_choice(self, rng):
+        bands, Y, train, ev = _update_case(rng, (3, 2))
+        fold = _FoldData(bands, Y, train, [ev])
+        assert fold.grams is None and fold.cross is None
+        assert fold.path(np.array([0.5, 0.5, 0.0])) == "design"
+        assert fold.path(np.array([0.0, 0.5, 0.5])) == "update"
+        # past the crossover the narrow columns join a dense Gram
+        bands, Y, train, ev = _update_case(rng, (3, 3))
+        fold = _FoldData(bands, Y, train, [ev])
+        assert fold.update is None
+        assert fold.path(np.array([0.0, 0.5, 0.5])) == "gram"
+        # two wide bands keep the dense Gram
+        bands = [rng.standard_normal((60, 50)), rng.standard_normal((60, 80))]
+        fold = _FoldData(bands, Y, train, [ev])
+        assert fold.update is None
+        assert fold.path(np.array([0.5, 0.5])) == "gram"
+
+    def test_search_counts_update_factorizations(self, rng, small_plan):
+        bands = [eb.FeatureSpace("N", rng.standard_normal((96, 3)), "n"),
+                 eb.FeatureSpace("W", rng.standard_normal((96, 120)), "w")]
+        Y = rng.standard_normal((96, 4))
+        cfg = BandedSearchConfig(max_iters=2, patience=2)
+        fit = eb.banded_search(bands, Y, small_plan, search_cfg=cfg)
+        # per distinct training set, the narrow-only mask takes the design
+        # path and the other 2 masks and 2 random draws the update path; each
+        # refit takes the path of its winner
+        sets = fit.train_sets
+        assert fit.solver_paths["block"] == fit.solver_paths["gram"] == 0
+        assert fit.solver_paths["design"] >= sets
+        assert fit.solver_paths["update"] >= 4 * sets
+        assert sum(fit.solver_paths.values()) >= 5 * sets + 6
