@@ -30,7 +30,6 @@ from .metrics import (
     omega,
     phi,
     r2_oos,
-    submodel_max,
 )
 from .ridge import (
     BandedSearchConfig,
@@ -48,7 +47,6 @@ from .splits import (
     plan_grouped,
     plan_pereira,
     shuffle_plan,
-    validate_plan,
 )
 from .stats import bh_fdr, chance_level_test, paired_squared_error_ttest
 from .synthgen import SynthSpec, generate, preset, write_dataset

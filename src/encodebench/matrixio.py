@@ -194,7 +194,7 @@ def _feature(base: Path, token_map, n_samples: int, name, path,
 
 def save_manifest(path, dataset_name: str, feature_specs: Sequence[dict],
                   responses_path: str, sample_blocks, unit_participants,
-                  sample_categories=None, token_map=None) -> None:
+                  sample_categories=None) -> None:
     doc = {
         "dataset_name": dataset_name,
         "feature_spaces": list(feature_specs),
@@ -204,6 +204,4 @@ def save_manifest(path, dataset_name: str, feature_specs: Sequence[dict],
     }
     if sample_categories is not None:
         doc["sample_categories"] = [int(c) for c in sample_categories]
-    if token_map is not None:
-        doc["token_map"] = [int(t) for t in token_map]
     write_json(path, doc)

@@ -88,16 +88,6 @@ def best_subset(table: Mapping, spaces, required: Optional[str] = None):
     return keys, scores.max(axis=0), np.argmax(scores, axis=0)
 
 
-def submodel_max(subset_scores: Mapping, required: Optional[str] = None):
-    """Per-unit max of R^2 over a subset family (Eq.-style correction).
-
-    With ``required``, the max is restricted to subsets containing that
-    feature space. The family must cover every needed subset.
-    """
-    table, universe = _score_table(subset_scores)
-    return best_subset(table, universe, required)[1]
-
-
 def layered_best(subset_scores: Mapping, complexity_order: Sequence[str]):
     """Per-tier best score: for each space, the best subset holding it and
     nothing ranked above it. Ties go to the smaller subset, then to the

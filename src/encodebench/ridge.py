@@ -80,11 +80,12 @@ Candidate scaling vectors come first from the subset-mask enumeration (every
 way of zeroing out feature spaces), then from Dirichlet draws whose RNG
 streams depend only on (seed, iteration index). Per unit, the best (gamma,
 alpha) by inner-validation R^2 wins, with squared residuals summed per inner
-fold and added in inner-fold order; strict improvement is required, so
-earlier candidates and smaller alphas win ties. An outer fold stops its
-random phase once the across-unit mean of its running-best scores fails to
-improve by more than ``min_improvement`` for ``patience`` consecutive
-iterations.
+fold and added in inner-fold order. A later candidate must beat the best so
+far by more than ``_TIE`` (1e-12 in R^2), so earlier candidates win ties
+that the solver paths would round either way; within a candidate the
+smaller alpha wins an exact tie. An outer fold stops its random phase once
+the across-unit mean of its running-best scores fails to improve by more
+than ``min_improvement`` for ``patience`` consecutive iterations.
 """
 
 from __future__ import annotations
@@ -108,6 +109,7 @@ from .matrixio import save_matrix, write_json
 from .splits import SplitPlan
 
 _RCOND = np.finfo(np.float64).eps
+_TIE = 1e-12  # R^2 margin a later candidate must clear to replace an earlier one
 _DIRICHLET_CONCENTRATION = 1.0  # uniform draws over the scaling simplex
 _UPDATE_RATIO = 8  # training rows per narrow column at the update crossover
 
@@ -253,14 +255,10 @@ class _Spectral:
         each eval side in turn, from one filter: each a view into ``scratch``
         that the next one overwrites."""
         D = self.filter(alphas)
-        rank, n_units = self.spectrum.size, self.UTY.shape[1]
         for eval_side in eval_sides:
-            G = eval_side @ self.right
-            scaled = scratch.take("scaled", (len(D), len(G), rank))
-            np.multiply(G[None, :, :], D[:, None, :], out=scaled)
-            preds = scratch.take("preds", (len(D) * len(G), n_units))
-            np.matmul(scaled.reshape(-1, rank), self.UTY, out=preds)
-            yield preds.reshape(len(D), len(G), n_units)
+            (preds,) = _filtered_gemm(eval_side @ self.right, D, [self.UTY],
+                                      scratch)
+            yield preds
 
 
 class _Update(_Spectral):
@@ -321,21 +319,12 @@ class _Update(_Spectral):
             for a in np.flatnonzero(alphas == 0.0):
                 SB = np.linalg.solve(S[a], B.T)
                 x[a] += SB @ np.linalg.solve(B @ SB, y0 - B @ x[a])
-        n_alphas, rank, n_units = len(D), D.shape[1], Y_hat.shape[1]
-        for e in evals:
-            G = self.G[e]
-            scaled = scratch.take("scaled", (n_alphas, len(G), rank))
-            np.multiply(G[None, :, :], D[:, None, :], out=scaled)
-            scaled = scaled.reshape(-1, rank)       # gamma_w^2 K_w,ev U A^-1
-            preds = scratch.take("preds", (n_alphas * len(G), n_units))
-            np.matmul(scaled, Y_hat, out=preds)
-            rest = scratch.take("rest", (n_alphas * len(G), len(gamma_n)))
-            np.matmul(scaled, W_hat, out=rest)
-            rest = rest.reshape(n_alphas, len(G), -1)    # W'_ev minus that
+        for e in evals:  # G diag(D) is gamma_w^2 K_w,ev U A^-1
+            preds, rest = _filtered_gemm(self.G[e], D, [Y_hat, W_hat], scratch)
+            # W'_ev minus the wide band's prediction of it
             np.subtract(self.narrow_evs[e] * gamma_n, rest, out=rest)
-            fix = scratch.take("fix", (n_alphas, len(G), n_units))
+            fix = scratch.take("fix", preds.shape)
             np.matmul(rest, x, out=fix)
-            preds = preds.reshape(n_alphas, len(G), n_units)
             preds += fix
             yield preds
 
@@ -345,37 +334,11 @@ class _BlockSpectral(_Spectral):
     block (``_factor_blocks``): eigenpairs of ``B = X_tr S^-2 X_tr^T`` in
     which every centered solve happens (see the module notes)."""
 
-    def __init__(self, spectrum, ones, UTY, parts, k_of):
+    def __init__(self, spectrum, ones, UTY):
         self.spectrum, self.numerator, self.denominator = spectrum, 1.0, spectrum
         self.cutoff = spectrum.max() * spectrum.size * _RCOND  # the Gram rule
         self.ones = ones  # U^T 1
         self.UTY = UTY
-        self.parts, self.k_of = parts, k_of  # see _factor_blocks
-
-    def eval_side(self, X, group, eval_idx):
-        """(F, T) of the eval rows: the block-sparse eval-by-train Gram times
-        U, and the eigen-coordinates of its columns."""
-        g_ev = group[eval_idx]
-        ev_count = np.bincount(g_ev, minlength=self.k_of.size)
-        ev_order, ev_start = _group_order(g_ev, ev_count)
-        width = self.k_of[g_ev].max(initial=0)
-        F = np.zeros((len(eval_idx), width))
-        T = np.zeros((len(eval_idx), width), dtype=np.intp)
-        for gs, slots, cols, mask, scale, AU in self.parts:
-            n_ev = ev_count[gs].max()
-            if n_ev == 0:
-                continue
-            at = np.minimum(ev_start[gs][:, None] + np.arange(n_ev),
-                            len(eval_idx) - 1)
-            valid = np.arange(n_ev) < ev_count[gs][:, None]
-            Xev = (X[eval_idx[ev_order[at]][:, :, None], cols[:, None, :]]
-                   * (valid[:, :, None] * mask[:, None, :]))
-            FU = (Xev * scale[:, None, :]) @ AU
-            rows_ev = ev_order[at][valid]
-            F[rows_ev, :slots.shape[1]] = FU[valid]
-            T[rows_ev, :slots.shape[1]] = np.broadcast_to(
-                slots[:, None, :], FU.shape)[valid]
-        return F, T
 
     def predict(self, eval_sides, alphas, units, scratch):
         """Centered predictions per alpha, (n_alphas, n_eval, n_units), for
@@ -413,15 +376,36 @@ class _Scratch(threading.local):
         return getattr(self, name)[:size].reshape(shape)
 
 
-def _factor_blocks(X, blocks, train_idx, Yc):
-    """One training set's ``_BlockSpectral``. Groups with equal training-row
-    counts share one stacked ``eigh``."""
+def _filtered_gemm(G, D, rights, scratch):
+    """``G diag(D[a]) R`` for every alpha's filter row ``D[a]`` and each
+    right-hand side R in ``rights``, one GEMM per R: a list of
+    (n_alphas, n_eval, R's columns) views into ``scratch``."""
+    n_alphas, (n_eval, rank) = len(D), G.shape
+    scaled = scratch.take("scaled", (n_alphas, n_eval, rank))
+    np.multiply(G[None, :, :], D[:, None, :], out=scaled)
+    outs = []
+    for i, R in enumerate(rights):
+        out = scratch.take(f"gemm{i}", (n_alphas * n_eval, R.shape[1]))
+        np.matmul(scaled.reshape(-1, rank), R, out=out)
+        outs.append(out.reshape(n_alphas, n_eval, -1))
+    return outs
+
+
+def _factor_blocks(X, blocks, train_idx, eval_idxs, Yc):
+    """One training set's ``_BlockSpectral`` and, per eval set, its (F, T):
+    the block-sparse eval-by-train Gram times U, and the eigen-coordinates of
+    its columns. Groups with equal training-row counts share one stacked
+    ``eigh``."""
     n = len(train_idx)
     k_of = np.bincount(blocks.group[train_idx], minlength=blocks.n_groups)
     tr_order, tr_start = _group_order(blocks.group[train_idx], k_of)
     spectrum, ones = np.empty(n), np.empty(n)
     UTY = np.empty((n, Yc.shape[1]))
-    parts = []
+    ev_groups = [blocks.group[idx] for idx in eval_idxs]
+    ev_counts = [np.bincount(g, minlength=blocks.n_groups) for g in ev_groups]
+    ev_orders = [_group_order(g, c) for g, c in zip(ev_groups, ev_counts)]
+    F = [np.zeros((len(g), k_of[g].max(initial=0))) for g in ev_groups]
+    T = [np.zeros(f.shape, dtype=np.intp) for f in F]
     for k in np.unique(k_of[k_of > 0]):
         gs = np.flatnonzero(k_of == k)
         slots = tr_start[gs][:, None] + np.arange(k)  # eigen-coordinates
@@ -438,9 +422,22 @@ def _factor_blocks(X, blocks, train_idx, Yc):
         spectrum[slots] = np.maximum(lam, 0.0)
         ones[slots] = U.sum(axis=1)
         UTY[slots] = U.transpose(0, 2, 1) @ Yc[tr_order[slots]]
-        # what _BlockSpectral.eval_side needs of this training-row count
-        parts.append((gs, slots, cols, mask, scale, A.transpose(0, 2, 1) @ U))
-    return _BlockSpectral(spectrum, ones, UTY, parts, k_of)
+        AU = A.transpose(0, 2, 1) @ U
+        for e, idx in enumerate(eval_idxs):
+            (ev_order, ev_start), count = ev_orders[e], ev_counts[e][gs]
+            n_ev = count.max()
+            if n_ev == 0:
+                continue
+            at = ev_order[np.minimum(ev_start[gs][:, None] + np.arange(n_ev),
+                                     len(idx) - 1)]
+            valid = np.arange(n_ev) < count[:, None]
+            Xev = (X[idx[at][:, :, None], cols[:, None, :]]
+                   * (valid[:, :, None] * mask[:, None, :]))
+            FU = (Xev * scale[:, None, :]) @ AU
+            F[e][at[valid], :k] = FU[valid]
+            T[e][at[valid], :k] = np.broadcast_to(slots[:, None, :],
+                                                  FU.shape)[valid]
+    return _BlockSpectral(spectrum, ones, UTY), list(zip(F, T))
 
 
 def _group_order(groups, counts):
@@ -618,9 +615,8 @@ class _FoldData:
         self.Yc = Y[train_idx] - self.y_mean
         self.block = self.update = None
         if blocks is not None:
-            self.block = _factor_blocks(band_mats[0], blocks, train_idx, self.Yc)
-            self.evals = [self.block.eval_side(band_mats[0], blocks.group, idx)
-                          for idx in eval_idxs]
+            self.block, self.evals = _factor_blocks(
+                band_mats[0], blocks, train_idx, eval_idxs, self.Yc)
             return
         z = [zscore_fit_apply(X[train_idx], [X[idx] for idx in eval_idxs])
              for X in band_mats]
@@ -793,7 +789,7 @@ def banded_search(features: Sequence[FeatureSpace], responses, plan: SplitPlan,
             r2 = 1.0 - total / sse_icpt[o]
             alpha_idx = np.argmax(r2, axis=0)  # first max -> smallest alpha
             scores = r2[alpha_idx, np.arange(n_units)]
-            improved = scores > best_score[o]  # strict: earlier candidates win
+            improved = scores > best_score[o] + _TIE  # earlier candidates win ties
             best_score[o, improved] = scores[improved]
             best_cand[o, improved] = cand_id
             best_alpha_idx[o, improved] = alpha_idx[improved]

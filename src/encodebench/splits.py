@@ -9,7 +9,6 @@ fold sizes.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -55,26 +54,6 @@ class SplitPlan:
                 for fold in self.outer_folds
             ],
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True)
-
-    @classmethod
-    def from_dict(cls, doc: dict) -> "SplitPlan":
-        folds = [
-            OuterFold(
-                test=np.asarray(f["test"], dtype=np.int64),
-                inner_folds=[
-                    InnerFold(
-                        train=np.asarray(g["train"], dtype=np.int64),
-                        validation=np.asarray(g["validation"], dtype=np.int64),
-                    )
-                    for g in f["inner_folds"]
-                ],
-            )
-            for f in doc["outer_folds"]
-        ]
-        return cls(folds, doc["mode"], doc["scheme"], doc["n_samples"])
 
 
 def _blocks(block_ids) -> tuple[np.ndarray, list[int]]:
@@ -228,38 +207,3 @@ def shuffle_plan(plan: SplitPlan, seed: int) -> SplitPlan:
         for fold in plan.outer_folds
     ]
     return SplitPlan(folds, "shuffled", plan.scheme, plan.n_samples)
-
-
-def validate_plan(plan: SplitPlan, block_ids=None) -> None:
-    """Check the structural invariants; raises DataError on violation."""
-    seen_test = np.zeros(plan.n_samples, dtype=bool)
-    for fold in plan.outer_folds:
-        test = set(fold.test.tolist())
-        if seen_test[fold.test].any():
-            raise DataError("outer test sets overlap")
-        seen_test[fold.test] = True
-        nontest = set(range(plan.n_samples)) - test
-        for inner in fold.inner_folds:
-            train = set(inner.train.tolist())
-            val = set(inner.validation.tolist())
-            if test & (train | val):
-                raise DataError("test samples leaked into an inner fold")
-            if train & val:
-                raise DataError("inner train and validation overlap")
-            if (train | val) - nontest:
-                raise DataError("inner fold uses samples outside the outer fold")
-    if not seen_test.all():
-        raise DataError("outer test sets do not cover all samples")
-
-    if plan.mode == "contiguous" and block_ids is not None:
-        ids = np.asarray(block_ids)
-        for fold in plan.outer_folds:
-            test_blocks = set(ids[fold.test].tolist())
-            rest = np.setdiff1d(np.arange(plan.n_samples), fold.test)
-            if test_blocks & set(ids[rest].tolist()):
-                raise DataError("a block id crosses a train/test boundary")
-            for inner in fold.inner_folds:
-                tb = set(ids[inner.train].tolist())
-                vb = set(ids[inner.validation].tolist())
-                if tb & vb:
-                    raise DataError("a block id crosses a train/validation boundary")

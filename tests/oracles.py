@@ -245,3 +245,39 @@ def min_norm_ridge_oracle(X, Y, train, eval_rows, alphas, standardize=True):
             W = np.linalg.solve(Z.T @ Z + alpha * np.eye(Z.shape[1]), Z.T @ Yc)
         out.append(Z_eval @ W + y_mean)
     return np.array(out)
+
+
+def plan_invariants_oracle(plan, block_ids=None):
+    """Assert a fold plan's structural invariants. ``plan`` is a SplitPlan
+    or the JSON document ``split`` writes (``SplitPlan.to_dict()``). Outer
+    test sets partition the samples; each inner fold's train and validation
+    sets are disjoint and lie outside its test set. A contiguous plan, given
+    ``block_ids``, also keeps every block on one side of every boundary."""
+    doc = plan if isinstance(plan, dict) else plan.to_dict()
+    n = doc["n_samples"]
+    seen_test = set()
+    for fold in doc["outer_folds"]:
+        test = set(fold["test"])
+        assert not seen_test & test, "outer test sets overlap"
+        seen_test |= test
+        nontest = set(range(n)) - test
+        for inner in fold["inner_folds"]:
+            train, val = set(inner["train"]), set(inner["validation"])
+            assert not test & (train | val), "test samples leaked into an inner fold"
+            assert not train & val, "inner train and validation overlap"
+            assert (train | val) <= nontest, "inner fold uses samples outside the outer fold"
+    assert seen_test == set(range(n)), "outer test sets do not cover all samples"
+
+    if doc["mode"] == "contiguous" and block_ids is not None:
+        ids = [int(b) for b in block_ids]
+        for fold in doc["outer_folds"]:
+            test = set(fold["test"])
+            test_blocks = {ids[i] for i in test}
+            rest_blocks = {ids[i] for i in range(n) if i not in test}
+            assert not test_blocks & rest_blocks, \
+                "a block id crosses a train/test boundary"
+            for inner in fold["inner_folds"]:
+                train_blocks = {ids[i] for i in inner["train"]}
+                val_blocks = {ids[i] for i in inner["validation"]}
+                assert not train_blocks & val_blocks, \
+                    "a block id crosses a train/validation boundary"

@@ -8,6 +8,7 @@ import pytest
 
 import encodebench as eb
 from encodebench.cli import main
+from oracles import plan_invariants_oracle
 
 
 def _lines(capsys):
@@ -115,8 +116,8 @@ class TestSplit:
         doc = json.loads(out.read_text())
         assert len(doc["outer_folds"]) == 8
         assert len(doc["outer_folds"][0]["inner_folds"]) == 7
-        plan = eb.SplitPlan.from_dict(doc)
-        eb.validate_plan(plan)
+        manifest = json.loads((tmp_path / "d" / "manifest.json").read_text())
+        plan_invariants_oracle(doc, manifest["sample_blocks"])
 
     def test_passage_with_two_categories_exits_2(self, tmp_path, capsys):
         assert main(["synth", "--preset", "pereira-exp2", "--units", "4",

@@ -6,6 +6,7 @@ import ast
 import importlib
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -141,3 +142,30 @@ def test_workload_presets_exist():
     workloads = json.loads((PERFBENCH / "workloads.json").read_text())["workloads"]
     named = {w["preset"] for w in workloads.values()}
     assert named and named <= set(eb.synthgen.PRESETS)
+
+
+# acceptance criterion 1 checks ridge_solve against the normal-equation oracle
+_EXPORTED_FOR_TESTS = {"ridge_solve"}
+
+
+def test_every_export_has_a_caller():
+    """Every name the package exports is used by another src module, by the
+    benchmark harness or by a demo, not only by tests."""
+    src = Path(eb.__file__).resolve().parent
+    init = ast.parse((src / "__init__.py").read_text())
+    exported = [alias.asname or alias.name for node in init.body
+                if isinstance(node, ast.ImportFrom) for alias in node.names]
+    texts = [path.read_text() for path in sorted(src.glob("*.py"))
+             if path.name != "__init__.py"]
+    texts += [path.read_text() for path in sorted(PERFBENCH.glob("*.py"))]
+    texts += [path.read_text() for path in SCRIPTS]
+    lines = [line for text in texts for line in text.splitlines()]
+
+    def used(name):
+        word = re.compile(rf"\b{name}\b")
+        own = re.compile(rf"^\s*(def|class)\s+{name}\b")
+        return any(word.search(line) and not own.match(line) for line in lines)
+
+    unused = [name for name in exported
+              if name not in _EXPORTED_FOR_TESTS and not used(name)]
+    assert unused == []

@@ -826,3 +826,24 @@ class TestUpdatePath:
         assert fit.solver_paths["design"] >= sets
         assert fit.solver_paths["update"] >= 4 * sets
         assert sum(fit.solver_paths.values()) >= 5 * sets + 6
+
+
+def test_paths_that_round_differently_choose_alike(monkeypatch):
+    """Exact ties go to the earlier candidate on every solver path. On
+    subsumption-demo the LLM band spans the SP+SL columns, so at alpha = 0
+    every gamma that uses LLM gives the same fit in exact arithmetic; the
+    update path and the dense Gram path round those fits differently."""
+    spec, extras = eb.preset("subsumption-demo", seed=3)
+    recording, _ = eb.generate(spec)
+    features = list(spec.signal_features) + list(extras)
+    plan = build_plan(SplitSpec("pereira"), recording)
+    cfg = BandedSearchConfig(max_iters=5, patience=5)
+    update = eb.banded_search(features, recording.responses, plan,
+                              search_cfg=cfg)
+    monkeypatch.setattr(ridge, "_uses_update", lambda *args: False)
+    dense = eb.banded_search(features, recording.responses, plan,
+                             search_cfg=cfg)
+    assert update.solver_paths["update"] > 0
+    assert dense.solver_paths["update"] == 0
+    np.testing.assert_array_equal(update.chosen_gamma, dense.chosen_gamma)
+    np.testing.assert_array_equal(update.chosen_alpha, dense.chosen_alpha)

@@ -1,4 +1,5 @@
 import hashlib
+import json
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 
 import encodebench as eb
 from encodebench.errors import DataError
+from oracles import plan_invariants_oracle
 
 
 def _pereira_layout(n_categories, per_category, sentences=4):
@@ -23,19 +25,19 @@ class TestPereira:
         plan = eb.plan_pereira(categories, blocks)
         assert len(plan.outer_folds) == 8
         assert all(len(f.inner_folds) == 7 for f in plan.outer_folds)
-        eb.validate_plan(plan, blocks)
+        plan_invariants_oracle(plan, blocks)
 
     def test_exp2_fold_counts(self):
         categories, blocks = _pereira_layout(24, 3, sentences=3)
         plan = eb.plan_pereira(categories, blocks)
         assert len(plan.outer_folds) == 6
         assert all(len(f.inner_folds) == 5 for f in plan.outer_folds)
-        eb.validate_plan(plan, blocks)
+        plan_invariants_oracle(plan, blocks)
 
     def test_two_categories_exhaustive(self):
         categories, blocks = _pereira_layout(2, 4)
         plan = eb.plan_pereira(categories, blocks)
-        eb.validate_plan(plan, blocks)
+        plan_invariants_oracle(plan, blocks)
         for fold in plan.outer_folds:
             # one passage per selected category, halved -> 1 passage of 4 samples
             assert len(fold.test) == 4
@@ -63,14 +65,14 @@ class TestPereira:
         with pytest.raises(DataError, match="no training"):
             eb.plan_pereira(categories, blocks)
         categories, blocks = _pereira_layout(4, 2)
-        eb.validate_plan(eb.plan_pereira(categories, blocks), blocks)
+        plan_invariants_oracle(eb.plan_pereira(categories, blocks), blocks)
 
     def test_seeded_selection_still_valid(self):
         categories, blocks = _pereira_layout(6, 4)
         plan = eb.plan_pereira(categories, blocks, seed=3)
-        eb.validate_plan(plan, blocks)
+        plan_invariants_oracle(plan, blocks)
         again = eb.plan_pereira(categories, blocks, seed=3)
-        assert plan.to_json() == again.to_json()
+        assert plan.to_dict() == again.to_dict()
 
 
 class TestFedorenko:
@@ -79,7 +81,7 @@ class TestFedorenko:
         plan = eb.plan_fedorenko(blocks)
         assert len(plan.outer_folds) == 13
         assert all(len(f.inner_folds) == 12 for f in plan.outer_folds)
-        eb.validate_plan(plan, blocks)
+        plan_invariants_oracle(plan, blocks)
 
     def test_eight_sentences(self):
         # 8 sentences leave each inner fold's 4 remaining sentences all in
@@ -91,7 +93,7 @@ class TestFedorenko:
         assert len(plan.outer_folds) == 3
         assert all(f.train.size and f.validation.size
                    for fold in plan.outer_folds for f in fold.inner_folds)
-        eb.validate_plan(plan, blocks)
+        plan_invariants_oracle(plan, blocks)
 
     def test_no_sentence_crosses_boundary(self):
         blocks = np.repeat(np.arange(12), 8)
@@ -114,7 +116,7 @@ class TestBlank:
         plan = eb.plan_blank(blocks)
         assert len(plan.outer_folds) == 8
         assert all(len(f.inner_folds) == 7 for f in plan.outer_folds)
-        eb.validate_plan(plan, blocks)
+        plan_invariants_oracle(plan, blocks)
 
     def test_three_stories(self):
         blocks = np.repeat(np.arange(3), [5, 6, 7])
@@ -140,7 +142,7 @@ class TestShuffle:
         plan = eb.plan_grouped(small_blocks, 4, 3)
         a = eb.shuffle_plan(plan, 9)
         b = eb.shuffle_plan(plan, 9)
-        assert a.to_json() == b.to_json()
+        assert a.to_dict() == b.to_dict()
 
     def test_fold_sizes_preserved(self, small_blocks):
         plan = eb.plan_grouped(small_blocks, 4, 3)
@@ -151,14 +153,14 @@ class TestShuffle:
             for io, isf in zip(orig.inner_folds, shuf.inner_folds):
                 assert len(io.train) == len(isf.train)
                 assert len(io.validation) == len(isf.validation)
-        eb.validate_plan(shuffled)
+        plan_invariants_oracle(shuffled)
 
     def test_different_seeds_differ(self):
         blocks = np.repeat(np.arange(25), 4)
         plan = eb.plan_grouped(blocks, 5, 4)
         a = eb.shuffle_plan(plan, 1)
         b = eb.shuffle_plan(plan, 2)
-        assert a.to_json() != b.to_json()
+        assert a.to_dict() != b.to_dict()
 
     def test_breaks_contiguity(self, small_blocks):
         plan = eb.plan_grouped(small_blocks, 4, 3)
@@ -176,7 +178,7 @@ class TestGrouped:
         plan = eb.plan_grouped(small_blocks, 6, 5)
         assert len(plan.outer_folds) == 6
         assert all(len(f.inner_folds) == 5 for f in plan.outer_folds)
-        eb.validate_plan(plan, small_blocks)
+        plan_invariants_oracle(plan, small_blocks)
 
     def test_bad_parameters_rejected(self, small_blocks):
         with pytest.raises(DataError):
@@ -232,17 +234,10 @@ def _pinned_plans():
 
 
 def test_plans_are_pinned():
-    digests = {name: hashlib.sha256(plan.to_json().encode()).hexdigest()
+    digests = {name: hashlib.sha256(json.dumps(plan.to_dict(), sort_keys=True)
+                                    .encode()).hexdigest()
                for name, plan in _pinned_plans().items()}
     assert digests == PINNED_PLANS
-
-
-class TestSerialization:
-    def test_round_trip(self, small_blocks):
-        plan = eb.plan_grouped(small_blocks, 4, 3)
-        doc = plan.to_dict()
-        back = eb.SplitPlan.from_dict(doc)
-        assert back.to_json() == plan.to_json()
 
 
 @settings(max_examples=25, deadline=None)
@@ -273,6 +268,6 @@ def test_all_schemes_satisfy_invariants(scheme, seed):
         min_remaining = n_blocks - math.ceil(n_blocks / n_outer)
         n_inner = int(r.integers(2, min(4, min_remaining + 1)))
         plan = eb.plan_grouped(blocks, n_outer, n_inner)
-    eb.validate_plan(plan, blocks)
+    plan_invariants_oracle(plan, blocks)
     shuffled = eb.shuffle_plan(plan, seed)
-    eb.validate_plan(shuffled)
+    plan_invariants_oracle(shuffled)
