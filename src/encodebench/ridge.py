@@ -63,6 +63,21 @@ only when ``w^T w / 1^T R 1``, the eigenvalue it adds to ``P B P``, clears
 the cutoff too. On a numerically singular split ``alpha = 0`` is dominated
 by rounding on either path.
 
+The update path takes a block base instead when its wide band splits into
+row groups (``_band_blocks``, evaluated once per band per fit): each split
+factors that band by blocks as the block path does, with ``U^T [Yc | W]``
+in place of ``U^T Yc``, and forms no dense Gram. On centered vectors
+``A^-1`` is ``Q_a = R - R 1 1^T R / 1^T R 1`` with
+``R = (gamma_w^2 B + aI)^-1``, so ``u^T Q_a v = (u - 1 c_u)^T R (v - 1 c_v)``
+with the block path's centering ``c``: ``S`` and ``W'^T A^-1 Yc`` take that
+form over every direction of ``B``, and ``gamma_w^2 K_w,ev A^-1`` of ``Yc``
+and of ``W'`` goes through the block path's eval side, k eigen-coordinates
+per eval row. ``alpha = 0`` is the limit ``alpha -> 0+`` here too, with the
+eigenvalues of ``B`` at or below its cutoff taken as exact zeros: ``R`` and
+``c`` take the block path's limit, and the dropped directions constrain
+``x`` as on the dense base, less the ones vector's part there when ``w``
+counts (that part is no null direction of ``P B P``).
+
 Search notes
 ------------
 Inner fold (test i, validation j) trains on the same rows as inner fold
@@ -94,6 +109,7 @@ import collections
 import contextlib
 import ctypes
 import functools
+import math
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -261,27 +277,27 @@ class _Spectral:
             yield preds
 
 
-class _Update(_Spectral):
-    """The update path of one training set (see the module notes): the wide
-    band's Gram ``K_w = U diag(lam) U^T``, factored once. On the directions
-    whose eigenvalue clears the cutoff it keeps the spectrum, ``U^T Yc``,
-    ``U^T W`` (``W`` the narrow bands' standardized columns) and, per eval
-    set, ``K_w,ev U``; on the others, exact zeros of ``K_w``, it keeps
-    ``U^T [Yc | W]`` and the Gram terms of its ``W`` part."""
+class _Update:
+    """The update path of one training set (see the module notes): a rank-r
+    Woodbury step over one factorization of the wide band alone. This base
+    is a dense ``eigh`` of its Gram, ``K_w = U diag(lam) U^T``. On the
+    directions whose eigenvalue clears the cutoff it keeps the spectrum,
+    ``U^T Yc``, ``U^T W`` (``W`` the narrow bands' standardized columns) and,
+    per eval set, ``K_w,ev U``; on the others, exact zeros of ``K_w``, it
+    keeps ``U^T [Yc | W]`` and the Gram terms of its ``W`` part."""
 
     def __init__(self, Yc, narrow, gram, cross, narrow_evs):
-        super().__init__(np.hstack([Yc, narrow]), gram=gram)
-        keep = self.spectrum > self.cutoff
-        self.G = [C @ self.right[:, keep] for C in cross]
-        self.right = None  # the eval sides above were all it served
-        self.spectrum = self.denominator = self.spectrum[keep]
-        n_units = Yc.shape[1]
-        self.null_Y = self.UTY[~keep, :n_units]
-        self.null_W = self.UTY[~keep, n_units:]
+        self.base = _Spectral(np.hstack([Yc, narrow]), gram=gram)
+        keep = self.base.spectrum > self.base.cutoff
+        self.G = [C @ self.base.right[:, keep] for C in cross]
+        self.base.right = None  # the eval sides above were all it served
+        self.base.spectrum = self.base.denominator = self.base.spectrum[keep]
+        UTR, n_units = self.base.UTY, Yc.shape[1]
+        self.null_Y, self.null_W = UTR[~keep, :n_units], UTR[~keep, n_units:]
         self.null_WW = self.null_W.T @ self.null_W
         self.null_WY = self.null_W.T @ self.null_Y
-        self.UTW = self.UTY[keep, n_units:]
-        self.UTY = self.UTY[keep, :n_units]
+        self.UTY, self.UTW = UTR[keep, :n_units], UTR[keep, n_units:]
+        self.base.UTY = None  # split above
         self.narrow_evs = narrow_evs
 
     def _null_weight(self, active):
@@ -290,19 +306,16 @@ class _Update(_Spectral):
         orthonormal basis of the part those columns span that clears the
         cutoff."""
         M = self.null_W * active
-        if np.square(M).sum() <= self.cutoff:  # no singular value clears it
+        if np.square(M).sum() <= self.base.cutoff:  # no singular value clears it
             return M[:0], self.null_Y[:0]
         Q, sv, _ = np.linalg.svd(M, full_matrices=False)
-        Q = Q[:, sv ** 2 > self.cutoff]
+        Q = Q[:, sv ** 2 > self.base.cutoff]
         return Q.T @ self.null_W, Q.T @ self.null_Y
 
-    def predict(self, gamma_w, gamma_n, alphas, evals, scratch, units):
-        """Centered predictions per alpha for wide-band scale ``gamma_w`` and
-        narrow-column scales ``gamma_n``, yielded as ``_Spectral.predict``
-        yields them."""
-        alphas = np.asarray(alphas, dtype=np.float64)
-        D = self.filter(alphas / gamma_w ** 2)     # gamma_w^2 A^-1, kept
-        Y_hat, W_hat = self.UTY[:, units], self.UTW * gamma_n
+    def _terms(self, D, Y_hat, W_hat, alphas, gamma_w, gamma_n, units, evals,
+               scratch):
+        """``W'^T A^-1 W'`` and ``W'^T A^-1 Yc`` per alpha, and per eval set
+        in ``evals`` the wide band's predictions of ``Yc`` and of ``W'``."""
         AW = W_hat.T[None, :, :] * (D / gamma_w ** 2)[:, None, :]  # W'^T A^-1
         S, V = AW @ W_hat, AW @ Y_hat
         # A^-1 is 1/alpha on the dropped directions
@@ -310,6 +323,20 @@ class _Update(_Spectral):
         inv = 1.0 / alphas[pos, None, None]
         S[pos] += inv * (gamma_n[:, None] * self.null_WW * gamma_n)
         V[pos] += inv * (gamma_n[:, None] * self.null_WY[:, units])
+        # G diag(D) is gamma_w^2 K_w,ev U A^-1
+        sides = (_filtered_gemm(self.G[e], D, [Y_hat, W_hat], scratch)
+                 for e in evals)
+        return S, V, sides
+
+    def predict(self, gamma_w, gamma_n, alphas, evals, scratch, units):
+        """Centered predictions per alpha for wide-band scale ``gamma_w`` and
+        narrow-column scales ``gamma_n``, yielded as ``_Spectral.predict``
+        yields them."""
+        alphas = np.asarray(alphas, dtype=np.float64)
+        D = self.base.filter(alphas / gamma_w ** 2)     # gamma_w^2 A^-1
+        Y_hat, W_hat = self.UTY[:, units], self.UTW * gamma_n
+        S, V, sides = self._terms(D, Y_hat, W_hat, alphas, gamma_w, gamma_n,
+                                  units, evals, scratch)
         S[:, np.arange(len(gamma_n)), np.arange(len(gamma_n))] += 1.0
         # S_a^-1 V_a per alpha; S_a is r x r, V_a has a column per unit
         x = np.linalg.inv(S) @ V
@@ -319,14 +346,13 @@ class _Update(_Spectral):
             for a in np.flatnonzero(alphas == 0.0):
                 SB = np.linalg.solve(S[a], B.T)
                 x[a] += SB @ np.linalg.solve(B @ SB, y0 - B @ x[a])
-        for e in evals:  # G diag(D) is gamma_w^2 K_w,ev U A^-1
-            preds, rest = _filtered_gemm(self.G[e], D, [Y_hat, W_hat], scratch)
+        for e, (preds, rest) in zip(evals, sides):
             # W'_ev minus the wide band's prediction of it
             np.subtract(self.narrow_evs[e] * gamma_n, rest, out=rest)
             fix = scratch.take("fix", preds.shape)
             np.matmul(rest, x, out=fix)
-            preds += fix
-            yield preds
+            fix += preds
+            yield fix
 
 
 class _BlockSpectral(_Spectral):
@@ -339,29 +365,88 @@ class _BlockSpectral(_Spectral):
         self.cutoff = spectrum.max() * spectrum.size * _RCOND  # the Gram rule
         self.ones = ones  # U^T 1
         self.UTY = UTY
+        # alpha = 0: the ones vector's weight w on the dropped directions, and
+        # whether it counts (see the module notes)
+        self.drop = spectrum <= self.cutoff
+        self.w = ones[self.drop]
+        R1 = (self.filter([0.0]) * ones) @ ones
+        self.limit = self.w @ self.w > self.cutoff * R1[0]
+
+    def _center(self, D, R, alphas):
+        """``D * (U^T 1)`` and the centering ``c`` per alpha of each column
+        ``v`` of ``R`` (eigen-coordinates): ``x = R (v - 1 c)`` solves
+        ``(P B P + aI) x = v`` on the complement of the ones vector."""
+        Du = D * self.ones                                  # R 1
+        num, den = Du @ R, Du @ self.ones                   # 1^T R v, 1^T R 1
+        limit = (np.asarray(alphas) == 0.0) & self.limit
+        num[limit], den[limit] = self.w @ R[self.drop], self.w @ self.w
+        return Du, num / den[:, None]
+
+    def _eval(self, eval_sides, D, Du, R, c, scratch):
+        """Per (F, T) eval side, ``K_ev x`` for ``x = R (v - 1 c)`` and each
+        column ``v`` of ``R``: (n_eval, n_alphas, R's columns), eval-major,
+        a view into ``scratch`` that the next one overwrites."""
+        # x is predicted as E x - 1 (1^T B x) / n
+        Bx = ((Du * self.spectrum) @ R
+              - (Du @ (self.spectrum * self.ones))[:, None] * c) / D.shape[1]
+        for F, T in eval_sides:
+            preds = scratch.take("preds", (len(F), len(D), R.shape[1]))
+            np.matmul(D.T[T].transpose(0, 2, 1) * F[:, None, :], R[T],
+                      out=preds)                            # E R v, eval-major
+            fix = scratch.take("centering", preds.shape)
+            np.multiply((Du.T[T] * F[:, :, None]).sum(axis=1)[:, :, None], c,
+                        out=fix)
+            preds -= fix
+            preds -= Bx
+            yield preds
 
     def predict(self, eval_sides, alphas, units, scratch):
         """Centered predictions per alpha, (n_alphas, n_eval, n_units), for
         each (F, T) eval side in turn, as ``_Spectral.predict`` yields them."""
         UTY = self.UTY[:, units]
         D = self.filter(alphas)
-        Du = D * self.ones                                  # R 1
-        num, den = Du @ UTY, Du @ self.ones                 # 1^T R Yc, 1^T R 1
-        drop = self.spectrum <= self.cutoff  # alpha = 0: see the module notes
-        w = self.ones[drop]
-        limit = (np.asarray(alphas) == 0.0) & (w @ w > self.cutoff * den)
-        num[limit], den[limit] = w @ UTY[drop], w @ w
-        c = num / den[:, None]
-        # x = R Yc - R 1 c is predicted as E x - 1 (1^T B x) / n
-        Bx = ((Du * self.spectrum) @ UTY
-              - (Du @ (self.spectrum * self.ones))[:, None] * c) / D.shape[1]
-        for F, T in eval_sides:
-            preds = scratch.take("preds", (len(F), len(D), UTY.shape[1]))
-            np.matmul(D.T[T].transpose(0, 2, 1) * F[:, None, :], UTY[T],
-                      out=preds)                            # E R Yc, eval-major
-            preds -= (Du.T[T] * F[:, :, None]).sum(axis=1)[:, :, None] * c
-            preds -= Bx
+        Du, c = self._center(D, UTY, alphas)
+        for preds in self._eval(eval_sides, D, Du, UTY, c, scratch):
             yield preds.transpose(1, 0, 2)
+
+
+class _BlockUpdate(_Update):
+    """The update path on a block base (see the module notes): the wide band
+    factored by ``_factor_blocks``, its centering and its eval side those of
+    ``_BlockSpectral``, so no dense Gram is formed."""
+
+    def __init__(self, X, blocks, train_idx, eval_idxs, Yc, narrow,
+                 narrow_evs):
+        self.base, self.evals = _factor_blocks(
+            X, blocks, train_idx, eval_idxs, np.hstack([Yc, narrow]))
+        base, n_units = self.base, Yc.shape[1]
+        null = base.UTY[base.drop]
+        if base.limit:  # the ones vector's part there is no null direction
+            null = null - np.outer(base.w, base.w @ null) / (base.w @ base.w)
+        self.null_Y, self.null_W = null[:, :n_units], null[:, n_units:]
+        self.UTY, self.UTW = base.UTY[:, :n_units], base.UTY[:, n_units:]
+        self.narrow_evs = narrow_evs
+
+    def _terms(self, D, Y_hat, W_hat, alphas, gamma_w, gamma_n, units, evals,
+               scratch):
+        """As ``_Update._terms``, with ``A^-1`` on centered vectors the
+        block path's ``Q_a = R - R 1 1^T R / 1^T R 1``: ``u^T Q_a v`` is
+        ``(u - 1 c_u)^T R (v - 1 c_v)``, over every direction of ``B``."""
+        n_units, ones = Y_hat.shape[1], self.base.ones
+        R = np.hstack([Y_hat, W_hat])
+        Du, c = self.base._center(D, R, alphas)
+        # (W' - 1 c_W)^T R per alpha, then times [Yc | W'] minus 1 c
+        AW = scratch.take("AW", (len(D), W_hat.shape[1], len(ones)))
+        np.multiply(c[:, n_units:, None], ones, out=AW)
+        np.subtract(W_hat.T, AW, out=AW)
+        AW *= (D / gamma_w ** 2)[:, None, :]
+        VS = (AW.reshape(-1, len(ones)) @ R).reshape(len(D), -1, R.shape[1])
+        VS -= (AW @ ones)[:, :, None] * c[:, None, :]
+        sides = ((out[:, :, :n_units].transpose(1, 0, 2),
+                  out[:, :, n_units:].transpose(1, 0, 2))
+                 for out in self.base._eval([self.evals[e] for e in evals], D,
+                                            Du, R, c, scratch))
+        return VS[:, :, n_units:], VS[:, :, :n_units], sides
 
 
 class _Scratch(threading.local):
@@ -370,10 +455,12 @@ class _Scratch(threading.local):
     memory back to the system and page it in again, set after set."""
 
     def take(self, name, shape):
-        size = int(np.prod(shape))
-        if getattr(self, name, np.empty(0)).size < size:
-            setattr(self, name, np.empty(size))
-        return getattr(self, name)[:size].reshape(shape)
+        size = math.prod(shape)
+        buf = getattr(self, name, None)
+        if buf is None or buf.size < size:
+            buf = np.empty(size)
+            setattr(self, name, buf)
+        return buf[:size].reshape(shape)
 
 
 def _filtered_gemm(G, D, rights, scratch):
@@ -605,36 +692,46 @@ class _FoldData:
     factorization of a single band that splits into row groups, else
     standardized per-band matrices and, whenever some scaling vector can take
     the Gram path, either the update path's factorization of the one wide
-    band or band Grams and eval-by-train Grams. A band wider than the
-    training set keeps no standardized matrices."""
+    band (by blocks when it splits into row groups) or band Grams and
+    eval-by-train Grams. A band wider than the training set keeps no
+    standardized matrices. ``blocks`` holds each band's row groups or None."""
 
     def __init__(self, band_mats, Y, train_idx, eval_idxs, blocks=None):
+        blocks = blocks or [None] * len(band_mats)
         self.n_train = len(train_idx)
         self.widths = [X.shape[1] for X in band_mats]
         self.y_mean = Y[train_idx].mean(axis=0)
         self.Yc = Y[train_idx] - self.y_mean
         self.block = self.update = None
-        if blocks is not None:
+        if len(band_mats) == 1 and blocks[0] is not None:
             self.block, self.evals = _factor_blocks(
-                band_mats[0], blocks, train_idx, eval_idxs, self.Yc)
+                band_mats[0], blocks[0], train_idx, eval_idxs, self.Yc)
             return
-        z = [zscore_fit_apply(X[train_idx], [X[idx] for idx in eval_idxs])
-             for X in band_mats]
-        self.Ztr = [ztr for ztr, _, _, _ in z]
-        self.Zev = [zev for _, zev, _, _ in z]  # per band, one per eval set
-        self.grams = self.cross = None
         wide = [b for b, w in enumerate(self.widths)
                 if _uses_gram(w, self.n_train)]
         self.narrow = [b for b in range(len(band_mats)) if b not in wide]
-        if len(wide) == 1 and _uses_update(
-                sum(self.widths[b] for b in self.narrow), self.n_train):
+        update = len(wide) == 1 and _uses_update(
+            sum(self.widths[b] for b in self.narrow), self.n_train)
+        on_blocks = update and blocks[wide[0]] is not None
+        z = [(None, None) if on_blocks and b in wide else
+             zscore_fit_apply(X[train_idx], [X[idx] for idx in eval_idxs])
+             for b, X in enumerate(band_mats)]
+        self.Ztr = [ztr for ztr, *_ in z]
+        self.Zev = [zev for _, zev, *_ in z]  # per band, one per eval set
+        self.grams = self.cross = None
+        if update:
             (self.wide,) = wide
-            Z, Zev = self.Ztr[self.wide], self.Zev[self.wide]
-            self.update = _Update(
-                self.Yc, np.hstack([self.Ztr[b] for b in self.narrow]),
-                Z @ Z.T, [Ze @ Z.T for Ze in Zev],
-                [np.hstack([self.Zev[b][e] for b in self.narrow])
-                 for e in range(len(eval_idxs))])
+            W = np.hstack([self.Ztr[b] for b in self.narrow])
+            W_evs = [np.hstack([self.Zev[b][e] for b in self.narrow])
+                     for e in range(len(eval_idxs))]
+            if on_blocks:
+                self.update = _BlockUpdate(band_mats[self.wide],
+                                           blocks[self.wide], train_idx,
+                                           eval_idxs, self.Yc, W, W_evs)
+            else:
+                Z, Zev = self.Ztr[self.wide], self.Zev[self.wide]
+                self.update = _Update(self.Yc, W, Z @ Z.T,
+                                      [Ze @ Z.T for Ze in Zev], W_evs)
         elif _uses_gram(sum(self.widths), self.n_train):
             self.grams = [Z @ Z.T for Z in self.Ztr]
             self.cross = [[Ze @ Z.T for Ze in zev]
@@ -728,7 +825,7 @@ def banded_search(features: Sequence[FeatureSpace], responses, plan: SplitPlan,
     if not plan.outer_folds:
         raise DataError("the split plan has no outer folds")
 
-    blocks = _band_blocks(band_mats[0]) if len(band_mats) == 1 else None
+    blocks = [_band_blocks(X) for X in band_mats]
     alphas = ridge_cfg.alphas
     folds = plan.outer_folds
     n_outer, n_units, n_bands = len(folds), Y.shape[1], len(band_mats)

@@ -582,6 +582,49 @@ class TestThreads:
         for key, run in runs.items():
             assert run == first, key
 
+    def test_block_base_update_outputs_identical_across_thread_counts(
+            self, tmp_path, small_pereira, monkeypatch):
+        # SP+SL (5 columns) beside OASM, a band of row groups wider than every
+        # training set: the joint fits score on the update path's block base
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({
+            "manifest": str(small_pereira),
+            "split": {"scheme": "pereira", "mode": "both", "shuffle_seed": 7},
+            "oasm_sigma": 1.0,
+            "spaces": [{"name": "OASM", "members": ["OASM"]},
+                       {"name": "SPSL", "members": ["SP", "SL"]}],
+            "families": [{"name": "main", "spaces": ["OASM", "SPSL"]}],
+            "search": {"max_iters": 4, "patience": 4},
+        }))
+
+        def outputs(out):
+            return ["report.json"] + sorted(
+                str(p.relative_to(out)) for sub in ("tables", "predictions")
+                for p in (out / sub).iterdir())
+
+        runs = self._run_grid(tmp_path, ["compare", "--config", str(config)],
+                              outputs, [["--threads", "1"], ["--threads", "2"]])
+        first = runs[("1", "--threads", "1")]
+        assert len(first) > 3
+        for key, run in runs.items():
+            assert run == first, key
+        # the same run in this process builds a block base for each set
+        bases = []
+        real = eb.ridge._BlockUpdate.__init__
+        monkeypatch.setattr(eb.ridge._BlockUpdate, "__init__",
+                            lambda self, *args: bases.append(1)
+                            or real(self, *args))
+        out = tmp_path / "in-process"
+        assert main(["compare", "--config", str(config), "--threads", "1",
+                     "--output", str(out)]) == 0
+        prov = json.loads((out / "provenance.json").read_text())
+        fits = [prov["fits"][mode]["OASM+SPSL"]
+                for mode in ("contiguous", "shuffled")]
+        assert all(fit["solver_paths"]["update"] > 0 for fit in fits)
+        assert len(bases) >= sum(fit["train_sets"]["distinct"] for fit in fits)
+        assert {name: (out / name).read_bytes()
+                for name in outputs(out)} == first
+
     def test_fit_outputs_identical_across_blas_thread_counts(
             self, tmp_path, small_pereira):
         argv = ["fit", "--manifest", str(small_pereira), "--scheme", "pereira",

@@ -530,7 +530,7 @@ class TestBlockPath:
         eps = np.finfo(float).eps
         for train, ev in ((fold.inner_folds[0].train,
                            fold.inner_folds[0].validation), (trval, fold.test)):
-            block = _FoldData([oasm.data], Y, train, [ev], blocks)
+            block = _FoldData([oasm.data], Y, train, [ev], [blocks])
             dense = _FoldData([oasm.data], Y, train, [ev])
             assert block.block is not None and dense.block is None
             (got,) = block.predict_grid([1.0], alphas, [0], _Scratch())
@@ -569,7 +569,7 @@ class TestBlockPath:
         inner = plan.outer_folds[0].inner_folds[0]
         alphas = eb.default_alpha_grid()
         block = _FoldData([oasm.data], Y, inner.train, [inner.validation],
-                          _band_blocks(oasm.data))
+                          [_band_blocks(oasm.data)])
         assert (block.block.spectrum <= block.block.cutoff).any()
         (got,) = block.predict_grid([1.0], alphas, [0], _Scratch())
         (want,) = _FoldData([oasm.data], Y, inner.train, [inner.validation]
@@ -599,7 +599,7 @@ class TestBlockPath:
         X, train, ev = _tied_groups(rng, tie)
         Y = rng.standard_normal((X.shape[0], 3))
         alphas = eb.default_alpha_grid()
-        block = _FoldData([X], Y, train, [ev], _band_blocks(X))
+        block = _FoldData([X], Y, train, [ev], [_band_blocks(X)])
         assert block.path([1.0]) == "block"
         assert (block.block.spectrum <= block.block.cutoff).sum() == 10
         (got,) = block.predict_grid([1.0], alphas, [0], _Scratch())
@@ -614,7 +614,7 @@ class TestBlockPath:
         X, train, ev = _tied_groups(rng, pairs)
         Y = rng.standard_normal((X.shape[0], 2))
         alphas = eb.default_alpha_grid()
-        block = _FoldData([X], Y, train, [ev], _band_blocks(X))
+        block = _FoldData([X], Y, train, [ev], [_band_blocks(X)])
         assert block.path([1.0]) == "block"
         kept = block.block.spectrum > block.block.cutoff
         np.testing.assert_allclose(block.block.ones[kept], 0.0, atol=1e-12)
@@ -644,7 +644,7 @@ class TestBlockPath:
         Y = rng.standard_normal((X.shape[0], 3))
         train, ev = np.arange(12), np.arange(12, 18)
         alphas = [0.0, 0.5, 8.0]
-        block = _FoldData([X], Y, train, [ev], blocks)
+        block = _FoldData([X], Y, train, [ev], [blocks])
         assert block.block is not None
         (got,) = block.predict_grid([1.0], alphas, [0], _Scratch())
         (want,) = _FoldData([X], Y, train, [ev]).predict_grid([1.0], alphas, [0],
@@ -744,6 +744,78 @@ def _assert_close(got, want):
     assert np.abs(got - want).max() <= 1e-10 * np.abs(want).max()
 
 
+def _block_update_case(rng, layout, tie=None):
+    """Three narrow columns beside a band of twelve dense 4 x 4 blocks, an
+    OASM-like band; 4 units. ``layout`` "contiguous" trains on whole groups,
+    so three eval groups have no training rows; "shuffled" trains on 1, 2 or
+    3 rows of each group. With ``tie`` the third training row of group 2 is
+    ``tie`` times the sum of its first two: the group's block of B is
+    exactly singular, and the narrow columns weigh on its null direction,
+    which has weight on the ones vector for ``tie`` 1 and none for 0.5."""
+    wide, groups = _block_diagonal(rng, [4] * 12)
+    if layout == "contiguous":
+        train = np.flatnonzero(groups < 9)
+    else:
+        per_group = np.resize([1, 2, 3], 12)
+        train = np.flatnonzero(np.arange(48) % 4 < per_group[groups])
+    if tie is not None:
+        wide[10] = tie * (wide[8] + wide[9])
+    bands = [wide, rng.standard_normal((48, 3))]
+    Y = rng.standard_normal((48, 4))
+    return bands, Y, train, np.setdiff1d(np.arange(48), train)
+
+
+def _held_arrays(*objs):
+    """The arrays that objects hold, directly or in (nested) lists."""
+    for obj in objs:
+        for value in vars(obj).values():
+            for item in value if isinstance(value, (list, tuple)) else [value]:
+                for a in item if isinstance(item, (list, tuple)) else [item]:
+                    if isinstance(a, np.ndarray):
+                        yield a
+
+
+def _assert_block_base(fold):
+    """The fold's update path works on a block factorization of the wide
+    band and holds no n x n array, such as its dense Gram."""
+    assert isinstance(fold.update, ridge._BlockUpdate)
+    assert fold.grams is None and fold.Ztr[fold.wide] is None
+    held = _held_arrays(fold, fold.update, fold.update.base)
+    assert max(a.size for a in held) < fold.n_train ** 2
+
+
+# (layout, tie) of _block_update_case
+BLOCK_UPDATE_CASES = [
+    ("contiguous", None), ("shuffled", None), ("shuffled", 1.0),
+    ("shuffled", 0.5),
+]
+
+
+def _block_update_predictions(monkeypatch, layout, tie, gamma, rng):
+    """A block-base update fold of ``_block_update_case`` (asserted so, and
+    factored by stacked ``eigh``s of one group each), its case, and its
+    centered predictions per default alpha; the OASM-like band is first, as
+    in an [OASM, SPSL] family."""
+    bands, Y, train, ev = _block_update_case(rng, layout, tie)
+    blocks = [_band_blocks(X) for X in bands]
+    assert blocks[0] is not None and blocks[1] is None
+    shapes = []
+    eigh = np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh",
+                        lambda a: shapes.append(a.shape) or eigh(a))
+    fold = _FoldData(bands, Y, train, [ev], blocks)
+    assert shapes and all(s[-1] <= 4 for s in shapes)
+    _assert_block_base(fold)
+    base = fold.update.base
+    if tie is not None:
+        assert (base.spectrum <= base.cutoff).sum() == 1
+        assert base.limit == (tie == 1.0)
+    assert fold.path(gamma) == "update"
+    (got,) = fold.predict_grid(gamma, eb.default_alpha_grid(), [0],
+                               _Scratch())
+    return (bands, Y, train, ev), got.copy()
+
+
 # one narrow band (1e-6 at either edge of the simplex) and two narrow bands,
 # one of them off
 UPDATE_CASES = [
@@ -827,6 +899,66 @@ class TestUpdatePath:
         assert fit.solver_paths["update"] >= 4 * sets
         assert sum(fit.solver_paths.values()) >= 5 * sets + 6
 
+    @pytest.mark.parametrize("gamma", [[0.3, 0.7], [0.7, 0.3]])
+    @pytest.mark.parametrize("layout, tie", BLOCK_UPDATE_CASES)
+    def test_block_base_matches_oracles(self, rng, monkeypatch, layout, tie,
+                                        gamma):
+        gamma = np.array(gamma)
+        case, got = _block_update_predictions(monkeypatch, layout, tie, gamma,
+                                              rng)
+        _assert_close(got[1:], _block_penalty_want(*case, gamma))
+        _assert_close(got[0], _min_norm_want(*case, gamma))
+
+    # at alpha = 0 a band scaled by 1e-6 leaves the min-norm problem too
+    # ill-conditioned for the oracle's pinv at 1e-10 (up to 2.6e-5 apart on
+    # either base); the two bases agree there
+    @pytest.mark.parametrize("gamma", [[1 - 1e-6, 1e-6], [1e-6, 1 - 1e-6]])
+    @pytest.mark.parametrize("layout, tie", BLOCK_UPDATE_CASES)
+    def test_block_base_simplex_edges(self, rng, monkeypatch, layout, tie,
+                                      gamma):
+        gamma = np.array(gamma)
+        case, got = _block_update_predictions(monkeypatch, layout, tie, gamma,
+                                              rng)
+        _assert_close(got[1:], _block_penalty_want(*case, gamma))
+        (dense,) = _FoldData(*case[:3], [case[3]]).predict_grid(
+            gamma, [0.0], [0], _Scratch())
+        _assert_close(got[0], dense[0])
+
+    @pytest.mark.parametrize("mode", ["contiguous", "shuffled"])
+    def test_oasm_only_mask_matches_block_path(self, rng, mode):
+        oasm, Y, plan = _oasm_case("pereira-exp2", "pereira", mode, 1.0,
+                                   n_inner=1)
+        blocks = _band_blocks(oasm.data)
+        narrow = rng.standard_normal((plan.n_samples, 3))
+        fold = plan.outer_folds[0]
+        trval = np.setdiff1d(np.arange(plan.n_samples), fold.test)
+        alphas = eb.default_alpha_grid()
+        for train, ev in ((fold.inner_folds[0].train,
+                           fold.inner_folds[0].validation), (trval, fold.test)):
+            pair = _FoldData([oasm.data, narrow], Y, train, [ev],
+                             [blocks, None])
+            _assert_block_base(pair)
+            (got,) = pair.predict_grid(np.array([1.0, 0.0]), alphas, [0],
+                                       _Scratch())
+            alone = _FoldData([oasm.data], Y, train, [ev], [blocks])
+            assert alone.path([1.0]) == "block"
+            (want,) = alone.predict_grid([1.0], alphas, [0], _Scratch())
+            _assert_close(got, want)
+
+    def test_block_base_eval_sets_predict_as_if_alone(self, rng):
+        bands, Y, train, _ = _block_update_case(rng, "shuffled")
+        evals = [np.arange(3, 48, 4), np.arange(2, 48, 8)]
+        blocks = [_band_blocks(X) for X in bands]
+        gamma = np.array([0.6, 0.4])
+        fold = _FoldData(bands, Y, train, evals, blocks)
+        got = [p.copy() for p in fold.predict_grid(
+            gamma, [0.0, 1.0, 100.0], [1, 0], _Scratch())]
+        for e, ev in zip([1, 0], got):
+            (alone,) = _FoldData(bands, Y, train, [evals[e]], blocks
+                                 ).predict_grid(gamma, [0.0, 1.0, 100.0], [0],
+                                                _Scratch())
+            np.testing.assert_array_equal(ev, alone)
+
 
 def test_paths_that_round_differently_choose_alike(monkeypatch):
     """Exact ties go to the earlier candidate on every solver path. On
@@ -847,3 +979,31 @@ def test_paths_that_round_differently_choose_alike(monkeypatch):
     assert dense.solver_paths["update"] == 0
     np.testing.assert_array_equal(update.chosen_gamma, dense.chosen_gamma)
     np.testing.assert_array_equal(update.chosen_alpha, dense.chosen_alpha)
+
+
+@pytest.mark.parametrize("mode", ["contiguous", "shuffled"])
+def test_block_and_dense_bases_choose_alike(monkeypatch, mode):
+    """The update path on a block base and on a dense ``eigh`` of the same
+    OASM band round differently; on pereira-exp2 they choose alike."""
+    spec, _ = eb.preset("pereira-exp2", seed=3)
+    recording, _ = eb.generate(spec)
+    plan = build_plan(SplitSpec("pereira"), recording)
+    if mode == "shuffled":
+        plan = eb.shuffle_plan(plan, 7)
+    oasm = eb.build_oasm(recording.n_samples, recording.block_ids, 1.0)
+    features = [oasm, *spec.signal_features]  # OASM beside SP+SL
+    cfg = BandedSearchConfig(max_iters=5, patience=5)
+    built = []
+    real = ridge._BlockUpdate.__init__
+    monkeypatch.setattr(ridge._BlockUpdate, "__init__",
+                        lambda self, *args: built.append(1) or real(self, *args))
+    block = eb.banded_search(features, recording.responses, plan,
+                             search_cfg=cfg)
+    assert block.solver_paths["update"] > 0 and len(built) > 0
+    monkeypatch.setattr(ridge, "_band_blocks", lambda X: None)
+    dense = eb.banded_search(features, recording.responses, plan,
+                             search_cfg=cfg)
+    assert dense.solver_paths == block.solver_paths
+    assert len(built) == block.train_sets + len(plan.outer_folds)
+    np.testing.assert_array_equal(block.chosen_gamma, dense.chosen_gamma)
+    np.testing.assert_array_equal(block.chosen_alpha, dense.chosen_alpha)
