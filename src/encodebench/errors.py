@@ -1,6 +1,7 @@
 """Exception types shared across the package, and the number checks that
 config classes share."""
 
+import math
 import numbers
 
 
@@ -34,6 +35,8 @@ def check_int(what: str, value, minimum: int) -> None:
 
 
 def check_real(what: str, value) -> None:
-    """Raise ``DataError`` unless ``value`` is a real number (not a bool)."""
+    """Raise ``DataError`` unless ``value`` is a finite number, not a bool."""
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise DataError(f"{what} must be a number, got {value!r}")
+    if not math.isfinite(value):
+        raise DataError(f"{what} must be finite, got {value!r}")

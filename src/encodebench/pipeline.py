@@ -17,7 +17,6 @@ from __future__ import annotations
 import csv
 import json
 import logging
-import math
 import os
 import time
 from dataclasses import dataclass, field
@@ -196,8 +195,8 @@ class AnalysisConfig:
             raise DataError(f"alpha_level must lie in (0, 1), got {self.alpha_level!r}")
         if self.oasm_sigma is not None:
             check_real("oasm_sigma", self.oasm_sigma)
-            if not 0 < self.oasm_sigma < math.inf:
-                raise DataError(f"oasm_sigma must be finite and > 0, got {self.oasm_sigma!r}")
+            if not self.oasm_sigma > 0:
+                raise DataError(f"oasm_sigma must be > 0, got {self.oasm_sigma!r}")
         if not self.families:
             raise DataError("config declares no families")
         self.validate()

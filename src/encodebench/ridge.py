@@ -16,67 +16,62 @@ The intercept is never penalized: features and targets are centered on
 training rows and the training target mean is added back to predictions.
 
 In the banded search a scaled Gram is the gamma^2-weighted sum of band
-Grams. Each split builds every band's train Gram and eval-by-train Gram up
-front whenever the bands together are wider than its training set, and then
-drops the standardized matrices of any band wider than its training set:
-every scaling vector that uses such a band takes the Gram path.
+Grams. One rule picks a training set's solvers (``_FoldData``). When exactly
+one band is wider than the training set and the other, narrow bands have
+r >= 0 columns in all with ``8 r <= n`` (``_uses_update``; past that a dense
+``eigh`` of the n x n mixed Gram is cheaper than the rank-r terms per eval
+row), the set takes the update path: it factors the wide band once, and a
+scaling vector that uses the wide band needs no factorization of its own.
+Scaling vectors without it take the design path. Any other set builds every
+band's train Gram and eval-by-train Gram up front whenever the bands together
+are wider than its training set, and then drops the standardized matrices of
+any band wider than its training set: every scaling vector that uses such a
+band takes the dense Gram path.
 
-The update path replaces that when exactly one band is wider than the
-training set and the other, narrow bands have r columns in all with
-``8 r <= n`` (``_uses_update``; past that a dense ``eigh`` of the n x n
-mixed Gram is cheaper than the rank-r terms per eval row). Each split
-factors the wide band's Gram once, ``K_w = U diag(lam) U^T``, and keeps
-``U^T Yc``, ``U^T W`` (``W`` the standardized narrow columns, n x r), the
-narrow eval rows and ``K_w,ev U``. A scaling vector that uses the wide band
-then needs no factorization: with ``W' = W diag(gamma_n)`` the mixed Gram is
-``A + W' W'^T``, ``A = gamma_w^2 K_w + aI`` is diagonal in U, and by
-Woodbury with ``S = I + W'^T A^-1 W'`` and ``x = S^-1 W'^T A^-1 Yc`` the
-predictions are ``gamma_w^2 K_w,ev A^-1 (Yc - W' x) + W'_ev x``: per eval
-set one GEMM of ``gamma_w^2 K_w,ev U`` scaled per alpha against ``U^T Yc``
-and ``U^T W'``, then r columns of correction; per alpha an r x r ``S``.
-Eigenvalues of ``K_w`` at or below its Gram cutoff are taken as exact zeros
-for every alpha, so their columns of ``K_w,ev U`` vanish and only the
-r x r Gram terms of ``W^T U`` there enter ``S`` (with ``A^-1 = 1/a``).
-``alpha = 0`` is the limit ``alpha -> 0+``: where the narrow columns' weight
-``M`` on those directions clears the cutoff, it constrains ``M x`` to the
-targets' part there, and ``x`` minimizes the kept-direction problem under
-that constraint; without such weight (always so on the ones vector, as the
-columns are centered) ``x`` is the kept-direction solve. Narrow-only scaling
-vectors keep the design path, and two or more wide bands keep the dense
-Gram.
+The update path's dense base factors the wide band's Gram,
+``K_w = U diag(lam) U^T``, and keeps ``U^T Yc``, ``U^T W`` (``W`` the
+standardized narrow columns, n x r), the narrow eval rows and ``K_w,ev U``.
+With ``W' = W diag(gamma_n)`` the mixed Gram is ``A + W' W'^T``,
+``A = gamma_w^2 K_w + aI`` is diagonal in U, and by Woodbury with
+``S = I + W'^T A^-1 W'`` and ``x = S^-1 W'^T A^-1 Yc`` the predictions are
+``gamma_w^2 K_w,ev A^-1 (Yc - W' x) + W'_ev x``: per eval set one GEMM of
+``gamma_w^2 K_w,ev U`` scaled per alpha against ``U^T Yc`` and ``U^T W'``,
+then r columns of correction; per alpha an r x r ``S``. With no narrow
+column active (r = 0, as in a single-band fit, or a wide-only mask) the
+predictions are the first GEMM's alone. Eigenvalues of ``K_w`` at or below
+its Gram cutoff are taken as exact zeros for every alpha, so their columns
+of ``K_w,ev U`` vanish and only the r x r Gram terms of ``W^T U`` there
+enter ``S`` (with ``A^-1 = 1/a``). ``alpha = 0`` is the limit
+``alpha -> 0+``: where the narrow columns' weight ``M`` on those directions
+clears the cutoff, it constrains ``M x`` to the targets' part there, and
+``x`` minimizes the kept-direction problem under that constraint; without
+such weight (always so on the ones vector, as the columns are centered)
+``x`` is the kept-direction solve.
 
-A single-band fit whose rows fall into groups that share no nonzero column
-(OASM: one group per block) takes the block path instead on every split, or
-on none if a group has more rows than columns (a narrow one-hot band, cheaper
-on the design path). With ``S`` the training-column std and ``P`` the
-centering projection, the standardized train Gram is ``P B P`` with
-``B = X_tr S^-2 X_tr^T`` block-diagonal over the groups. Each split
-factors ``B`` group by group (one stacked ``eigh`` per training-row count),
-solves on the complement of the ones vector, ``x = R Yc - R 1 c`` with
-``R = (B + aI)^-1`` and ``c = 1^T R Yc / 1^T R 1``, and predicts through the
-block-sparse eval-by-train Gram; it never forms the standardized matrices
-or any dense Gram. ``alpha = 0`` is the limit ``alpha -> 0+``, eigenvalues
-of ``B`` at or below the Gram cutoff taken as exact zeros: if the ones
-vector has weight ``w`` on them, ``c = w^T (U^T Yc)_dropped / w^T w``. That
-is the dense path's minimum-norm solution in exact arithmetic; ``w`` counts
-only when ``w^T w / 1^T R 1``, the eigenvalue it adds to ``P B P``, clears
-the cutoff too. On a numerically singular split ``alpha = 0`` is dominated
-by rounding on either path.
-
-The update path takes a block base instead when its wide band splits into
-row groups (``_band_blocks``, evaluated once per band per fit): each split
-factors that band by blocks as the block path does, with ``U^T [Yc | W]``
-in place of ``U^T Yc``, and forms no dense Gram. On centered vectors
-``A^-1`` is ``Q_a = R - R 1 1^T R / 1^T R 1`` with
-``R = (gamma_w^2 B + aI)^-1``, so ``u^T Q_a v = (u - 1 c_u)^T R (v - 1 c_v)``
-with the block path's centering ``c``: ``S`` and ``W'^T A^-1 Yc`` take that
-form over every direction of ``B``, and ``gamma_w^2 K_w,ev A^-1`` of ``Yc``
-and of ``W'`` goes through the block path's eval side, k eigen-coordinates
-per eval row. ``alpha = 0`` is the limit ``alpha -> 0+`` here too, with the
-eigenvalues of ``B`` at or below its cutoff taken as exact zeros: ``R`` and
-``c`` take the block path's limit, and the dropped directions constrain
-``x`` as on the dense base, less the ones vector's part there when ``w``
-counts (that part is no null direction of ``P B P``).
+The update path takes a block base instead when the wide band's rows fall
+into groups that share no nonzero column (OASM: one group per block;
+``_band_blocks``, evaluated once per band per fit, finds none when a group
+has more rows than columns). With ``S`` the training-column std and ``P``
+the centering projection, the band's standardized train Gram is ``P B P``
+with ``B = X_tr S^-2 X_tr^T`` block-diagonal over the groups. Each split
+factors ``B`` group by group (one stacked ``eigh`` per training-row count)
+and keeps ``U^T [Yc | W]``; it never forms the band's standardized matrices
+or any dense Gram. On centered vectors ``A^-1`` is
+``Q_a = R - R 1 1^T R / 1^T R 1`` with ``R = (gamma_w^2 B + aI)^-1``, so
+``u^T Q_a v = (u - 1 c_u)^T R (v - 1 c_v)`` with the centering
+``c_v = 1^T R v / 1^T R 1``: ``S`` and ``W'^T A^-1 Yc`` take that form over
+every direction of ``B``, and ``gamma_w^2 K_w,ev A^-1`` of ``Yc`` and of
+``W'`` goes through the block-sparse eval-by-train Gram, k
+eigen-coordinates per eval row. ``alpha = 0`` is the limit ``alpha -> 0+``
+here too, eigenvalues of ``B`` at or below the Gram cutoff taken as exact
+zeros: if the ones vector has weight ``w`` on them,
+``c_v = w^T (U^T v)_dropped / w^T w``. That is the dense base's
+minimum-norm solution in exact arithmetic; ``w`` counts only when
+``w^T w / 1^T R 1``, the eigenvalue it adds to ``P B P``, clears the cutoff
+too. The dropped directions constrain ``x`` as on the dense base, less the
+ones vector's part there when ``w`` counts (that part is no null direction
+of ``P B P``). On a numerically singular split ``alpha = 0`` is dominated by
+rounding on either base.
 
 Search notes
 ------------
@@ -232,8 +227,9 @@ def _uses_gram(n_dims: int, n_rows: int) -> bool:
 def _uses_update(narrow_dims: int, n_rows: int) -> bool:
     """The update path's crossover: beside one wide band, narrow bands of
     ``narrow_dims`` columns in all are cheaper to fold in per candidate by a
-    rank-``narrow_dims`` update than by a dense ``eigh`` of the mixed Gram."""
-    return 0 < _UPDATE_RATIO * narrow_dims <= n_rows
+    rank-``narrow_dims`` update than by a dense ``eigh`` of the mixed Gram;
+    ``narrow_dims = 0``, the wide band alone, is the rank-0 case."""
+    return _UPDATE_RATIO * narrow_dims <= n_rows
 
 
 class _Spectral:
@@ -328,13 +324,22 @@ class _Update:
                  for e in evals)
         return S, V, sides
 
+    def _base(self, D, Y_hat, alphas, evals, scratch):
+        """Per eval set in ``evals``, the wide band's predictions of ``Yc``."""
+        return (_filtered_gemm(self.G[e], D, [Y_hat], scratch)[0]
+                for e in evals)
+
     def predict(self, gamma_w, gamma_n, alphas, evals, scratch, units):
         """Centered predictions per alpha for wide-band scale ``gamma_w`` and
         narrow-column scales ``gamma_n``, yielded as ``_Spectral.predict``
-        yields them."""
+        yields them: the base's own when no narrow column is active."""
         alphas = np.asarray(alphas, dtype=np.float64)
         D = self.base.filter(alphas / gamma_w ** 2)     # gamma_w^2 A^-1
-        Y_hat, W_hat = self.UTY[:, units], self.UTW * gamma_n
+        Y_hat = self.UTY[:, units]
+        if not gamma_n.any():
+            yield from self._base(D, Y_hat, alphas, evals, scratch)
+            return
+        W_hat = self.UTW * gamma_n
         S, V, sides = self._terms(D, Y_hat, W_hat, alphas, gamma_w, gamma_n,
                                   units, evals, scratch)
         S[:, np.arange(len(gamma_n)), np.arange(len(gamma_n))] += 1.0
@@ -356,9 +361,9 @@ class _Update:
 
 
 class _BlockSpectral(_Spectral):
-    """The Gram path of one training set of a single band, factored block by
-    block (``_factor_blocks``): eigenpairs of ``B = X_tr S^-2 X_tr^T`` in
-    which every centered solve happens (see the module notes)."""
+    """The update path's block base: one training set's wide band factored
+    by ``_factor_blocks``, eigenpairs of ``B = X_tr S^-2 X_tr^T`` in which
+    every centered solve happens (see the module notes)."""
 
     def __init__(self, spectrum, ones, UTY):
         self.spectrum, self.numerator, self.denominator = spectrum, 1.0, spectrum
@@ -400,20 +405,11 @@ class _BlockSpectral(_Spectral):
             preds -= Bx
             yield preds
 
-    def predict(self, eval_sides, alphas, units, scratch):
-        """Centered predictions per alpha, (n_alphas, n_eval, n_units), for
-        each (F, T) eval side in turn, as ``_Spectral.predict`` yields them."""
-        UTY = self.UTY[:, units]
-        D = self.filter(alphas)
-        Du, c = self._center(D, UTY, alphas)
-        for preds in self._eval(eval_sides, D, Du, UTY, c, scratch):
-            yield preds.transpose(1, 0, 2)
-
 
 class _BlockUpdate(_Update):
     """The update path on a block base (see the module notes): the wide band
-    factored by ``_factor_blocks``, its centering and its eval side those of
-    ``_BlockSpectral``, so no dense Gram is formed."""
+    factored by ``_factor_blocks``, with ``_BlockSpectral``'s centering and
+    eval side, so no dense Gram is formed."""
 
     def __init__(self, X, blocks, train_idx, eval_idxs, Yc, narrow,
                  narrow_evs):
@@ -422,15 +418,22 @@ class _BlockUpdate(_Update):
         base, n_units = self.base, Yc.shape[1]
         null = base.UTY[base.drop]
         if base.limit:  # the ones vector's part there is no null direction
-            null = null - np.outer(base.w, base.w @ null) / (base.w @ base.w)
+            null -= np.outer(base.w, base.w @ null) / (base.w @ base.w)
         self.null_Y, self.null_W = null[:, :n_units], null[:, n_units:]
         self.UTY, self.UTW = base.UTY[:, :n_units], base.UTY[:, n_units:]
         self.narrow_evs = narrow_evs
 
+    def _base(self, D, Y_hat, alphas, evals, scratch):
+        """As ``_Update._base``, through the block-sparse eval side."""
+        Du, c = self.base._center(D, Y_hat, alphas)
+        for preds in self.base._eval([self.evals[e] for e in evals], D, Du,
+                                     Y_hat, c, scratch):
+            yield preds.transpose(1, 0, 2)
+
     def _terms(self, D, Y_hat, W_hat, alphas, gamma_w, gamma_n, units, evals,
                scratch):
         """As ``_Update._terms``, with ``A^-1`` on centered vectors the
-        block path's ``Q_a = R - R 1 1^T R / 1^T R 1``: ``u^T Q_a v`` is
+        block base's ``Q_a = R - R 1 1^T R / 1^T R 1``: ``u^T Q_a v`` is
         ``(u - 1 c_u)^T R (v - 1 c_v)``, over every direction of ``B``."""
         n_units, ones = Y_hat.shape[1], self.base.ones
         R = np.hstack([Y_hat, W_hat])
@@ -603,8 +606,8 @@ def ridge_solve(X_train, Y_train, X_eval, alphas) -> np.ndarray:
     _check_finite("X_train", X)
     _check_finite("Y_train", Y)
     alphas = [float(a) for a in alphas]
-    if any(a < 0 for a in alphas):
-        raise DataError("alphas must be non-negative")
+    if not all(0 <= a < math.inf for a in alphas):
+        raise DataError("alphas must be finite and non-negative")
     Xe = np.asarray(X_eval, dtype=np.float64)
     if Xe.ndim != 2 or Xe.shape[1] != X.shape[1]:
         raise DataError("X_train and X_eval must be 2-D with equal column counts")
@@ -663,7 +666,7 @@ class FitResult:
     validation_r2: np.ndarray          # outer folds x units (best per unit)
     n_random_iterations: list[int]
     early_stopped: list[bool]
-    solver_paths: dict                 # factorizations per solver path
+    solver_paths: dict  # factorizations and update-path scorings per path
     train_sets: int                    # distinct inner training sets factored
 
     def test_r2(self, responses) -> np.ndarray:
@@ -688,11 +691,10 @@ class FitResult:
 
 
 class _FoldData:
-    """One training set and the eval sets predicted from it: the block
-    factorization of a single band that splits into row groups, else
-    standardized per-band matrices and, whenever some scaling vector can take
-    the Gram path, either the update path's factorization of the one wide
-    band (by blocks when it splits into row groups) or band Grams and
+    """One training set and the eval sets predicted from it (see the module
+    notes): standardized per-band matrices and, whenever some scaling vector
+    can take the Gram path, either the update path's factorization of the one
+    wide band (by blocks when it splits into row groups) or band Grams and
     eval-by-train Grams. A band wider than the training set keeps no
     standardized matrices. ``blocks`` holds each band's row groups or None."""
 
@@ -702,11 +704,6 @@ class _FoldData:
         self.widths = [X.shape[1] for X in band_mats]
         self.y_mean = Y[train_idx].mean(axis=0)
         self.Yc = Y[train_idx] - self.y_mean
-        self.block = self.update = None
-        if len(band_mats) == 1 and blocks[0] is not None:
-            self.block, self.evals = _factor_blocks(
-                band_mats[0], blocks[0], train_idx, eval_idxs, self.Yc)
-            return
         wide = [b for b, w in enumerate(self.widths)
                 if _uses_gram(w, self.n_train)]
         self.narrow = [b for b in range(len(band_mats)) if b not in wide]
@@ -718,12 +715,15 @@ class _FoldData:
              for b, X in enumerate(band_mats)]
         self.Ztr = [ztr for ztr, *_ in z]
         self.Zev = [zev for _, zev, *_ in z]  # per band, one per eval set
-        self.grams = self.cross = None
+        self.update = self.grams = self.cross = None
         if update:
             (self.wide,) = wide
-            W = np.hstack([self.Ztr[b] for b in self.narrow])
-            W_evs = [np.hstack([self.Zev[b][e] for b in self.narrow])
-                     for e in range(len(eval_idxs))]
+            # the empty first blocks give r = 0 its (rows, 0) narrow sides
+            W = np.hstack([self.Yc[:, :0]]
+                          + [self.Ztr[b] for b in self.narrow])
+            W_evs = [np.hstack([Y[idx, :0]]
+                               + [self.Zev[b][e] for b in self.narrow])
+                     for e, idx in enumerate(eval_idxs)]
             if on_blocks:
                 self.update = _BlockUpdate(band_mats[self.wide],
                                            blocks[self.wide], train_idx,
@@ -740,11 +740,12 @@ class _FoldData:
             self.Ztr[b] = self.Zev[b] = None
 
     def path(self, gamma) -> str:
-        """The solver path that ``predict_grid`` takes for ``gamma``."""
-        if self.block is not None:
-            return "block"
+        """The solver path that ``predict_grid`` takes for ``gamma``; the
+        update path with no narrow band active is named by its base."""
         if self.update is not None and gamma[self.wide] > 0:
-            return "update"
+            if any(gamma[b] > 0 for b in self.narrow):
+                return "update"
+            return "block" if isinstance(self.update, _BlockUpdate) else "gram"
         dims = sum(w for w, g in zip(self.widths, gamma) if g > 0)
         return "gram" if _uses_gram(dims, self.n_train) else "design"
 
@@ -753,10 +754,7 @@ class _FoldData:
         vector, one factorization (or update), yielded per eval set in
         ``evals``. ``units`` is ``slice(None)`` or an index array."""
         path = self.path(gamma)
-        if path == "block":  # a single band: its one candidate is [1.0]
-            return self.block.predict([self.evals[e] for e in evals], alphas,
-                                      units, scratch)
-        if path == "update":
+        if path != "design" and self.update is not None:
             gamma_n = np.repeat([gamma[b] for b in self.narrow],
                                 [self.widths[b] for b in self.narrow])
             return self.update.predict(gamma[self.wide], gamma_n, alphas,
@@ -811,9 +809,7 @@ def banded_search(features: Sequence[FeatureSpace], responses, plan: SplitPlan,
 
     Up to ``threads`` distinct inner training sets are factored at once (see
     the module notes); while BLAS is pinned (``fit_blas_threads() == 1``)
-    the result does not depend on it. A single band that ``_band_blocks``
-    splits into row groups takes the block path on every split, any other
-    band on none.
+    the result does not depend on it.
     """
     check_int("threads", threads, 1)
     ridge_cfg = ridge_cfg or RidgeConfig()

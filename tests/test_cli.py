@@ -231,6 +231,15 @@ class TestFit:
                      "--output", str(tmp_path / "sl")]) == 0
         assert [names for names, _ in searches] == [["SP", "SL"], ["SL"]]
 
+    def test_infinite_min_improvement_exits_2(self, tmp_path, capsys, fit_argv,
+                                              searches):
+        # inf used to pass: every random step then counted as a stall
+        out = tmp_path / "fit"
+        assert main([*fit_argv, "--min-improvement", "inf",
+                     "--output", str(out)]) == 2
+        assert "must be finite" in capsys.readouterr().err
+        assert searches == [] and not out.exists()
+
     def test_unknown_space_exits_2(self, tmp_path, capsys, fit_argv, searches):
         out = tmp_path / "fit"
         assert main([*fit_argv, "--spaces", "SP,NOPE", "--output", str(out)]) == 2
@@ -575,8 +584,12 @@ class TestThreads:
                               outputs, [["--threads", "1"], ["--threads", "2"]])
         prov = json.loads(
             (tmp_path / "out-1-0" / "provenance.json").read_text())
-        paths = prov["fits"]["contiguous"]["LLM+SPSL"]["solver_paths"]
-        assert paths["update"] > 0 and paths["gram"] == 0
+        record = prov["fits"]["contiguous"]["LLM+SPSL"]
+        paths, sets = record["solver_paths"], record["train_sets"]["distinct"]
+        # the LLM-only mask is scored by the update path's dense base alone
+        # (counted as gram), once per set and at most once per refit of the
+        # 8 outer folds; no candidate takes a dense mixed Gram
+        assert paths["update"] > 0 and sets <= paths["gram"] <= sets + 8
         first = runs[("1", "--threads", "1")]
         assert len(first) > 3
         for key, run in runs.items():

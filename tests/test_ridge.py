@@ -99,6 +99,12 @@ class TestRidgeSolve:
         with pytest.raises(DataError):
             eb.ridge_solve([[1.0], [float("inf")]], [1.0, 2.0], [[1.0]], [1.0])
 
+    @pytest.mark.parametrize("alpha", [float("nan"), float("inf")])
+    def test_non_finite_alpha_rejected(self, alpha):
+        # a NaN alpha used to be filtered as the pseudo-inverse
+        with pytest.raises(DataError, match="finite"):
+            eb.ridge_solve([[1.0], [2.0]], [1.0, 2.0], [[1.0]], [0.0, alpha])
+
     def test_monotone_shrinkage(self, rng):
         for n, p in ((30, 6), (10, 25)):  # tall, then wide (Gram path)
             X = rng.standard_normal((n, p))
@@ -532,13 +538,12 @@ class TestBlockPath:
                            fold.inner_folds[0].validation), (trval, fold.test)):
             block = _FoldData([oasm.data], Y, train, [ev], [blocks])
             dense = _FoldData([oasm.data], Y, train, [ev])
-            assert block.block is not None and dense.block is None
             (got,) = block.predict_grid([1.0], alphas, [0], _Scratch())
             (want,) = dense.predict_grid([1.0], alphas, [0], _Scratch())
             assert block.path([1.0]) == "block"
             assert dense.path([1.0]) == "gram"
             scale = np.abs(want).max()
-            spectrum = block.block.spectrum
+            spectrum = block.update.base.spectrum
             cond = spectrum.max() / spectrum.min()
             # the dense path's own rounding at alpha = 0 grows with cond(B)
             bound = 1e-10 if cond <= 1e4 else 10 * len(train) * eps * cond
@@ -570,10 +575,14 @@ class TestBlockPath:
         alphas = eb.default_alpha_grid()
         block = _FoldData([oasm.data], Y, inner.train, [inner.validation],
                           [_band_blocks(oasm.data)])
-        assert (block.block.spectrum <= block.block.cutoff).any()
+        assert (block.update.base.spectrum <= block.update.base.cutoff).any()
         (got,) = block.predict_grid([1.0], alphas, [0], _Scratch())
-        (want,) = _FoldData([oasm.data], Y, inner.train, [inner.validation]
-                            ).predict_grid([1.0], alphas, [0], _Scratch())
+        # the dense Gram over every eigen-direction: the update path's dense
+        # base drops those at or below the cutoff, 3e-10 relative here
+        with monkeypatch.context() as m:
+            m.setattr(ridge, "_uses_update", lambda *args: False)
+            (want,) = _FoldData([oasm.data], Y, inner.train, [inner.validation]
+                                ).predict_grid([1.0], alphas, [0], _Scratch())
         assert np.isfinite(got).all()
         scale = np.abs(want[1:]).max()
         assert np.abs(got[1:] - want[1:]).max() <= 1e-10 * scale
@@ -601,7 +610,8 @@ class TestBlockPath:
         alphas = eb.default_alpha_grid()
         block = _FoldData([X], Y, train, [ev], [_band_blocks(X)])
         assert block.path([1.0]) == "block"
-        assert (block.block.spectrum <= block.block.cutoff).sum() == 10
+        base = block.update.base
+        assert (base.spectrum <= base.cutoff).sum() == 10
         (got,) = block.predict_grid([1.0], alphas, [0], _Scratch())
         want = min_norm_ridge_oracle(X, Y, train, ev, alphas) - Y[train].mean(0)
         assert np.abs(got - want).max() <= 1e-10 * np.abs(want).max()
@@ -616,8 +626,9 @@ class TestBlockPath:
         alphas = eb.default_alpha_grid()
         block = _FoldData([X], Y, train, [ev], [_band_blocks(X)])
         assert block.path([1.0]) == "block"
-        kept = block.block.spectrum > block.block.cutoff
-        np.testing.assert_allclose(block.block.ones[kept], 0.0, atol=1e-12)
+        base = block.update.base
+        kept = base.spectrum > base.cutoff
+        np.testing.assert_allclose(base.ones[kept], 0.0, atol=1e-12)
         (got,) = block.predict_grid([1.0], alphas, [0], _Scratch())
         (want,) = _FoldData([X], Y, train, [ev]).predict_grid(
             [1.0], alphas, [0], _Scratch())
@@ -645,7 +656,7 @@ class TestBlockPath:
         train, ev = np.arange(12), np.arange(12, 18)
         alphas = [0.0, 0.5, 8.0]
         block = _FoldData([X], Y, train, [ev], [blocks])
-        assert block.block is not None
+        assert block.path([1.0]) == "block"
         (got,) = block.predict_grid([1.0], alphas, [0], _Scratch())
         (want,) = _FoldData([X], Y, train, [ev]).predict_grid([1.0], alphas, [0],
                                                               _Scratch())
@@ -684,13 +695,17 @@ class TestBlockPath:
                                    "design": 0, "update": 0}
         assert _band_blocks(X) is None
 
-    def test_multiband_fit_takes_no_block_path(self, tiny_recording,
-                                               small_plan, rng):
+    def test_multiband_fit_counts_oasm_only_mask_as_block(
+            self, tiny_recording, small_plan, rng):
         features, Y, _ = tiny_recording
         oasm = eb.build_oasm(96, np.repeat(np.arange(24), 4), 1.0)
         cfg = BandedSearchConfig(max_iters=5, patience=5)
         fit = eb.banded_search([oasm, features], Y, small_plan, search_cfg=cfg)
-        assert fit.solver_paths["block"] == 0
+        # the OASM-only mask, once per distinct training set, is scored by
+        # the block factorization alone; every other candidate with OASM
+        # by a rank-4 update
+        assert fit.solver_paths["block"] >= fit.train_sets
+        assert fit.solver_paths["gram"] == 0
         solo = eb.banded_search([oasm], Y, small_plan)
         # 15 distinct inner training sets and 6 refits, each factored once
         assert solo.train_sets == 15
@@ -859,7 +874,12 @@ class TestUpdatePath:
     def test_wide_band_alone_matches_dense_gram(self, rng, monkeypatch):
         bands, Y, train, ev = _update_case(rng, (3, 2))
         gamma = np.array([0.0, 0.0, 1.0])
-        got = _update_predictions(bands, Y, train, ev, gamma)
+        fold = _FoldData(bands, Y, train, [ev])
+        # no narrow column is active: the dense base alone predicts it
+        assert fold.update is not None and fold.path(gamma) == "gram"
+        (got,) = fold.predict_grid(gamma, eb.default_alpha_grid(), [0],
+                                   _Scratch())
+        got = got.copy()
         monkeypatch.setattr(ridge, "_uses_update", lambda *args: False)
         dense = _FoldData(bands, Y, train, [ev])
         assert dense.path(gamma) == "gram"
@@ -891,12 +911,14 @@ class TestUpdatePath:
         cfg = BandedSearchConfig(max_iters=2, patience=2)
         fit = eb.banded_search(bands, Y, small_plan, search_cfg=cfg)
         # per distinct training set, the narrow-only mask takes the design
-        # path and the other 2 masks and 2 random draws the update path; each
-        # refit takes the path of its winner
+        # path, the wide-only mask the update path's dense base alone
+        # (counted as gram), and the full mask and 2 random draws the update
+        # path; each refit takes the path of its winner
         sets = fit.train_sets
-        assert fit.solver_paths["block"] == fit.solver_paths["gram"] == 0
+        assert fit.solver_paths["block"] == 0
         assert fit.solver_paths["design"] >= sets
-        assert fit.solver_paths["update"] >= 4 * sets
+        assert fit.solver_paths["gram"] >= sets
+        assert fit.solver_paths["update"] >= 3 * sets
         assert sum(fit.solver_paths.values()) >= 5 * sets + 6
 
     @pytest.mark.parametrize("gamma", [[0.3, 0.7], [0.7, 0.3]])
@@ -960,6 +982,50 @@ class TestUpdatePath:
             np.testing.assert_array_equal(ev, alone)
 
 
+def _mask_and_alone(bands, blocks, b, Y, train, ev, units):
+    """Band ``b``'s mask of a fit of ``bands`` and the single-band fit of
+    ``b``: each fold's path and centered predictions per default alpha."""
+    gamma = np.eye(len(bands))[b]
+    out = []
+    for fold, g in ((_FoldData(bands, Y, train, [ev], blocks), gamma),
+                    (_FoldData([bands[b]], Y, train, [ev], [blocks[b]]),
+                     np.ones(1))):
+        (preds,) = fold.predict_grid(g, eb.default_alpha_grid(), [0],
+                                     _Scratch(), units)
+        out.append((fold.path(g), preds.copy()))
+    return out
+
+
+@pytest.mark.parametrize("units", [slice(None), np.array([0, 2, 5])])
+@pytest.mark.parametrize("case", ["oasm-contiguous", "oasm-shuffled", "llm"])
+def test_mask_predicts_as_the_single_band_fit_of_its_band(rng, case, units):
+    """A wide band's mask in a fit beside narrow bands and the fit of that
+    band alone take one rule, the update path's factorization of it alone,
+    and give the same bits. Its scorings count by that factorization, block
+    or gram, not as update scorings."""
+    if case == "llm":  # LLM of rank 4 beside SP+SL: its Gram has null directions
+        spec, extras = eb.preset("subsumption-demo", seed=3)
+        recording, _ = eb.generate(spec)
+        plan = build_plan(SplitSpec("pereira"), recording)
+        sp, sl = (fs.data for fs in spec.signal_features)
+        (llm,) = (fs.data for fs in extras if fs.name == "LLM")
+        bands, blocks, b = [np.hstack([sp, sl]), llm], [None, None], 1
+        Y, path = recording.responses, "gram"
+    else:
+        oasm, Y, plan = _oasm_case("pereira-exp2", "pereira",
+                                   case.split("-")[1], 1.0, n_inner=1)
+        bands = [oasm.data, rng.standard_normal((plan.n_samples, 3))]
+        blocks, b, path = [_band_blocks(oasm.data), None], 0, "block"
+    fold = plan.outer_folds[0]
+    trval = np.setdiff1d(np.arange(plan.n_samples), fold.test)
+    for train, ev in ((fold.inner_folds[0].train,
+                       fold.inner_folds[0].validation), (trval, fold.test)):
+        (mask_path, got), (alone_path, want) = _mask_and_alone(
+            bands, blocks, b, Y, train, ev, units)
+        assert mask_path == alone_path == path
+        np.testing.assert_array_equal(got, want)
+
+
 def test_paths_that_round_differently_choose_alike(monkeypatch):
     """Exact ties go to the earlier candidate on every solver path. On
     subsumption-demo the LLM band spans the SP+SL columns, so at alpha = 0
@@ -1003,7 +1069,10 @@ def test_block_and_dense_bases_choose_alike(monkeypatch, mode):
     monkeypatch.setattr(ridge, "_band_blocks", lambda X: None)
     dense = eb.banded_search(features, recording.responses, plan,
                              search_cfg=cfg)
-    assert dense.solver_paths == block.solver_paths
+    # the OASM-only mask counts by its factorization: block, then dense
+    assert block.solver_paths["block"] > 0 and block.solver_paths["gram"] == 0
+    assert dense.solver_paths == dict(block.solver_paths, block=0,
+                                      gram=block.solver_paths["block"])
     assert len(built) == block.train_sets + len(plan.outer_folds)
     np.testing.assert_array_equal(block.chosen_gamma, dense.chosen_gamma)
     np.testing.assert_array_equal(block.chosen_alpha, dense.chosen_alpha)
