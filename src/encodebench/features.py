@@ -140,6 +140,8 @@ def sweep_oasm_sigma(recording, block_ids, plan, sigmas=None,
     folds (``threads`` as in ``banded_search``); a unit's score is its
     best-alpha validation R^2 averaged over outer folds, clipped at zero
     before averaging across units. Exact ties resolve to the smaller sigma.
+    Each fit also refits every outer fold and predicts its test rows; the
+    sweep discards those predictions.
     """
     from .ridge import banded_search  # deferred: features is imported by ridge
 

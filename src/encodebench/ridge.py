@@ -3,12 +3,13 @@ per-unit hyperparameter search.
 
 Solver notes
 ------------
-Every solve goes through one spectral core, ``_Spectral``: it factors a
-centered problem once and filters the spectrum per alpha. One rule,
-``_uses_gram``, picks the factorization: an economy SVD of the design X
-while X has no more columns than rows, else ``eigh`` of the smaller Gram
-matrix K = X X^T, which gives identical predictions through the
-push-through identity ``X_ev (X^T X + aI)^-1 X^T Y = K_ev (K + aI)^-1 Y``.
+Every solve factors a centered problem once and filters its spectrum per
+alpha through one function, ``_filter``, which serves ``_Spectral`` and both
+update bases alike. One rule, ``_uses_gram``, picks ``_Spectral``'s
+factorization: an economy SVD of the design X while X has no more columns
+than rows, else ``eigh`` of the smaller Gram matrix K = X X^T, which gives
+identical predictions through the push-through identity
+``X_ev (X^T X + aI)^-1 X^T Y = K_ev (K + aI)^-1 Y``.
 ``alpha = 0`` is the pseudo-inverse (minimum-norm least squares) limit,
 with numpy's pinv rank cutoff on the matrix factored; on the Gram path it
 resolves singular values of X down to about ``sqrt(n * eps) * smax``.
@@ -232,41 +233,45 @@ def _uses_update(narrow_dims: int, n_rows: int) -> bool:
     return _UPDATE_RATIO * narrow_dims <= n_rows
 
 
+def _filter(alphas, spectrum, cutoff, singular=False) -> np.ndarray:
+    """(n_alphas, rank) filter factors of an eigenvalue ``spectrum``,
+    ``1 / (lam + alpha)``, or of singular values, ``s / (s^2 + alpha)``;
+    ``alpha = 0`` is the pseudo-inverse, values at or below ``cutoff`` taken
+    as exact zeros."""
+    alphas = np.asarray(alphas, dtype=np.float64)
+    D = np.empty((alphas.size, spectrum.size))
+    pos = alphas > 0.0
+    if singular:
+        D[pos] = spectrum / (spectrum ** 2 + alphas[pos, None])
+    else:
+        D[pos] = 1.0 / (spectrum + alphas[pos, None])
+    keep = spectrum > cutoff
+    D[~pos] = np.where(keep, 1.0 / np.where(keep, spectrum, 1.0), 0.0)
+    return D
+
+
 class _Spectral:
     """One factorization of a centered ridge problem, from its design (eval
     rows are design rows) or its Gram (eval rows are eval-by-train Gram rows)."""
 
     def __init__(self, Yc, design=None, gram=None):
-        if gram is None:
-            U, s, Vt = np.linalg.svd(design, full_matrices=False)
-            self.spectrum, self.numerator, self.denominator = s, s, s ** 2
-            factored = design
-            self.right = Vt.T
+        self.singular = gram is None
+        if self.singular:
+            U, self.spectrum, Vt = np.linalg.svd(design, full_matrices=False)
+            factored, self.right = design, Vt.T
         else:
             lam, U = np.linalg.eigh(gram)
-            lam = np.maximum(lam, 0.0)
-            self.spectrum, self.numerator, self.denominator = lam, 1.0, lam
-            factored = gram
-            self.right = U
+            factored, self.right = gram, U
+            self.spectrum = np.maximum(lam, 0.0)
         # numpy's pinv rule, applied to the matrix actually factored
         self.cutoff = self.spectrum.max(initial=0.0) * max(factored.shape) * _RCOND
         self.UTY = U.T @ Yc
-
-    def filter(self, alphas) -> np.ndarray:
-        """(n_alphas, rank) filter factors; ``alpha = 0`` is the pseudo-inverse."""
-        alphas = np.asarray(alphas, dtype=np.float64)
-        D = np.empty((alphas.size, self.spectrum.size))
-        pos = alphas > 0.0
-        D[pos] = self.numerator / (self.denominator + alphas[pos, None])
-        keep = self.spectrum > self.cutoff
-        D[~pos] = np.where(keep, 1.0 / np.where(keep, self.spectrum, 1.0), 0.0)
-        return D
 
     def predict(self, eval_sides, alphas, scratch):
         """Centered predictions per alpha, (n_alphas, n_eval, n_units), for
         each eval side in turn, from one filter: each a view into ``scratch``
         that the next one overwrites."""
-        D = self.filter(alphas)
+        D = _filter(alphas, self.spectrum, self.cutoff, self.singular)
         for eval_side in eval_sides:
             (preds,) = _filtered_gemm(eval_side @ self.right, D, [self.UTY],
                                       scratch)
@@ -283,17 +288,17 @@ class _Update:
     keeps ``U^T [Yc | W]`` and the Gram terms of its ``W`` part."""
 
     def __init__(self, Yc, narrow, gram, cross, narrow_evs):
-        self.base = _Spectral(np.hstack([Yc, narrow]), gram=gram)
-        keep = self.base.spectrum > self.base.cutoff
-        self.G = [C @ self.base.right[:, keep] for C in cross]
-        self.base.right = None  # the eval sides above were all it served
-        self.base.spectrum = self.base.denominator = self.base.spectrum[keep]
-        UTR, n_units = self.base.UTY, Yc.shape[1]
+        lam, U = np.linalg.eigh(gram)
+        lam = np.maximum(lam, 0.0)
+        self.cutoff = lam.max(initial=0.0) * len(lam) * _RCOND  # pinv rule
+        keep = lam > self.cutoff
+        self.spectrum = lam[keep]
+        self.G = [C @ U[:, keep] for C in cross]
+        UTR, n_units = U.T @ np.hstack([Yc, narrow]), Yc.shape[1]
         self.null_Y, self.null_W = UTR[~keep, :n_units], UTR[~keep, n_units:]
         self.null_WW = self.null_W.T @ self.null_W
         self.null_WY = self.null_W.T @ self.null_Y
         self.UTY, self.UTW = UTR[keep, :n_units], UTR[keep, n_units:]
-        self.base.UTY = None  # split above
         self.narrow_evs = narrow_evs
 
     def _null_weight(self, active):
@@ -302,10 +307,10 @@ class _Update:
         orthonormal basis of the part those columns span that clears the
         cutoff."""
         M = self.null_W * active
-        if np.square(M).sum() <= self.base.cutoff:  # no singular value clears it
+        if np.square(M).sum() <= self.cutoff:  # no singular value clears it
             return M[:0], self.null_Y[:0]
         Q, sv, _ = np.linalg.svd(M, full_matrices=False)
-        Q = Q[:, sv ** 2 > self.base.cutoff]
+        Q = Q[:, sv ** 2 > self.cutoff]
         return Q.T @ self.null_W, Q.T @ self.null_Y
 
     def _terms(self, D, Y_hat, W_hat, alphas, gamma_w, gamma_n, units, evals,
@@ -334,7 +339,8 @@ class _Update:
         narrow-column scales ``gamma_n``, yielded as ``_Spectral.predict``
         yields them: the base's own when no narrow column is active."""
         alphas = np.asarray(alphas, dtype=np.float64)
-        D = self.base.filter(alphas / gamma_w ** 2)     # gamma_w^2 A^-1
+        # gamma_w^2 A^-1
+        D = _filter(alphas / gamma_w ** 2, self.spectrum, self.cutoff)
         Y_hat = self.UTY[:, units]
         if not gamma_n.any():
             yield from self._base(D, Y_hat, alphas, evals, scratch)
@@ -360,22 +366,30 @@ class _Update:
             yield fix
 
 
-class _BlockSpectral(_Spectral):
-    """The update path's block base: one training set's wide band factored
-    by ``_factor_blocks``, eigenpairs of ``B = X_tr S^-2 X_tr^T`` in which
-    every centered solve happens (see the module notes)."""
+class _BlockUpdate(_Update):
+    """The update path on a block base (see the module notes): the wide band
+    factored by ``_factor_blocks`` into eigenpairs of
+    ``B = X_tr S^-2 X_tr^T``, in which every centered solve happens, and
+    predicted through its block-sparse eval side, so no dense Gram is
+    formed."""
 
-    def __init__(self, spectrum, ones, UTY):
-        self.spectrum, self.numerator, self.denominator = spectrum, 1.0, spectrum
-        self.cutoff = spectrum.max() * spectrum.size * _RCOND  # the Gram rule
-        self.ones = ones  # U^T 1
-        self.UTY = UTY
+    def __init__(self, X, blocks, train_idx, eval_idxs, Yc, narrow,
+                 narrow_evs):
+        self.spectrum, self.ones, UTR, self.evals = _factor_blocks(
+            X, blocks, train_idx, eval_idxs, np.hstack([Yc, narrow]))
+        self.cutoff = self.spectrum.max() * len(self.spectrum) * _RCOND  # pinv rule
         # alpha = 0: the ones vector's weight w on the dropped directions, and
         # whether it counts (see the module notes)
-        self.drop = spectrum <= self.cutoff
-        self.w = ones[self.drop]
-        R1 = (self.filter([0.0]) * ones) @ ones
+        self.drop = self.spectrum <= self.cutoff
+        self.w = self.ones[self.drop]
+        R1 = _filter([0.0], self.spectrum, self.cutoff) * self.ones @ self.ones
         self.limit = self.w @ self.w > self.cutoff * R1[0]
+        null, n_units = UTR[self.drop], Yc.shape[1]
+        if self.limit:  # the ones vector's part there is no null direction
+            null -= np.outer(self.w, self.w @ null) / (self.w @ self.w)
+        self.null_Y, self.null_W = null[:, :n_units], null[:, n_units:]
+        self.UTY, self.UTW = UTR[:, :n_units], UTR[:, n_units:]
+        self.narrow_evs = narrow_evs
 
     def _center(self, D, R, alphas):
         """``D * (U^T 1)`` and the centering ``c`` per alpha of each column
@@ -387,47 +401,29 @@ class _BlockSpectral(_Spectral):
         num[limit], den[limit] = self.w @ R[self.drop], self.w @ self.w
         return Du, num / den[:, None]
 
-    def _eval(self, eval_sides, D, Du, R, c, scratch):
-        """Per (F, T) eval side, ``K_ev x`` for ``x = R (v - 1 c)`` and each
-        column ``v`` of ``R``: (n_eval, n_alphas, R's columns), eval-major,
-        a view into ``scratch`` that the next one overwrites."""
+    def _eval(self, evals, D, Du, R, c, scratch):
+        """Per eval set in ``evals``, ``K_ev x`` for ``x = R (v - 1 c)`` and
+        each column ``v`` of ``R``: (n_eval, n_alphas, R's columns),
+        eval-major, a view into ``scratch`` that the next one overwrites."""
         # x is predicted as E x - 1 (1^T B x) / n
         Bx = ((Du * self.spectrum) @ R
               - (Du @ (self.spectrum * self.ones))[:, None] * c) / D.shape[1]
-        for F, T in eval_sides:
+        for e in evals:
+            F, T = self.evals[e]
             preds = scratch.take("preds", (len(F), len(D), R.shape[1]))
             np.matmul(D.T[T].transpose(0, 2, 1) * F[:, None, :], R[T],
                       out=preds)                            # E R v, eval-major
             fix = scratch.take("centering", preds.shape)
-            np.multiply((Du.T[T] * F[:, :, None]).sum(axis=1)[:, :, None], c,
-                        out=fix)
+            np.einsum("ia,au->iau", (Du.T[T] * F[:, :, None]).sum(axis=1), c,
+                      out=fix)
             preds -= fix
             preds -= Bx
             yield preds
 
-
-class _BlockUpdate(_Update):
-    """The update path on a block base (see the module notes): the wide band
-    factored by ``_factor_blocks``, with ``_BlockSpectral``'s centering and
-    eval side, so no dense Gram is formed."""
-
-    def __init__(self, X, blocks, train_idx, eval_idxs, Yc, narrow,
-                 narrow_evs):
-        self.base, self.evals = _factor_blocks(
-            X, blocks, train_idx, eval_idxs, np.hstack([Yc, narrow]))
-        base, n_units = self.base, Yc.shape[1]
-        null = base.UTY[base.drop]
-        if base.limit:  # the ones vector's part there is no null direction
-            null -= np.outer(base.w, base.w @ null) / (base.w @ base.w)
-        self.null_Y, self.null_W = null[:, :n_units], null[:, n_units:]
-        self.UTY, self.UTW = base.UTY[:, :n_units], base.UTY[:, n_units:]
-        self.narrow_evs = narrow_evs
-
     def _base(self, D, Y_hat, alphas, evals, scratch):
         """As ``_Update._base``, through the block-sparse eval side."""
-        Du, c = self.base._center(D, Y_hat, alphas)
-        for preds in self.base._eval([self.evals[e] for e in evals], D, Du,
-                                     Y_hat, c, scratch):
+        Du, c = self._center(D, Y_hat, alphas)
+        for preds in self._eval(evals, D, Du, Y_hat, c, scratch):
             yield preds.transpose(1, 0, 2)
 
     def _terms(self, D, Y_hat, W_hat, alphas, gamma_w, gamma_n, units, evals,
@@ -435,9 +431,9 @@ class _BlockUpdate(_Update):
         """As ``_Update._terms``, with ``A^-1`` on centered vectors the
         block base's ``Q_a = R - R 1 1^T R / 1^T R 1``: ``u^T Q_a v`` is
         ``(u - 1 c_u)^T R (v - 1 c_v)``, over every direction of ``B``."""
-        n_units, ones = Y_hat.shape[1], self.base.ones
+        n_units, ones = Y_hat.shape[1], self.ones
         R = np.hstack([Y_hat, W_hat])
-        Du, c = self.base._center(D, R, alphas)
+        Du, c = self._center(D, R, alphas)
         # (W' - 1 c_W)^T R per alpha, then times [Yc | W'] minus 1 c
         AW = scratch.take("AW", (len(D), W_hat.shape[1], len(ones)))
         np.multiply(c[:, n_units:, None], ones, out=AW)
@@ -447,8 +443,7 @@ class _BlockUpdate(_Update):
         VS -= (AW @ ones)[:, :, None] * c[:, None, :]
         sides = ((out[:, :, :n_units].transpose(1, 0, 2),
                   out[:, :, n_units:].transpose(1, 0, 2))
-                 for out in self.base._eval([self.evals[e] for e in evals], D,
-                                            Du, R, c, scratch))
+                 for out in self._eval(evals, D, Du, R, c, scratch))
         return VS[:, :, n_units:], VS[:, :, :n_units], sides
 
 
@@ -482,10 +477,11 @@ def _filtered_gemm(G, D, rights, scratch):
 
 
 def _factor_blocks(X, blocks, train_idx, eval_idxs, Yc):
-    """One training set's ``_BlockSpectral`` and, per eval set, its (F, T):
-    the block-sparse eval-by-train Gram times U, and the eigen-coordinates of
-    its columns. Groups with equal training-row counts share one stacked
-    ``eigh``."""
+    """One training set's wide band factored by blocks: the eigenvalues of
+    ``B = X_tr S^-2 X_tr^T``, ``U^T 1`` and ``U^T Yc`` over its eigen-
+    coordinates, and per eval set its (F, T): the block-sparse eval-by-train
+    Gram times U, and the eigen-coordinates of its columns. Groups with
+    equal training-row counts share one stacked ``eigh``."""
     n = len(train_idx)
     k_of = np.bincount(blocks.group[train_idx], minlength=blocks.n_groups)
     tr_order, tr_start = _group_order(blocks.group[train_idx], k_of)
@@ -527,7 +523,7 @@ def _factor_blocks(X, blocks, train_idx, eval_idxs, Yc):
             F[e][at[valid], :k] = FU[valid]
             T[e][at[valid], :k] = np.broadcast_to(slots[:, None, :],
                                                   FU.shape)[valid]
-    return _BlockSpectral(spectrum, ones, UTY), list(zip(F, T))
+    return spectrum, ones, UTY, list(zip(F, T))
 
 
 def _group_order(groups, counts):
@@ -826,12 +822,10 @@ def banded_search(features: Sequence[FeatureSpace], responses, plan: SplitPlan,
     folds = plan.outer_folds
     n_outer, n_units, n_bands = len(folds), Y.shape[1], len(band_mats)
     sets = _train_sets(plan)
-    # validation targets centered on their training mean
-    yc = {(o, j): Y[folds[o].inner_folds[j].validation] - Y[train].mean(axis=0)
-          for train, users in sets for o, j in users}
-    sse_icpt = [sum((yc[o, j] ** 2).sum(axis=0)
-                    for j in range(len(fold.inner_folds)))
-                for o, fold in enumerate(folds)]
+    # validation targets centered on their training mean, in inner-fold order
+    sse_icpt = [sum(np.square(Y[inner.validation] - Y[inner.train].mean(axis=0))
+                    .sum(axis=0) for inner in fold.inner_folds)
+                for fold in folds]
     for icpt in sse_icpt:
         if (icpt == 0).any():
             bad = np.flatnonzero(icpt == 0).tolist()
@@ -863,8 +857,9 @@ def banded_search(features: Sequence[FeatureSpace], responses, plan: SplitPlan,
         sse = {}
         for u, preds in zip(live, fold.predict_grid(gamma, alphas, live,
                                                     scratch)):
-            preds -= yc[users[u]]
-            sse[users[u]] = np.square(preds, out=preds).sum(axis=1)
+            o, j = users[u]
+            preds -= Y[folds[o].inner_folds[j].validation] - fold.y_mean
+            sse[o, j] = np.square(preds, out=preds).sum(axis=1)
         return fold.path(gamma), sse
 
     def step(run, cand_id):

@@ -1,14 +1,16 @@
 """The benchmark harness under perfbench/ and the demos under scripts/ look
-encodebench functions up by name; these tests fail when a rename or a
-signature change would break them."""
+encodebench functions up by name, and src docs name private code; these
+tests fail when a rename or a signature change would break them."""
 
 import ast
 import importlib
+import io
 import json
 import os
 import re
 import subprocess
 import sys
+import tokenize
 from pathlib import Path
 
 import numpy as np
@@ -169,3 +171,27 @@ def test_every_export_has_a_caller():
     unused = [name for name in exported
               if name not in _EXPORTED_FOR_TESTS and not used(name)]
     assert unused == []
+
+
+def test_private_names_in_docs_resolve():
+    """Every private name that a src docstring or comment writes in double
+    backticks, such as ``_uses_gram`` in ridge.py, exists in its own module,
+    so a rename leaves no stale reference behind."""
+    src = Path(eb.__file__).resolve().parent
+    refs, stale = 0, []
+    for path in sorted(src.glob("*.py")):
+        module = importlib.import_module(f"encodebench.{path.stem}")
+        text = io.StringIO(path.read_text())
+        for tok in tokenize.generate_tokens(text.readline):
+            if tok.type not in (tokenize.COMMENT, tokenize.STRING):
+                continue
+            for ref in re.findall(r"``([A-Za-z_][\w.]*)``", tok.string):
+                if not any(part.startswith("_") for part in ref.split(".")):
+                    continue
+                refs += 1
+                obj = module
+                for part in ref.split("."):
+                    obj = getattr(obj, part, stale)
+                if obj is stale:
+                    stale.append(f"{path.name}:{tok.start[0]} {ref}")
+    assert refs > 0 and stale == []

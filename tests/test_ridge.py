@@ -356,6 +356,32 @@ class TestBandedSearch:
                            match=r"constant validation target for units \[3\]"):
             eb.banded_search([features], Y, small_plan)
 
+    def test_fit_holds_no_copy_of_every_folds_targets(self):
+        """At its traced peak a many-unit single-band fit holds one eval set's
+        two prediction buffers, one step's validation SSE, its outputs and
+        one training set's working arrays. The centered validation targets
+        of every (outer, inner) fold at once, 5 arrays of Y's size here, do
+        not fit beside them."""
+        spec, _ = eb.preset("pereira-exp2", seed=0, n_units=600)
+        recording, _ = eb.generate(spec)
+        plan = eb.shuffle_plan(build_plan(SplitSpec("pereira"), recording), 7)
+        oasm = eb.build_oasm(recording.n_samples, recording.block_ids, 1.0)
+        Y = recording.responses
+        tracemalloc.start()
+        try:
+            eb.banded_search([oasm], Y, plan)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        inner = [i for fold in plan.outer_folds for i in fold.inner_folds]
+        n_eval = max(len(i.validation) for i in inner)
+        per_row = len(eb.default_alpha_grid()) * Y.shape[1] * 8
+        bound = (2 * n_eval * per_row    # prediction and centering buffers
+                 + len(inner) * per_row  # SSE per (outer, inner) fold
+                 + 2 * Y.nbytes          # test and intercept predictions
+                 + 4 * Y.nbytes)         # one training set's working arrays
+        assert peak <= bound
+
     def test_pool_raises_serial_error_and_restores_blas(
             self, tiny_recording, small_plan, monkeypatch):
         # without numpy's bundled OpenBLAS the pin does nothing: only the
@@ -543,7 +569,7 @@ class TestBlockPath:
             assert block.path([1.0]) == "block"
             assert dense.path([1.0]) == "gram"
             scale = np.abs(want).max()
-            spectrum = block.update.base.spectrum
+            spectrum = block.update.spectrum
             cond = spectrum.max() / spectrum.min()
             # the dense path's own rounding at alpha = 0 grows with cond(B)
             bound = 1e-10 if cond <= 1e4 else 10 * len(train) * eps * cond
@@ -575,7 +601,7 @@ class TestBlockPath:
         alphas = eb.default_alpha_grid()
         block = _FoldData([oasm.data], Y, inner.train, [inner.validation],
                           [_band_blocks(oasm.data)])
-        assert (block.update.base.spectrum <= block.update.base.cutoff).any()
+        assert (block.update.spectrum <= block.update.cutoff).any()
         (got,) = block.predict_grid([1.0], alphas, [0], _Scratch())
         # the dense Gram over every eigen-direction: the update path's dense
         # base drops those at or below the cutoff, 3e-10 relative here
@@ -610,7 +636,7 @@ class TestBlockPath:
         alphas = eb.default_alpha_grid()
         block = _FoldData([X], Y, train, [ev], [_band_blocks(X)])
         assert block.path([1.0]) == "block"
-        base = block.update.base
+        base = block.update
         assert (base.spectrum <= base.cutoff).sum() == 10
         (got,) = block.predict_grid([1.0], alphas, [0], _Scratch())
         want = min_norm_ridge_oracle(X, Y, train, ev, alphas) - Y[train].mean(0)
@@ -626,7 +652,7 @@ class TestBlockPath:
         alphas = eb.default_alpha_grid()
         block = _FoldData([X], Y, train, [ev], [_band_blocks(X)])
         assert block.path([1.0]) == "block"
-        base = block.update.base
+        base = block.update
         kept = base.spectrum > base.cutoff
         np.testing.assert_allclose(base.ones[kept], 0.0, atol=1e-12)
         (got,) = block.predict_grid([1.0], alphas, [0], _Scratch())
@@ -795,7 +821,7 @@ def _assert_block_base(fold):
     band and holds no n x n array, such as its dense Gram."""
     assert isinstance(fold.update, ridge._BlockUpdate)
     assert fold.grams is None and fold.Ztr[fold.wide] is None
-    held = _held_arrays(fold, fold.update, fold.update.base)
+    held = _held_arrays(fold, fold.update)
     assert max(a.size for a in held) < fold.n_train ** 2
 
 
@@ -821,7 +847,7 @@ def _block_update_predictions(monkeypatch, layout, tie, gamma, rng):
     fold = _FoldData(bands, Y, train, [ev], blocks)
     assert shapes and all(s[-1] <= 4 for s in shapes)
     _assert_block_base(fold)
-    base = fold.update.base
+    base = fold.update
     if tie is not None:
         assert (base.spectrum <= base.cutoff).sum() == 1
         assert base.limit == (tie == 1.0)
