@@ -21,6 +21,8 @@ import numpy as np
 
 from .errors import DataError
 
+_TIE = 1e-12  # R^2 margin within which two subsets' scores tie
+
 
 def _as_2d(arr):
     arr = np.asarray(arr, dtype=np.float64)
@@ -74,9 +76,12 @@ def subsets(spaces, required: Optional[str] = None) -> list[tuple]:
 
 def best_subset(table: Mapping, spaces, required: Optional[str] = None):
     """Per unit, the best-scoring ``subsets(spaces, required)`` in ``table``
-    (keyed by frozensets, scoring every one of them): the subsets, the
-    per-unit best scores, and per unit the index of the first max, so ties
-    go to the subset enumerated first."""
+    (keyed by frozensets, scoring every one of them): the subsets, each
+    unit's chosen score, and per unit the index of the chosen subset. A
+    subset within ``_TIE`` of the unit's maximum ties with it, and ties go
+    to the subset enumerated first (the smaller, then the one listed
+    first), so rounding cannot swap two subsets whose fits are equal in
+    exact arithmetic."""
     keys = [frozenset(combo) for combo in subsets(spaces, required)]
     if not keys:
         raise DataError(f"no subset of {list(spaces)} to choose from "
@@ -85,7 +90,8 @@ def best_subset(table: Mapping, spaces, required: Optional[str] = None):
         if key not in table:
             raise DataError(f"missing subset {sorted(key)} in score table")
     scores = np.stack([table[key] for key in keys])
-    return keys, scores.max(axis=0), np.argmax(scores, axis=0)
+    best = np.argmax(scores >= scores.max(axis=0) - _TIE, axis=0)
+    return keys, np.take_along_axis(scores, best[None], axis=0)[0], best
 
 
 def layered_best(subset_scores: Mapping, complexity_order: Sequence[str]):

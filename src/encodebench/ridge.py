@@ -35,19 +35,24 @@ standardized narrow columns, n x r), the narrow eval rows and ``K_w,ev U``.
 With ``W' = W diag(gamma_n)`` the mixed Gram is ``A + W' W'^T``,
 ``A = gamma_w^2 K_w + aI`` is diagonal in U, and by Woodbury with
 ``S = I + W'^T A^-1 W'`` and ``x = S^-1 W'^T A^-1 Yc`` the predictions are
-``gamma_w^2 K_w,ev A^-1 (Yc - W' x) + W'_ev x``: per eval set one GEMM of
-``gamma_w^2 K_w,ev U`` scaled per alpha against ``U^T Yc`` and ``U^T W'``,
-then r columns of correction; per alpha an r x r ``S``. With no narrow
-column active (r = 0, as in a single-band fit, or a wide-only mask) the
-predictions are the first GEMM's alone. Eigenvalues of ``K_w`` at or below
-its Gram cutoff are taken as exact zeros for every alpha, so their columns
-of ``K_w,ev U`` vanish and only the r x r Gram terms of ``W^T U`` there
-enter ``S`` (with ``A^-1 = 1/a``). ``alpha = 0`` is the limit
-``alpha -> 0+``: where the narrow columns' weight ``M`` on those directions
-clears the cutoff, it constrains ``M x`` to the targets' part there, and
-``x`` minimizes the kept-direction problem under that constraint; without
-such weight (always so on the ones vector, as the columns are centered)
-``x`` is the kept-direction solve.
+``gamma_w^2 K_w,ev A^-1 (Yc - W' x) + W'_ev x``: per alpha an r x r ``S``,
+and per eval set one GEMM batched over alphas,
+``[G D_a | W'_ev] [U^T Yc - U^T W' x_a ; x_a]`` with ``G D_a`` the rows
+``gamma_w^2 K_w,ev U A^-1``, which carries the Woodbury correction. That
+right side has k + r rows per alpha, k the kept rank of ``K_w``; once k
+exceeds the eval rows, building it would cost more than the predictions it
+makes, so the GEMM takes ``[G D_a U^T W' | W'_ev] [-x_a ; x_a]`` instead and
+``G D_a U^T Yc`` is added to it, as on the block base. With no narrow column
+active (r = 0, as in a single-band fit, or a wide-only mask) the
+predictions are ``G D_a U^T Yc``, one GEMM over every alpha at once.
+Eigenvalues of ``K_w`` at or below its Gram cutoff are taken as exact zeros
+for every alpha, so their columns of ``K_w,ev U`` vanish and only the r x r
+Gram terms of ``W^T U`` there enter ``S`` (with ``A^-1 = 1/a``).
+``alpha = 0`` is the limit ``alpha -> 0+``: where the narrow columns' weight
+``M`` on those directions clears the cutoff, it constrains ``M x`` to the
+targets' part there, and ``x`` minimizes the kept-direction problem under
+that constraint; without such weight (always so on the ones vector, as the
+columns are centered) ``x`` is the kept-direction solve.
 
 The update path takes a block base instead when the wide band's rows fall
 into groups that share no nonzero column (OASM: one group per block;
@@ -62,17 +67,29 @@ or any dense Gram. On centered vectors ``A^-1`` is
 ``u^T Q_a v = (u - 1 c_u)^T R (v - 1 c_v)`` with the centering
 ``c_v = 1^T R v / 1^T R 1``: ``S`` and ``W'^T A^-1 Yc`` take that form over
 every direction of ``B``, and ``gamma_w^2 K_w,ev A^-1`` of ``Yc`` and of
-``W'`` goes through the block-sparse eval-by-train Gram, k
-eigen-coordinates per eval row. ``alpha = 0`` is the limit ``alpha -> 0+``
-here too, eigenvalues of ``B`` at or below the Gram cutoff taken as exact
-zeros: if the ones vector has weight ``w`` on them,
-``c_v = w^T (U^T v)_dropped / w^T w``. That is the dense base's
-minimum-norm solution in exact arithmetic; ``w`` counts only when
+``W'`` goes through the block-sparse eval-by-train Gram ``E``, k
+eigen-coordinates per eval row: an eval row predicts a centered column
+``v`` as ``E_v - z c_v - 1^T B x_v / n``, with ``E_v`` its row of ``E`` times
+``R v``, ``z = E_1`` and ``x_v = R (v - 1 c_v)``. So ``[E_W' | z]`` comes
+from one gathered matmul and ``E_Y`` from another, and the Woodbury step
+and the centering fold into one GEMM batched over alphas,
+``[E_W', z, 1, W'_ev] [-x_a ; c_W' x_a - c_Y ; Bx_W' x_a - Bx_Y ; x_a]``
+(``Bx`` the ``1^T B x / n`` terms), which ``E_Y`` is added to. An eval set
+whose rows' groups hold no training row has ``E = 0`` and skips both
+gathers. ``alpha = 0`` is the limit ``alpha -> 0+`` here too, eigenvalues of
+``B`` at or below the Gram cutoff taken as exact zeros: if the ones vector
+has weight ``w`` on them, ``c_v = w^T (U^T v)_dropped / w^T w``. That is the
+dense base's minimum-norm solution in exact arithmetic; ``w`` counts only when
 ``w^T w / 1^T R 1``, the eigenvalue it adds to ``P B P``, clears the cutoff
 too. The dropped directions constrain ``x`` as on the dense base, less the
 ones vector's part there when ``w`` counts (that part is no null direction
 of ``P B P``). On a numerically singular split ``alpha = 0`` is dominated by
 rounding on either base.
+
+On either base, update-path predictions with r > 0 are written eval-major,
+(n_eval, n_alphas, n_units), so the search's sum of squared residuals over
+eval rows reduces the outer axis; they are yielded as (n_alphas, n_eval,
+n_units) views like every other path's.
 
 Search notes
 ------------
@@ -91,12 +108,13 @@ Candidate scaling vectors come first from the subset-mask enumeration (every
 way of zeroing out feature spaces), then from Dirichlet draws whose RNG
 streams depend only on (seed, iteration index). Per unit, the best (gamma,
 alpha) by inner-validation R^2 wins, with squared residuals summed per inner
-fold and added in inner-fold order. A later candidate must beat the best so
-far by more than ``_TIE`` (1e-12 in R^2), so earlier candidates win ties
-that the solver paths would round either way; within a candidate the
-smaller alpha wins an exact tie. An outer fold stops its random phase once
-the across-unit mean of its running-best scores fails to improve by more
-than ``min_improvement`` for ``patience`` consecutive iterations.
+fold and added in inner-fold order, each outer fold's as soon as all of its
+inner folds are scored. A later candidate must beat the best so far by more
+than ``_TIE`` (1e-12 in R^2), so earlier candidates win ties that the solver
+paths would round either way; within a candidate the smaller alpha wins an
+exact tie. An outer fold stops its random phase once the across-unit mean of
+its running-best scores fails to improve by more than ``min_improvement``
+for ``patience`` consecutive iterations.
 """
 
 from __future__ import annotations
@@ -273,9 +291,7 @@ class _Spectral:
         that the next one overwrites."""
         D = _filter(alphas, self.spectrum, self.cutoff, self.singular)
         for eval_side in eval_sides:
-            (preds,) = _filtered_gemm(eval_side @ self.right, D, [self.UTY],
-                                      scratch)
-            yield preds
+            yield _filtered_gemm(eval_side @ self.right, D, self.UTY, scratch)
 
 
 class _Update:
@@ -313,26 +329,59 @@ class _Update:
         Q = Q[:, sv ** 2 > self.cutoff]
         return Q.T @ self.null_W, Q.T @ self.null_Y
 
-    def _terms(self, D, Y_hat, W_hat, alphas, gamma_w, gamma_n, units, evals,
+    def _terms(self, D, Y_hat, W_hat, alphas, gamma_w, gamma_n, units,
                scratch):
-        """``W'^T A^-1 W'`` and ``W'^T A^-1 Yc`` per alpha, and per eval set
-        in ``evals`` the wide band's predictions of ``Yc`` and of ``W'``."""
+        """``W'^T A^-1 W'`` and ``W'^T A^-1 Yc`` per alpha, and the terms
+        that ``_Update._fused`` takes."""
         AW = W_hat.T[None, :, :] * (D / gamma_w ** 2)[:, None, :]  # W'^T A^-1
         S, V = AW @ W_hat, AW @ Y_hat
-        # A^-1 is 1/alpha on the dropped directions
-        pos = np.flatnonzero(alphas > 0.0)
-        inv = 1.0 / alphas[pos, None, None]
-        S[pos] += inv * (gamma_n[:, None] * self.null_WW * gamma_n)
-        V[pos] += inv * (gamma_n[:, None] * self.null_WY[:, units])
-        # G diag(D) is gamma_w^2 K_w,ev U A^-1
-        sides = (_filtered_gemm(self.G[e], D, [Y_hat, W_hat], scratch)
-                 for e in evals)
-        return S, V, sides
+        # A^-1 is 1/alpha on the dropped directions (0 at alpha = 0)
+        inv = np.divide(1.0, alphas, out=np.zeros_like(alphas),
+                        where=alphas > 0.0)[:, None, None]
+        S += inv * (gamma_n[:, None] * self.null_WW * gamma_n)
+        V += inv * (gamma_n[:, None] * self.null_WY[:, units])
+        return S, V, (D, Y_hat, W_hat)
+
+    def _fused(self, terms, x, evals, gamma_n, scratch):
+        """Per eval set in ``evals``, its predictions for every alpha from
+        ``x`` (n_alphas, r, units) through one GEMM batched over alphas (see
+        the module notes), eval-major in ``scratch``: the next set
+        overwrites them."""
+        D, Y_hat, W_hat = terms
+        (n_alphas, k), (r, n_units) = D.shape, x.shape[1:]
+        # U^T Yc joins the GEMM's right side while k is at most the eval rows
+        folded = k <= min(len(self.G[e]) for e in evals)
+        top = k if folded else r
+        right = scratch.take("right", (n_alphas, top + r, n_units))
+        if folded:
+            np.matmul(W_hat, x, out=right[:, :k])
+            np.subtract(Y_hat, right[:, :k], out=right[:, :k])
+        else:
+            np.negative(x, out=right[:, :r])
+        right[:, top:] = x
+        for e in evals:
+            G = self.G[e]
+            left = scratch.take("left", (len(G), n_alphas, top + r))
+            scaled = (left[:, :, :k] if folded else
+                      scratch.take("scaled", (len(G), n_alphas, k)))
+            np.multiply(G[:, None, :], D, out=scaled)  # G D_a, eval-major
+            if not folded:
+                np.matmul(scaled.reshape(-1, k), W_hat,
+                          out=left.reshape(-1, 2 * r)[:, :r])
+            left[:, :, top:] = (self.narrow_evs[e] * gamma_n)[:, None, :]
+            preds = scratch.take("preds", (len(G), n_alphas, n_units))
+            np.matmul(left.transpose(1, 0, 2), right,
+                      out=preds.transpose(1, 0, 2))
+            if not folded:
+                term = scratch.take("term", preds.shape)
+                np.matmul(scaled.reshape(-1, k), Y_hat,
+                          out=term.reshape(-1, n_units))
+                preds += term
+            yield preds.transpose(1, 0, 2)
 
     def _base(self, D, Y_hat, alphas, evals, scratch):
         """Per eval set in ``evals``, the wide band's predictions of ``Yc``."""
-        return (_filtered_gemm(self.G[e], D, [Y_hat], scratch)[0]
-                for e in evals)
+        return (_filtered_gemm(self.G[e], D, Y_hat, scratch) for e in evals)
 
     def predict(self, gamma_w, gamma_n, alphas, evals, scratch, units):
         """Centered predictions per alpha for wide-band scale ``gamma_w`` and
@@ -346,8 +395,8 @@ class _Update:
             yield from self._base(D, Y_hat, alphas, evals, scratch)
             return
         W_hat = self.UTW * gamma_n
-        S, V, sides = self._terms(D, Y_hat, W_hat, alphas, gamma_w, gamma_n,
-                                  units, evals, scratch)
+        S, V, terms = self._terms(D, Y_hat, W_hat, alphas, gamma_w, gamma_n,
+                                  units, scratch)
         S[:, np.arange(len(gamma_n)), np.arange(len(gamma_n))] += 1.0
         # S_a^-1 V_a per alpha; S_a is r x r, V_a has a column per unit
         x = np.linalg.inv(S) @ V
@@ -357,13 +406,7 @@ class _Update:
             for a in np.flatnonzero(alphas == 0.0):
                 SB = np.linalg.solve(S[a], B.T)
                 x[a] += SB @ np.linalg.solve(B @ SB, y0 - B @ x[a])
-        for e, (preds, rest) in zip(evals, sides):
-            # W'_ev minus the wide band's prediction of it
-            np.subtract(self.narrow_evs[e] * gamma_n, rest, out=rest)
-            fix = scratch.take("fix", preds.shape)
-            np.matmul(rest, x, out=fix)
-            fix += preds
-            yield fix
+        yield from self._fused(terms, x, evals, gamma_n, scratch)
 
 
 class _BlockUpdate(_Update):
@@ -389,31 +432,35 @@ class _BlockUpdate(_Update):
             null -= np.outer(self.w, self.w @ null) / (self.w @ self.w)
         self.null_Y, self.null_W = null[:, :n_units], null[:, n_units:]
         self.UTY, self.UTW = UTR[:, :n_units], UTR[:, n_units:]
-        self.narrow_evs = narrow_evs
+        # [1 | W_ev] per eval set: the constant and narrow columns of the
+        # correction's left side
+        self.ones_evs = [np.hstack([np.ones((len(W), 1)), W])
+                         for W in narrow_evs]
 
     def _center(self, D, R, alphas):
-        """``D * (U^T 1)`` and the centering ``c`` per alpha of each column
-        ``v`` of ``R`` (eigen-coordinates): ``x = R (v - 1 c)`` solves
-        ``(P B P + aI) x = v`` on the complement of the ones vector."""
+        """``D * (U^T 1)``, the centering ``c`` and ``1^T B x / n`` per alpha
+        of each column ``v`` of ``R`` (eigen-coordinates): ``x = R (v - 1 c)``
+        solves ``(P B P + aI) x = v`` on the complement of the ones vector."""
         Du = D * self.ones                                  # R 1
         num, den = Du @ R, Du @ self.ones                   # 1^T R v, 1^T R 1
         limit = (np.asarray(alphas) == 0.0) & self.limit
         num[limit], den[limit] = self.w @ R[self.drop], self.w @ self.w
-        return Du, num / den[:, None]
+        c = num / den[:, None]
+        Bx = ((Du * self.spectrum) @ R
+              - (Du @ (self.spectrum * self.ones))[:, None] * c) / D.shape[1]
+        return Du, c, Bx
 
-    def _eval(self, evals, D, Du, R, c, scratch):
+    def _eval(self, evals, D, Du, R, c, Bx, scratch):
         """Per eval set in ``evals``, ``K_ev x`` for ``x = R (v - 1 c)`` and
         each column ``v`` of ``R``: (n_eval, n_alphas, R's columns),
         eval-major, a view into ``scratch`` that the next one overwrites."""
         # x is predicted as E x - 1 (1^T B x) / n
-        Bx = ((Du * self.spectrum) @ R
-              - (Du @ (self.spectrum * self.ones))[:, None] * c) / D.shape[1]
         for e in evals:
             F, T = self.evals[e]
             preds = scratch.take("preds", (len(F), len(D), R.shape[1]))
             np.matmul(D.T[T].transpose(0, 2, 1) * F[:, None, :], R[T],
                       out=preds)                            # E R v, eval-major
-            fix = scratch.take("centering", preds.shape)
+            fix = scratch.take("term", preds.shape)
             np.einsum("ia,au->iau", (Du.T[T] * F[:, :, None]).sum(axis=1), c,
                       out=fix)
             preds -= fix
@@ -422,35 +469,70 @@ class _BlockUpdate(_Update):
 
     def _base(self, D, Y_hat, alphas, evals, scratch):
         """As ``_Update._base``, through the block-sparse eval side."""
-        Du, c = self._center(D, Y_hat, alphas)
-        for preds in self._eval(evals, D, Du, Y_hat, c, scratch):
+        Du, c, Bx = self._center(D, Y_hat, alphas)
+        for preds in self._eval(evals, D, Du, Y_hat, c, Bx, scratch):
             yield preds.transpose(1, 0, 2)
 
-    def _terms(self, D, Y_hat, W_hat, alphas, gamma_w, gamma_n, units, evals,
+    def _terms(self, D, Y_hat, W_hat, alphas, gamma_w, gamma_n, units,
                scratch):
         """As ``_Update._terms``, with ``A^-1`` on centered vectors the
         block base's ``Q_a = R - R 1 1^T R / 1^T R 1``: ``u^T Q_a v`` is
         ``(u - 1 c_u)^T R (v - 1 c_v)``, over every direction of ``B``."""
-        n_units, ones = Y_hat.shape[1], self.ones
-        R = np.hstack([Y_hat, W_hat])
-        Du, c = self._center(D, R, alphas)
+        (n, n_units), r, ones = Y_hat.shape, W_hat.shape[1], self.ones
+        # [Yc | W' | 1] in eigen-coordinates; the ones column's eval side is
+        # each eval row's centering weight z
+        R = np.hstack([Y_hat, W_hat, ones[:, None]])
+        Du, c, Bx = self._center(D, R[:, :-1], alphas)
         # (W' - 1 c_W)^T R per alpha, then times [Yc | W'] minus 1 c
-        AW = scratch.take("AW", (len(D), W_hat.shape[1], len(ones)))
+        AW = scratch.take("AW", (len(D), r, n))
         np.multiply(c[:, n_units:, None], ones, out=AW)
         np.subtract(W_hat.T, AW, out=AW)
         AW *= (D / gamma_w ** 2)[:, None, :]
-        VS = (AW.reshape(-1, len(ones)) @ R).reshape(len(D), -1, R.shape[1])
+        VS = (AW.reshape(-1, n) @ R[:, :-1]).reshape(len(D), r, -1)
         VS -= (AW @ ones)[:, :, None] * c[:, None, :]
-        sides = ((out[:, :, :n_units].transpose(1, 0, 2),
-                  out[:, :, n_units:].transpose(1, 0, 2))
-                 for out in self._eval(evals, D, Du, R, c, scratch))
-        return VS[:, :, n_units:], VS[:, :, :n_units], sides
+        return VS[:, :, n_units:], VS[:, :, :n_units], (D, R, c, Bx)
+
+    def _fused(self, terms, x, evals, gamma_n, scratch):
+        """As ``_Update._fused``, through the block-sparse eval side. The
+        gather of ``E_Y`` has a buffer of its own, so the add of it reads
+        contiguous rows."""
+        D, R, c, Bx = terms
+        (n_alphas, r, n_units), width = x.shape, 2 * x.shape[1] + 2
+        right = scratch.take("right", (n_alphas, width, n_units))
+        np.negative(x, out=right[:, :r])
+        cB = np.stack([c, Bx], axis=1)
+        np.matmul(cB[:, :, n_units:], x, out=right[:, r:r + 2])
+        right[:, r:r + 2] -= cB[:, :, :n_units]
+        right[:, r + 2:] = x
+        scale = np.concatenate([[1.0], gamma_n])
+        for e in evals:
+            F, T = self.evals[e]
+            left = scratch.take("left", (len(F), n_alphas, width))
+            left[:, :, r + 1:] = (self.ones_evs[e] * scale)[:, None, :]
+            preds = scratch.take("preds", (len(F), n_alphas, n_units))
+            if F.shape[1] == 0:  # E = 0 and z = 0
+                np.matmul(left[:, :, r + 1:].transpose(1, 0, 2),
+                          right[:, r + 1:], out=preds.transpose(1, 0, 2))
+            else:
+                FD, RT = D.T[T].transpose(0, 2, 1) * F[:, None, :], R[T]
+                np.matmul(FD, RT[:, :, n_units:], out=left[:, :, :r + 1])
+                np.matmul(left.transpose(1, 0, 2), right,
+                          out=preds.transpose(1, 0, 2))
+                term = scratch.take("term", preds.shape)
+                np.matmul(FD, RT[:, :, :n_units], out=term)  # E_Y
+                preds += term
+            yield preds.transpose(1, 0, 2)
 
 
 class _Scratch(threading.local):
     """Per-thread buffers, grown to the largest request and reused. A fresh
     prediction-sized array per eval set would make the C allocator hand the
-    memory back to the system and page it in again, set after set."""
+    memory back to the system and page it in again, set after set.
+    Prediction-sized are ``gemm``, the predictions of ``_filtered_gemm``;
+    ``preds``, the update path's other predictions; and ``term``, what is
+    added to ``preds`` (``E_Y`` or ``G D_a U^T Yc``) or, on a block base
+    with no narrow column active, the centering product taken from it.
+    ``scaled``, ``left``, ``right`` and ``AW`` hold GEMM operands."""
 
     def take(self, name, shape):
         size = math.prod(shape)
@@ -461,19 +543,15 @@ class _Scratch(threading.local):
         return buf[:size].reshape(shape)
 
 
-def _filtered_gemm(G, D, rights, scratch):
-    """``G diag(D[a]) R`` for every alpha's filter row ``D[a]`` and each
-    right-hand side R in ``rights``, one GEMM per R: a list of
-    (n_alphas, n_eval, R's columns) views into ``scratch``."""
+def _filtered_gemm(G, D, R, scratch):
+    """``G diag(D[a]) R`` for every alpha's filter row ``D[a]`` in one GEMM:
+    an (n_alphas, n_eval, R's columns) view into ``scratch``."""
     n_alphas, (n_eval, rank) = len(D), G.shape
     scaled = scratch.take("scaled", (n_alphas, n_eval, rank))
     np.multiply(G[None, :, :], D[:, None, :], out=scaled)
-    outs = []
-    for i, R in enumerate(rights):
-        out = scratch.take(f"gemm{i}", (n_alphas * n_eval, R.shape[1]))
-        np.matmul(scaled.reshape(-1, rank), R, out=out)
-        outs.append(out.reshape(n_alphas, n_eval, -1))
-    return outs
+    out = scratch.take("gemm", (n_alphas * n_eval, R.shape[1]))
+    np.matmul(scaled.reshape(-1, rank), R, out=out)
+    return out.reshape(n_alphas, n_eval, -1)
 
 
 def _factor_blocks(X, blocks, train_idx, eval_idxs, Yc):
@@ -866,28 +944,33 @@ def banded_search(features: Sequence[FeatureSpace], responses, plan: SplitPlan,
         live = [not all(stopped[o] for o, _ in users) for _, users in sets]
         kept[:] = [fold if used else None for fold, used in zip(kept, live)]
         tasks = [s for s, used in enumerate(live) if used]
-        sse = {}
+        pending = collections.defaultdict(dict)  # outer fold -> inner -> SSE
         for path, part in run(lambda s: score(s, candidates[cand_id]), tasks):
             paths[path] += 1
-            sse.update(part)
-        for o, fold in enumerate(folds):
-            if stopped[o]:
-                continue
-            total = sum(sse[o, j] for j in range(len(fold.inner_folds)))
-            r2 = 1.0 - total / sse_icpt[o]
-            alpha_idx = np.argmax(r2, axis=0)  # first max -> smallest alpha
-            scores = r2[alpha_idx, np.arange(n_units)]
-            improved = scores > best_score[o] + _TIE  # earlier candidates win ties
-            best_score[o, improved] = scores[improved]
-            best_cand[o, improved] = cand_id
-            best_alpha_idx[o, improved] = alpha_idx[improved]
-            cur_mean = best_score[o].mean()
-            if cand_id >= n_masks:
-                n_random[o] += 1
-                gain = cur_mean - prev_mean[o]
-                stall[o] = stall[o] + 1 if gain < search_cfg.min_improvement else 0
-                stopped[o] = stall[o] >= search_cfg.patience
-            prev_mean[o] = cur_mean
+            for (o, j), sse in part.items():
+                pending[o][j] = sse
+                if len(pending[o]) == len(folds[o].inner_folds):
+                    # every task serving o is done, so none reads stopped[o]
+                    reduce(o, pending.pop(o), cand_id)
+
+    def reduce(o, sse, cand_id):
+        """Take outer fold o's inner-fold SSE, added in inner-fold order, as
+        one candidate's score."""
+        total = sum(sse[j] for j in range(len(sse)))
+        r2 = 1.0 - total / sse_icpt[o]
+        alpha_idx = np.argmax(r2, axis=0)  # first max -> smallest alpha
+        scores = r2[alpha_idx, np.arange(n_units)]
+        improved = scores > best_score[o] + _TIE  # earlier candidates win ties
+        best_score[o, improved] = scores[improved]
+        best_cand[o, improved] = cand_id
+        best_alpha_idx[o, improved] = alpha_idx[improved]
+        cur_mean = best_score[o].mean()
+        if cand_id >= n_masks:
+            n_random[o] += 1
+            gain = cur_mean - prev_mean[o]
+            stall[o] = stall[o] + 1 if gain < search_cfg.min_improvement else 0
+            stopped[o] = stall[o] >= search_cfg.patience
+        prev_mean[o] = cur_mean
 
     def refit(o):
         """Refit each unit's winner on train+validation to predict the test."""

@@ -93,6 +93,24 @@ class TestStarPredictions:
         out = star_predictions(preds, scores, ("A", "B"), required="B")
         np.testing.assert_array_equal(out[:, 0], np.full(3, 2.0))
 
+    def test_rounding_moves_no_starred_choice(self, rng):
+        """A and A+B fit alike, as when A spans B; a 1e-13 relative move
+        either way in A+B's predictions, about what a reordered float sum
+        makes, leaves every unit's starred subset at A, the smaller one."""
+        Y = rng.standard_normal((40, 50))
+        intercept = np.zeros_like(Y)
+        fit = 0.6 * Y + 0.3 * rng.standard_normal(Y.shape)
+        for move in (1e-13, -1e-13):
+            preds = {frozenset("A"): fit,
+                     frozenset("B"): 0.2 * Y + rng.standard_normal(Y.shape),
+                     frozenset("AB"): fit * (1 + move)}
+            scores = {key: eb.r2_oos(Y, p, intercept)
+                      for key, p in preds.items()}
+            assert (scores[frozenset("AB")] != scores[frozenset("A")]).any()
+            for required in (None, "A"):
+                out = star_predictions(preds, scores, ("A", "B"), required)
+                np.testing.assert_array_equal(out, fit)
+
 
 def _make_dataset(tmp_path, rng, n_spaces=2, n_units=12, seed=0,
                   signal_spaces=(0,)):

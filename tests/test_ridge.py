@@ -362,17 +362,7 @@ class TestBandedSearch:
         one training set's working arrays. The centered validation targets
         of every (outer, inner) fold at once, 5 arrays of Y's size here, do
         not fit beside them."""
-        spec, _ = eb.preset("pereira-exp2", seed=0, n_units=600)
-        recording, _ = eb.generate(spec)
-        plan = eb.shuffle_plan(build_plan(SplitSpec("pereira"), recording), 7)
-        oasm = eb.build_oasm(recording.n_samples, recording.block_ids, 1.0)
-        Y = recording.responses
-        tracemalloc.start()
-        try:
-            eb.banded_search([oasm], Y, plan)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        peak, plan, Y = _many_unit_fit_peak()
         inner = [i for fold in plan.outer_folds for i in fold.inner_folds]
         n_eval = max(len(i.validation) for i in inner)
         per_row = len(eb.default_alpha_grid()) * Y.shape[1] * 8
@@ -380,6 +370,30 @@ class TestBandedSearch:
                  + len(inner) * per_row  # SSE per (outer, inner) fold
                  + 2 * Y.nbytes          # test and intercept predictions
                  + 4 * Y.nbytes)         # one training set's working arrays
+        assert peak <= bound
+
+    def test_step_reduces_each_outer_fold_once_scored(self):
+        """A step reduces an outer fold's inner-fold SSE as soon as the last
+        of them is in, so it holds the SSE of the outer folds still open
+        only: at most 13 of the 30 (outer, inner) folds here, by the order
+        in which the training sets are scored. Held for every fold until
+        the step ends, as before, they do not fit in the bound."""
+        peak, plan, Y = _many_unit_fit_peak()
+        inner = [i for fold in plan.outer_folds for i in fold.inner_folds]
+        n_eval = max(len(i.validation) for i in inner)
+        per_row = len(eb.default_alpha_grid()) * Y.shape[1] * 8
+        open_folds, held = {}, 0
+        for _, users in _train_sets(plan):
+            for o, j in users:
+                open_folds.setdefault(o, set()).add(j)
+                held = max(held, sum(map(len, open_folds.values())))
+                if len(open_folds[o]) == len(plan.outer_folds[o].inner_folds):
+                    del open_folds[o]
+        assert held == 13 and len(inner) == 30
+        bound = (2 * n_eval * per_row  # prediction and centering buffers
+                 + held * per_row      # SSE of the open outer folds
+                 + 2 * Y.nbytes        # test and intercept predictions
+                 + 4 * Y.nbytes)       # one training set's working arrays
         assert peak <= bound
 
     def test_pool_raises_serial_error_and_restores_blas(
@@ -472,6 +486,23 @@ class TestBandedSearch:
         loaded = eb.load_matrix(tmp_path / "fit" / "test_predictions.bbsm")
         np.testing.assert_array_equal(loaded, fit.test_predictions)
 
+
+
+def _many_unit_fit_peak():
+    """The traced peak of a 600-unit pereira-exp2 OASM fit (shuffled, seed
+    7, sigma 1.0), its plan and its targets."""
+    spec, _ = eb.preset("pereira-exp2", seed=0, n_units=600)
+    recording, _ = eb.generate(spec)
+    plan = eb.shuffle_plan(build_plan(SplitSpec("pereira"), recording), 7)
+    oasm = eb.build_oasm(recording.n_samples, recording.block_ids, 1.0)
+    Y = recording.responses
+    tracemalloc.start()
+    try:
+        eb.banded_search([oasm], Y, plan)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return peak, plan, Y
 
 
 class TestTrainSetSharing:
@@ -739,12 +770,15 @@ class TestBlockPath:
                                     "design": 0, "update": 0}
 
 
-def _update_case(rng, narrow_widths, tied_rows=False):
+def _update_case(rng, narrow_widths, tied_rows=False, wide_rank=None):
     """Narrow bands beside one 80-column band; 40 training rows of 60. With
     ``tied_rows`` two training rows of the wide band repeat others, which
     gives its train Gram two exact null directions besides the ones vector,
-    and the narrow bands weight on them."""
+    and the narrow bands weight on them. With ``wide_rank`` the wide band
+    has that rank, as subsumption-demo's LLM has rank 4."""
     wide = rng.standard_normal((60, 80))
+    if wide_rank is not None:
+        wide = rng.standard_normal((60, wide_rank)) @ wide[:wide_rank]
     if tied_rows:
         wide[1] = wide[0]
         wide[5] = 0.5 * (wide[2] + wide[3])
@@ -789,15 +823,20 @@ def _block_update_case(rng, layout, tie=None):
     """Three narrow columns beside a band of twelve dense 4 x 4 blocks, an
     OASM-like band; 4 units. ``layout`` "contiguous" trains on whole groups,
     so three eval groups have no training rows; "shuffled" trains on 1, 2 or
-    3 rows of each group. With ``tie`` the third training row of group 2 is
-    ``tie`` times the sum of its first two: the group's block of B is
-    exactly singular, and the narrow columns weigh on its null direction,
-    which has weight on the ones vector for ``tie`` 1 and none for 0.5."""
+    3 rows of each group; "mixed" trains on 2, 3 or 3 rows of each of the
+    first nine groups and on no row of the last three, so some eval rows'
+    groups hold training rows and some do not. With ``tie`` the third
+    training row of group 2 is ``tie`` times the sum of its first two: the
+    group's block of B is exactly singular, and the narrow columns weigh on
+    its null direction, which has weight on the ones vector for ``tie`` 1
+    and none for 0.5."""
     wide, groups = _block_diagonal(rng, [4] * 12)
     if layout == "contiguous":
         train = np.flatnonzero(groups < 9)
     else:
         per_group = np.resize([1, 2, 3], 12)
+        if layout == "mixed":
+            per_group = np.resize([2, 3, 3], 12) * (np.arange(12) < 9)
         train = np.flatnonzero(np.arange(48) % 4 < per_group[groups])
     if tie is not None:
         wide[10] = tie * (wide[8] + wide[9])
@@ -828,7 +867,7 @@ def _assert_block_base(fold):
 # (layout, tie) of _block_update_case
 BLOCK_UPDATE_CASES = [
     ("contiguous", None), ("shuffled", None), ("shuffled", 1.0),
-    ("shuffled", 0.5),
+    ("shuffled", 0.5), ("mixed", None),
 ]
 
 
@@ -848,6 +887,9 @@ def _block_update_predictions(monkeypatch, layout, tie, gamma, rng):
     assert shapes and all(s[-1] <= 4 for s in shapes)
     _assert_block_base(fold)
     base = fold.update
+    # the contiguous eval set's groups hold no training row: it skips the
+    # gathers
+    assert (base.evals[0][0].shape[1] == 0) == (layout == "contiguous")
     if tie is not None:
         assert (base.spectrum <= base.cutoff).sum() == 1
         assert base.limit == (tie == 1.0)
@@ -883,6 +925,21 @@ class TestUpdatePath:
         gamma = np.array(gamma)
         got = _update_predictions(bands, Y, train, ev, gamma)
         _assert_close(got[0], _min_norm_want(bands, Y, train, ev, gamma))
+
+    @pytest.mark.parametrize("wide_rank", [3, None])
+    @pytest.mark.parametrize("gamma", [[0.3, 0.7], [0.7, 0.3]])
+    def test_right_side_folds_in_while_rank_is_low(self, rng, wide_rank,
+                                                   gamma):
+        """The dense base's GEMM takes ``U^T Yc`` into its right side while
+        the wide band's kept rank is at most the eval rows (rank 3 here) and
+        adds it as a term past that (rank 39); both match the oracles."""
+        bands, Y, train, ev = _update_case(rng, (3,), wide_rank=wide_rank)
+        update = _FoldData(bands, Y, train, [ev]).update
+        assert (update.spectrum.size <= len(ev)) == (wide_rank is not None)
+        gamma = np.array(gamma)
+        got = _update_predictions(bands, Y, train, ev, gamma)
+        _assert_close(got[0], _min_norm_want(bands, Y, train, ev, gamma))
+        _assert_close(got[1:], _block_penalty_want(bands, Y, train, ev, gamma))
 
     @pytest.mark.parametrize("gamma", [[0.3, 0.7], [0.7, 0.3]])
     def test_null_directions_with_narrow_weight(self, rng, gamma):
@@ -971,6 +1028,59 @@ class TestUpdatePath:
         (dense,) = _FoldData(*case[:3], [case[3]]).predict_grid(
             gamma, [0.0], [0], _Scratch())
         _assert_close(got[0], dense[0])
+
+    @pytest.mark.parametrize("base", ["dense", "contiguous", "shuffled"])
+    def test_unit_subset_matches_oracles(self, rng, base):
+        """A refit predicts an index array of units; on either base the
+        fused scoring gives those units' columns of the oracles."""
+        units = np.array([0, 2, 3])
+        gamma = np.array([0.4, 0.6])
+        if base == "dense":
+            bands, Y, train, ev = _update_case(rng, (3,))
+            fold = _FoldData(bands, Y, train, [ev])
+            assert type(fold.update) is ridge._Update
+        else:
+            bands, Y, train, ev = _block_update_case(rng, base)
+            fold = _FoldData(bands, Y, train, [ev],
+                             [_band_blocks(X) for X in bands])
+            _assert_block_base(fold)
+        assert fold.path(gamma) == "update"
+        (got,) = fold.predict_grid(gamma, eb.default_alpha_grid(), [0],
+                                   _Scratch(), units)
+        case = bands, Y, train, ev
+        _assert_close(got[1:], _block_penalty_want(*case, gamma)[:, :, units])
+        _assert_close(got[0], _min_norm_want(*case, gamma)[:, units])
+
+    def test_block_eval_holds_two_prediction_buffers(self):
+        """A scoring with narrow columns on a block base keeps two
+        prediction-sized buffers, the predictions and the gathered ``E_Y``;
+        the centering and the Woodbury correction take none of their own."""
+        spec, _ = eb.preset("pereira-exp2", seed=0, n_units=200)
+        recording, _ = eb.generate(spec)
+        plan = eb.shuffle_plan(build_plan(SplitSpec("pereira"), recording), 7)
+        oasm = eb.build_oasm(recording.n_samples, recording.block_ids, 1.0)
+        bands = [oasm.data, np.hstack([fs.data
+                                       for fs in spec.signal_features])]
+        train, users = _train_sets(plan)[0]
+        evals = [plan.outer_folds[o].inner_folds[j].validation
+                 for o, j in users]
+        Y, alphas, gamma = recording.responses, eb.default_alpha_grid(), [.5, .5]
+        fold = _FoldData(bands, Y, train, evals,
+                         [_band_blocks(X) for X in bands])
+        assert isinstance(fold.update, ridge._BlockUpdate)
+        assert fold.path(np.array(gamma)) == "update"
+        assert min(F.shape[1] for F, _ in fold.update.evals) > 0
+        tracemalloc.start()
+        try:
+            scratch = _Scratch()
+            for _ in fold.predict_grid(np.array(gamma), alphas,
+                                       range(len(evals)), scratch):
+                pass
+            snapshot = tracemalloc.take_snapshot()
+        finally:
+            tracemalloc.stop()
+        size = min(map(len, evals)) * len(alphas) * Y.shape[1] * 8
+        assert len([t for t in snapshot.traces if t.size >= size]) == 2
 
     @pytest.mark.parametrize("mode", ["contiguous", "shuffled"])
     def test_oasm_only_mask_matches_block_path(self, rng, mode):
