@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import DataError
 
-_TIE = 1e-12  # R^2 margin within which two subsets' scores tie
+TIE = 1e-12  # R^2 margin within which two scores tie
 
 
 def _as_2d(arr):
@@ -78,7 +78,7 @@ def best_subset(table: Mapping, spaces, required: Optional[str] = None):
     """Per unit, the best-scoring ``subsets(spaces, required)`` in ``table``
     (keyed by frozensets, scoring every one of them): the subsets, each
     unit's chosen score, and per unit the index of the chosen subset. A
-    subset within ``_TIE`` of the unit's maximum ties with it, and ties go
+    subset within ``TIE`` of the unit's maximum ties with it, and ties go
     to the subset enumerated first (the smaller, then the one listed
     first), so rounding cannot swap two subsets whose fits are equal in
     exact arithmetic."""
@@ -90,7 +90,7 @@ def best_subset(table: Mapping, spaces, required: Optional[str] = None):
         if key not in table:
             raise DataError(f"missing subset {sorted(key)} in score table")
     scores = np.stack([table[key] for key in keys])
-    best = np.argmax(scores >= scores.max(axis=0) - _TIE, axis=0)
+    best = np.argmax(scores >= scores.max(axis=0) - TIE, axis=0)
     return keys, np.take_along_axis(scores, best[None], axis=0)[0], best
 
 

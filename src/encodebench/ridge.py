@@ -36,15 +36,12 @@ With ``W' = W diag(gamma_n)`` the mixed Gram is ``A + W' W'^T``,
 ``A = gamma_w^2 K_w + aI`` is diagonal in U, and by Woodbury with
 ``S = I + W'^T A^-1 W'`` and ``x = S^-1 W'^T A^-1 Yc`` the predictions are
 ``gamma_w^2 K_w,ev A^-1 (Yc - W' x) + W'_ev x``: per alpha an r x r ``S``,
-and per eval set one GEMM batched over alphas,
-``[G D_a | W'_ev] [U^T Yc - U^T W' x_a ; x_a]`` with ``G D_a`` the rows
-``gamma_w^2 K_w,ev U A^-1``, which carries the Woodbury correction. That
-right side has k + r rows per alpha, k the kept rank of ``K_w``; once k
-exceeds the eval rows, building it would cost more than the predictions it
-makes, so the GEMM takes ``[G D_a U^T W' | W'_ev] [-x_a ; x_a]`` instead and
-``G D_a U^T Yc`` is added to it, as on the block base. With no narrow column
-active (r = 0, as in a single-band fit, or a wide-only mask) the
-predictions are ``G D_a U^T Yc``, one GEMM over every alpha at once.
+and per eval set one GEMM batched over alphas carries the Woodbury
+correction, ``(W'_ev - G D_a U^T W') x_a``, with ``G D_a`` the rows
+``gamma_w^2 K_w,ev U A^-1``, and ``G D_a U^T Yc`` is added to it, as
+``E_Y`` is on the block base. With no narrow column active (r = 0, as in
+a single-band fit, or a wide-only mask) the predictions are
+``G D_a U^T Yc``, one GEMM over every alpha at once.
 Eigenvalues of ``K_w`` at or below its Gram cutoff are taken as exact zeros
 for every alpha, so their columns of ``K_w,ev U`` vanish and only the r x r
 Gram terms of ``W^T U`` there enter ``S`` (with ``A^-1 = 1/a``).
@@ -110,9 +107,9 @@ streams depend only on (seed, iteration index). Per unit, the best (gamma,
 alpha) by inner-validation R^2 wins, with squared residuals summed per inner
 fold and added in inner-fold order, each outer fold's as soon as all of its
 inner folds are scored. A later candidate must beat the best so far by more
-than ``_TIE`` (1e-12 in R^2), so earlier candidates win ties that the solver
-paths would round either way; within a candidate the smaller alpha wins an
-exact tie. An outer fold stops its random phase once the across-unit mean of
+than ``metrics.TIE`` (1e-12 in R^2), so earlier candidates win ties that the
+solver paths would round either way; within a candidate the smaller alpha
+wins an exact tie. An outer fold stops its random phase once the across-unit mean of
 its running-best scores fails to improve by more than ``min_improvement``
 for ``patience`` consecutive iterations.
 """
@@ -139,7 +136,6 @@ from .matrixio import save_matrix, write_json
 from .splits import SplitPlan
 
 _RCOND = np.finfo(np.float64).eps
-_TIE = 1e-12  # R^2 margin a later candidate must clear to replace an earlier one
 _DIRICHLET_CONCENTRATION = 1.0  # uniform draws over the scaling simplex
 _UPDATE_RATIO = 8  # training rows per narrow column at the update crossover
 
@@ -344,39 +340,25 @@ class _Update:
 
     def _fused(self, terms, x, evals, gamma_n, scratch):
         """Per eval set in ``evals``, its predictions for every alpha from
-        ``x`` (n_alphas, r, units) through one GEMM batched over alphas (see
-        the module notes), eval-major in ``scratch``: the next set
-        overwrites them."""
+        ``x`` (n_alphas, r, units) through one correction GEMM batched over
+        alphas (see the module notes), eval-major in ``scratch``: the next
+        set overwrites them."""
         D, Y_hat, W_hat = terms
-        (n_alphas, k), (r, n_units) = D.shape, x.shape[1:]
-        # U^T Yc joins the GEMM's right side while k is at most the eval rows
-        folded = k <= min(len(self.G[e]) for e in evals)
-        top = k if folded else r
-        right = scratch.take("right", (n_alphas, top + r, n_units))
-        if folded:
-            np.matmul(W_hat, x, out=right[:, :k])
-            np.subtract(Y_hat, right[:, :k], out=right[:, :k])
-        else:
-            np.negative(x, out=right[:, :r])
-        right[:, top:] = x
+        k, (n_alphas, r, n_units) = D.shape[1], x.shape
         for e in evals:
             G = self.G[e]
-            left = scratch.take("left", (len(G), n_alphas, top + r))
-            scaled = (left[:, :, :k] if folded else
-                      scratch.take("scaled", (len(G), n_alphas, k)))
+            scaled = scratch.take("scaled", (len(G), n_alphas, k))
             np.multiply(G[:, None, :], D, out=scaled)  # G D_a, eval-major
-            if not folded:
-                np.matmul(scaled.reshape(-1, k), W_hat,
-                          out=left.reshape(-1, 2 * r)[:, :r])
-            left[:, :, top:] = (self.narrow_evs[e] * gamma_n)[:, None, :]
+            left = scratch.take("left", (len(G), n_alphas, r))
+            np.matmul(scaled.reshape(-1, k), W_hat, out=left.reshape(-1, r))
+            np.subtract(self.narrow_evs[e][:, None, :] * gamma_n, left,
+                        out=left)                   # W'_ev - G D_a U^T W'
             preds = scratch.take("preds", (len(G), n_alphas, n_units))
-            np.matmul(left.transpose(1, 0, 2), right,
-                      out=preds.transpose(1, 0, 2))
-            if not folded:
-                term = scratch.take("term", preds.shape)
-                np.matmul(scaled.reshape(-1, k), Y_hat,
-                          out=term.reshape(-1, n_units))
-                preds += term
+            np.matmul(left.transpose(1, 0, 2), x, out=preds.transpose(1, 0, 2))
+            term = scratch.take("term", preds.shape)
+            np.matmul(scaled.reshape(-1, k), Y_hat,
+                      out=term.reshape(-1, n_units))  # G D_a U^T Yc
+            preds += term
             yield preds.transpose(1, 0, 2)
 
     def _base(self, D, Y_hat, alphas, evals, scratch):
@@ -960,7 +942,7 @@ def banded_search(features: Sequence[FeatureSpace], responses, plan: SplitPlan,
         r2 = 1.0 - total / sse_icpt[o]
         alpha_idx = np.argmax(r2, axis=0)  # first max -> smallest alpha
         scores = r2[alpha_idx, np.arange(n_units)]
-        improved = scores > best_score[o] + _TIE  # earlier candidates win ties
+        improved = scores > best_score[o] + metrics.TIE  # earlier ones win ties
         best_score[o, improved] = scores[improved]
         best_cand[o, improved] = cand_id
         best_alpha_idx[o, improved] = alpha_idx[improved]

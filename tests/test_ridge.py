@@ -358,30 +358,24 @@ class TestBandedSearch:
 
     def test_fit_holds_no_copy_of_every_folds_targets(self):
         """At its traced peak a many-unit single-band fit holds one eval set's
-        two prediction buffers, one step's validation SSE, its outputs and
-        one training set's working arrays. The centered validation targets
-        of every (outer, inner) fold at once, 5 arrays of Y's size here, do
-        not fit beside them."""
-        peak, plan, Y = _many_unit_fit_peak()
+        two prediction buffers, its outputs, one training set's working
+        arrays and the validation SSE of the outer folds still open: a step
+        reduces an outer fold's inner-fold SSE as soon as the last of them
+        is scored, in the order the training sets are. Neither the SSE of
+        every (outer, inner) fold until the step ends nor the centered
+        validation targets of every fold at once fit beside them."""
+        spec, _ = eb.preset("pereira-exp2", seed=0, n_units=600)
+        recording, _ = eb.generate(spec)
+        plan = eb.shuffle_plan(build_plan(SplitSpec("pereira"), recording), 7)
+        oasm = eb.build_oasm(recording.n_samples, recording.block_ids, 1.0)
+        Y = recording.responses
+        tracemalloc.start()
+        try:
+            eb.banded_search([oasm], Y, plan)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
         inner = [i for fold in plan.outer_folds for i in fold.inner_folds]
-        n_eval = max(len(i.validation) for i in inner)
-        per_row = len(eb.default_alpha_grid()) * Y.shape[1] * 8
-        bound = (2 * n_eval * per_row    # prediction and centering buffers
-                 + len(inner) * per_row  # SSE per (outer, inner) fold
-                 + 2 * Y.nbytes          # test and intercept predictions
-                 + 4 * Y.nbytes)         # one training set's working arrays
-        assert peak <= bound
-
-    def test_step_reduces_each_outer_fold_once_scored(self):
-        """A step reduces an outer fold's inner-fold SSE as soon as the last
-        of them is in, so it holds the SSE of the outer folds still open
-        only: at most 13 of the 30 (outer, inner) folds here, by the order
-        in which the training sets are scored. Held for every fold until
-        the step ends, as before, they do not fit in the bound."""
-        peak, plan, Y = _many_unit_fit_peak()
-        inner = [i for fold in plan.outer_folds for i in fold.inner_folds]
-        n_eval = max(len(i.validation) for i in inner)
-        per_row = len(eb.default_alpha_grid()) * Y.shape[1] * 8
         open_folds, held = {}, 0
         for _, users in _train_sets(plan):
             for o, j in users:
@@ -389,7 +383,9 @@ class TestBandedSearch:
                 held = max(held, sum(map(len, open_folds.values())))
                 if len(open_folds[o]) == len(plan.outer_folds[o].inner_folds):
                     del open_folds[o]
-        assert held == 13 and len(inner) == 30
+        assert held < len(inner)
+        n_eval = max(len(i.validation) for i in inner)
+        per_row = len(eb.default_alpha_grid()) * Y.shape[1] * 8
         bound = (2 * n_eval * per_row  # prediction and centering buffers
                  + held * per_row      # SSE of the open outer folds
                  + 2 * Y.nbytes        # test and intercept predictions
@@ -486,23 +482,6 @@ class TestBandedSearch:
         loaded = eb.load_matrix(tmp_path / "fit" / "test_predictions.bbsm")
         np.testing.assert_array_equal(loaded, fit.test_predictions)
 
-
-
-def _many_unit_fit_peak():
-    """The traced peak of a 600-unit pereira-exp2 OASM fit (shuffled, seed
-    7, sigma 1.0), its plan and its targets."""
-    spec, _ = eb.preset("pereira-exp2", seed=0, n_units=600)
-    recording, _ = eb.generate(spec)
-    plan = eb.shuffle_plan(build_plan(SplitSpec("pereira"), recording), 7)
-    oasm = eb.build_oasm(recording.n_samples, recording.block_ids, 1.0)
-    Y = recording.responses
-    tracemalloc.start()
-    try:
-        eb.banded_search([oasm], Y, plan)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    return peak, plan, Y
 
 
 class TestTrainSetSharing:
@@ -928,11 +907,11 @@ class TestUpdatePath:
 
     @pytest.mark.parametrize("wide_rank", [3, None])
     @pytest.mark.parametrize("gamma", [[0.3, 0.7], [0.7, 0.3]])
-    def test_right_side_folds_in_while_rank_is_low(self, rng, wide_rank,
-                                                   gamma):
-        """The dense base's GEMM takes ``U^T Yc`` into its right side while
-        the wide band's kept rank is at most the eval rows (rank 3 here) and
-        adds it as a term past that (rank 39); both match the oracles."""
+    def test_low_and_full_wide_rank_match_oracles(self, rng, wide_rank,
+                                                  gamma):
+        """The dense base's kept rank is below the eval rows (rank 3 here)
+        or above them (rank 39); either way its scoring matches the
+        oracles."""
         bands, Y, train, ev = _update_case(rng, (3,), wide_rank=wide_rank)
         update = _FoldData(bands, Y, train, [ev]).update
         assert (update.spectrum.size <= len(ev)) == (wide_rank is not None)
