@@ -109,9 +109,9 @@ fold and added in inner-fold order, each outer fold's as soon as all of its
 inner folds are scored. A later candidate must beat the best so far by more
 than ``metrics.TIE`` (1e-12 in R^2), so earlier candidates win ties that the
 solver paths would round either way; within a candidate the smaller alpha
-wins an exact tie. An outer fold stops its random phase once the across-unit mean of
-its running-best scores fails to improve by more than ``min_improvement``
-for ``patience`` consecutive iterations.
+wins an exact tie. An outer fold stops its random phase once the across-unit
+mean of its running-best scores fails to improve by more than
+``min_improvement`` for ``patience`` consecutive iterations.
 """
 
 from __future__ import annotations
@@ -355,7 +355,7 @@ class _Update:
                         out=left)                   # W'_ev - G D_a U^T W'
             preds = scratch.take("preds", (len(G), n_alphas, n_units))
             np.matmul(left.transpose(1, 0, 2), x, out=preds.transpose(1, 0, 2))
-            term = scratch.take("term", preds.shape)
+            term = scratch.take("gemm", preds.shape)
             np.matmul(scaled.reshape(-1, k), Y_hat,
                       out=term.reshape(-1, n_units))  # G D_a U^T Yc
             preds += term
@@ -442,7 +442,7 @@ class _BlockUpdate(_Update):
             preds = scratch.take("preds", (len(F), len(D), R.shape[1]))
             np.matmul(D.T[T].transpose(0, 2, 1) * F[:, None, :], R[T],
                       out=preds)                            # E R v, eval-major
-            fix = scratch.take("term", preds.shape)
+            fix = scratch.take("gemm", preds.shape)
             np.einsum("ia,au->iau", (Du.T[T] * F[:, :, None]).sum(axis=1), c,
                       out=fix)
             preds -= fix
@@ -500,7 +500,7 @@ class _BlockUpdate(_Update):
                 np.matmul(FD, RT[:, :, n_units:], out=left[:, :, :r + 1])
                 np.matmul(left.transpose(1, 0, 2), right,
                           out=preds.transpose(1, 0, 2))
-                term = scratch.take("term", preds.shape)
+                term = scratch.take("gemm", preds.shape)
                 np.matmul(FD, RT[:, :, :n_units], out=term)  # E_Y
                 preds += term
             yield preds.transpose(1, 0, 2)
@@ -510,10 +510,11 @@ class _Scratch(threading.local):
     """Per-thread buffers, grown to the largest request and reused. A fresh
     prediction-sized array per eval set would make the C allocator hand the
     memory back to the system and page it in again, set after set.
-    Prediction-sized are ``gemm``, the predictions of ``_filtered_gemm``;
-    ``preds``, the update path's other predictions; and ``term``, what is
+    Prediction-sized are ``preds``, the update path's predictions, and
+    ``gemm``, which holds either ``_filtered_gemm``'s predictions or what is
     added to ``preds`` (``E_Y`` or ``G D_a U^T Yc``) or, on a block base
-    with no narrow column active, the centering product taken from it.
+    with no narrow column active, the centering product taken from it: a
+    thread scores one path at a time, so one buffer serves both.
     ``scaled``, ``left``, ``right`` and ``AW`` hold GEMM operands."""
 
     def take(self, name, shape):
