@@ -83,17 +83,22 @@ class TestRidgeSolve:
             np.testing.assert_allclose(
                 mine[pos], ridge_normal_eq_oracle(X, Y, Xe, alpha), atol=1e-8)
 
-    def test_rank_deficient_gram_alpha_zero_matches_pinv(self, rng):
+    def test_rank_deficient_gram_matches_oracle(self, rng):
         # 144 x 512 of rank 5: the Gram path must drop eigh's noise
-        # eigenvalues rather than invert them
+        # eigenvalues at every alpha rather than invert them at alpha = 0 or
+        # add them to a small alpha
         basis = rng.standard_normal((5, 512))
         X = rng.standard_normal((144, 5)) @ basis
         Xe = rng.standard_normal((12, 5)) @ basis
         Y = rng.standard_normal((144, 3))
         x_mean, y_mean = X.mean(axis=0), Y.mean(axis=0)
         expected = (Xe - x_mean) @ np.linalg.pinv(X - x_mean) @ (Y - y_mean) + y_mean
-        mine = eb.ridge_solve(X, Y, Xe, [0.0])[0]
-        np.testing.assert_allclose(mine, expected, atol=1e-8)
+        alphas = [0.0, 2.0 ** -5, 1.0, 32.0]
+        mine = eb.ridge_solve(X, Y, Xe, alphas)
+        np.testing.assert_allclose(mine[0], expected, atol=1e-8)
+        for pos, alpha in enumerate(alphas[1:], 1):
+            want = ridge_normal_eq_oracle(X, Y, Xe, alpha)
+            assert np.abs(mine[pos] - want).max() <= 1e-12 * np.abs(want).max()
 
     def test_non_finite_rejected(self):
         with pytest.raises(DataError):
@@ -613,15 +618,11 @@ class TestBlockPath:
                           [_band_blocks(oasm.data)])
         assert (block.update.spectrum <= block.update.cutoff).any()
         (got,) = block.predict_grid([1.0], alphas, [0], _Scratch())
-        # the dense Gram over every eigen-direction: the update path's dense
-        # base drops those at or below the cutoff, 3e-10 relative here
-        with monkeypatch.context() as m:
-            m.setattr(ridge, "_uses_update", lambda *args: False)
-            (want,) = _FoldData([oasm.data], Y, inner.train, [inner.validation]
-                                ).predict_grid([1.0], alphas, [0], _Scratch())
+        want = (min_norm_ridge_oracle(oasm.data, Y, inner.train,
+                                      inner.validation, alphas[1:])
+                - Y[inner.train].mean(0))
         assert np.isfinite(got).all()
-        scale = np.abs(want[1:]).max()
-        assert np.abs(got[1:] - want[1:]).max() <= 1e-10 * scale
+        assert np.abs(got[1:] - want).max() <= 1e-10 * np.abs(want).max()
         monkeypatch.setattr(ridge, "_band_blocks", lambda X: None)
         dense = eb.banded_search([oasm], Y, plan)
         assert dense.solver_paths == {"block": 0, "gram": 3,
@@ -933,7 +934,7 @@ class TestUpdatePath:
         _assert_close(got[0], _min_norm_want(bands, Y, train, ev, gamma))
         _assert_close(got[1:], _block_penalty_want(bands, Y, train, ev, gamma))
 
-    def test_wide_band_alone_matches_dense_gram(self, rng, monkeypatch):
+    def test_wide_band_alone_matches_oracles(self, rng):
         bands, Y, train, ev = _update_case(rng, (3, 2))
         gamma = np.array([0.0, 0.0, 1.0])
         fold = _FoldData(bands, Y, train, [ev])
@@ -941,13 +942,26 @@ class TestUpdatePath:
         assert fold.update is not None and fold.path(gamma) == "gram"
         (got,) = fold.predict_grid(gamma, eb.default_alpha_grid(), [0],
                                    _Scratch())
-        got = got.copy()
-        monkeypatch.setattr(ridge, "_uses_update", lambda *args: False)
-        dense = _FoldData(bands, Y, train, [ev])
-        assert dense.path(gamma) == "gram"
-        (want,) = dense.predict_grid(gamma, eb.default_alpha_grid(), [0],
-                                     _Scratch())
-        _assert_close(got, want)
+        _assert_close(got[0], _min_norm_want(bands, Y, train, ev, gamma))
+        _assert_close(got[1:], _block_penalty_want(bands, Y, train, ev, gamma))
+
+    def test_two_rank_deficient_wide_bands_match_oracle(self, rng):
+        """Two wide bands of rank 6 and 3 take the dense Gram path, the
+        rank-0 update of their mixed Gram: the mixed Gram's eigenvalues at
+        or below the cutoff are rounding, dropped at every alpha."""
+        bands = [rng.standard_normal((100, rank)) @ rng.standard_normal(
+            (rank, width)) for rank, width in ((6, 70), (3, 90))]
+        Y = rng.standard_normal((100, 4))
+        train, ev = np.arange(72), np.arange(72, 100)
+        gamma, alphas = np.array([0.4, 0.6]), eb.default_alpha_grid()
+        fold = _FoldData(bands, Y, train, [ev])
+        assert fold.update is None and fold.path(gamma) == "gram"
+        (got,) = fold.predict_grid(gamma, alphas, [0], _Scratch())
+        Z = [eb.zscore_fit_apply(B[train], [B])[1][0] for B in bands]
+        want = min_norm_ridge_oracle(apply_band_scaling(Z, gamma), Y, train,
+                                     ev, alphas, standardize=False)
+        want -= Y[train].mean(0)
+        assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
 
     def test_path_choice(self, rng):
         bands, Y, train, ev = _update_case(rng, (3, 2))
