@@ -45,9 +45,11 @@ With ``W' = W diag(gamma_n)`` the mixed Gram is ``A + W' W'^T``,
 and per eval set one GEMM batched over alphas carries the Woodbury
 correction, ``(W'_ev - G D_a U^T W') x_a``, with ``G D_a`` the rows
 ``gamma_w^2 K_w,ev U A^-1``, and ``G D_a U^T Yc`` is added to it, as
-``E_Y`` is on the block base. With no narrow column active (r = 0, as in
-a single-band fit, or a wide-only mask) the predictions are
-``G D_a U^T Yc``, one GEMM over every alpha at once.
+``E_Y`` is on the block base. With no narrow column active (a single-band
+fit, or a wide-only mask) the scoring is the same with r = 0: the narrow
+side is taken as empty prefix slices, so there are no correction columns,
+``S`` is 0 x 0, and a wide-only mask runs the code, and gives the bits, of
+the fit of its band alone.
 Eigenvalues of ``K_w`` at or below its Gram cutoff are taken as exact zeros
 for every alpha, so their columns of ``K_w,ev U`` vanish and only the r x r
 Gram terms of ``W^T U`` there enter ``S`` (with ``A^-1 = 1/a``).
@@ -77,7 +79,8 @@ eigen-coordinates per eval row: an eval row predicts a centered column
 from one gathered matmul and ``E_Y`` from another, and the Woodbury step
 and the centering fold into one GEMM batched over alphas,
 ``[E_W', z, 1, W'_ev] [-x_a ; c_W' x_a - c_Y ; Bx_W' x_a - Bx_Y ; x_a]``
-(``Bx`` the ``1^T B x / n`` terms), which ``E_Y`` is added to. An eval set
+(``Bx`` the ``1^T B x / n`` terms), which ``E_Y`` is added to; with r = 0
+it is the centering alone, ``[z, 1] [-c_Y ; -Bx_Y]``. An eval set
 whose rows' groups hold no training row has ``E = 0`` and skips both
 gathers. At ``alpha > 0`` this base keeps every direction of ``B``.
 ``alpha = 0`` is the limit ``alpha -> 0+`` here too, eigenvalues of ``B`` at
@@ -90,7 +93,7 @@ ones vector's part there when ``w`` counts (that part is no null direction
 of ``P B P``). On a numerically singular split ``alpha = 0`` is dominated by
 rounding on either base.
 
-On either base, update-path predictions with r > 0 are written eval-major,
+On either base, update-path predictions are written eval-major,
 (n_eval, n_alphas, n_units), so the search's sum of squared residuals over
 eval rows reduces the outer axis; they are yielded as (n_alphas, n_eval,
 n_units) views like every other path's.
@@ -273,12 +276,20 @@ def _filter(alphas, spectrum, cutoff, singular=False) -> np.ndarray:
 
 def _design_predict(Yc, X, eval_sides, alphas, scratch):
     """Centered predictions per alpha, (n_alphas, n_eval, n_units), of the
-    design ``X`` for each eval side in turn, from one economy SVD: each a
-    view into ``scratch`` that the next one overwrites."""
+    design ``X`` for each eval side in turn, from one economy SVD and, per
+    eval side, one GEMM over every alpha's filter row: each a view into
+    ``scratch`` that the next one overwrites."""
     U, s, Vt = np.linalg.svd(X, full_matrices=False)
     cutoff = s.max(initial=0.0) * max(X.shape) * _RCOND  # numpy's pinv rule
     D, UTY = _filter(alphas, s, cutoff, singular=True), U.T @ Yc
-    return (_filtered_gemm(Xe @ Vt.T, D, UTY, scratch) for Xe in eval_sides)
+    for Xe in eval_sides:
+        G = Xe @ Vt.T
+        scaled = scratch.take("scaled", (len(D), len(G), len(s)))
+        np.multiply(G[None, :, :], D[:, None, :], out=scaled)  # G diag(D[a])
+        preds = scratch.take("gemm", (len(D), len(G), UTY.shape[1]))
+        np.matmul(scaled.reshape(-1, len(s)), UTY,
+                  out=preds.reshape(-1, UTY.shape[1]))
+        yield preds
 
 
 def _gram_predict(Yc, gram, cross, alphas, scratch):
@@ -317,12 +328,13 @@ class _Update:
         columns' weight on the dropped directions, and the targets', in an
         orthonormal basis of the part those columns span that clears the
         cutoff."""
-        M = self.null_W * active
+        W = self.null_W[:, :len(active)]
+        M = W * active
         if np.square(M).sum() <= self.cutoff:  # no singular value clears it
             return M[:0], self.null_Y[:0]
         Q, sv, _ = np.linalg.svd(M, full_matrices=False)
         Q = Q[:, sv ** 2 > self.cutoff]
-        return Q.T @ self.null_W, Q.T @ self.null_Y
+        return Q.T @ W, Q.T @ self.null_Y
 
     def _terms(self, D, Y_hat, W_hat, alphas, gamma_w, gamma_n, units,
                scratch):
@@ -333,8 +345,9 @@ class _Update:
         # A^-1 is 1/alpha on the dropped directions (0 at alpha = 0)
         inv = np.divide(1.0, alphas, out=np.zeros_like(alphas),
                         where=alphas > 0.0)[:, None, None]
-        S += inv * (gamma_n[:, None] * self.null_WW * gamma_n)
-        V += inv * (gamma_n[:, None] * self.null_WY[:, units])
+        r = len(gamma_n)
+        S += inv * (gamma_n[:, None] * self.null_WW[:r, :r] * gamma_n)
+        V += inv * (gamma_n[:, None] * self.null_WY[:r, units])
         return S, V, (D, Y_hat, W_hat)
 
     def _fused(self, terms, x, evals, gamma_n, scratch):
@@ -349,8 +362,10 @@ class _Update:
             scaled = scratch.take("scaled", (len(G), n_alphas, k))
             np.multiply(G[:, None, :], D, out=scaled)  # G D_a, eval-major
             left = scratch.take("left", (len(G), n_alphas, r))
-            np.matmul(scaled.reshape(-1, k), W_hat, out=left.reshape(-1, r))
-            np.subtract(self.narrow_evs[e][:, None, :] * gamma_n, left,
+            # r = 0 leaves reshape(-1, 0) ambiguous: the shapes are written out
+            np.matmul(scaled.reshape(-1, k), W_hat,
+                      out=left.reshape(len(G) * n_alphas, r))
+            np.subtract(self.narrow_evs[e][:, None, :r] * gamma_n, left,
                         out=left)                   # W'_ev - G D_a U^T W'
             preds = scratch.take("preds", (len(G), n_alphas, n_units))
             np.matmul(left.transpose(1, 0, 2), x, out=preds.transpose(1, 0, 2))
@@ -360,25 +375,21 @@ class _Update:
             preds += term
             yield preds.transpose(1, 0, 2)
 
-    def _base(self, D, Y_hat, alphas, evals, scratch):
-        """Per eval set in ``evals``, the wide band's predictions of ``Yc``."""
-        return (_filtered_gemm(self.G[e], D, Y_hat, scratch) for e in evals)
-
     def predict(self, gamma_w, gamma_n, alphas, evals, scratch, units):
         """Centered predictions per alpha for wide-band scale ``gamma_w`` and
         narrow-column scales ``gamma_n``, yielded as ``_design_predict``
-        yields them: the base's own when no narrow column is active."""
+        yields them. With no narrow column active the scoring has r = 0, no
+        correction columns, and runs as the fit of the wide band alone."""
         alphas = np.asarray(alphas, dtype=np.float64)
+        # prefix slices of the narrow side: r = 0 or all of it
+        r = len(gamma_n) if gamma_n.any() else 0
+        gamma_n = gamma_n[:r]
         # gamma_w^2 A^-1
         D = _filter(alphas / gamma_w ** 2, self.spectrum, self.cutoff)
-        Y_hat = self.UTY[:, units]
-        if not gamma_n.any():
-            yield from self._base(D, Y_hat, alphas, evals, scratch)
-            return
-        W_hat = self.UTW * gamma_n
+        Y_hat, W_hat = self.UTY[:, units], self.UTW[:, :r] * gamma_n
         S, V, terms = self._terms(D, Y_hat, W_hat, alphas, gamma_w, gamma_n,
                                   units, scratch)
-        S[:, np.arange(len(gamma_n)), np.arange(len(gamma_n))] += 1.0
+        S[:, np.arange(r), np.arange(r)] += 1.0
         # S_a^-1 V_a per alpha; S_a is r x r, V_a has a column per unit
         x = np.linalg.inv(S) @ V
         B, y0 = self._null_weight(gamma_n > 0)
@@ -419,40 +430,21 @@ class _BlockUpdate(_Update):
                          for W in narrow_evs]
 
     def _center(self, D, R, alphas):
-        """``D * (U^T 1)``, the centering ``c`` and ``1^T B x / n`` per alpha
-        of each column ``v`` of ``R`` (eigen-coordinates): ``x = R (v - 1 c)``
-        solves ``(P B P + aI) x = v`` on the complement of the ones vector."""
+        """Per alpha, the centering ``c`` and ``1^T B x / n`` of each column
+        ``v`` of ``R`` (eigen-coordinates), stacked as (n_alphas, 2, R's
+        columns): ``x = R (v - 1 c)`` solves ``(P B P + aI) x = v`` on the
+        complement of the ones vector."""
         Du = D * self.ones                                  # R 1
         num, den = Du @ R, Du @ self.ones                   # 1^T R v, 1^T R 1
         limit = (np.asarray(alphas) == 0.0) & self.limit
         num[limit], den[limit] = self.w @ R[self.drop], self.w @ self.w
-        c = num / den[:, None]
-        Bx = ((Du * self.spectrum) @ R
-              - (Du @ (self.spectrum * self.ones))[:, None] * c) / D.shape[1]
-        return Du, c, Bx
-
-    def _eval(self, evals, D, Du, R, c, Bx, scratch):
-        """Per eval set in ``evals``, ``K_ev x`` for ``x = R (v - 1 c)`` and
-        each column ``v`` of ``R``: (n_eval, n_alphas, R's columns),
-        eval-major, a view into ``scratch`` that the next one overwrites."""
-        # x is predicted as E x - 1 (1^T B x) / n
-        for e in evals:
-            F, T = self.evals[e]
-            preds = scratch.take("preds", (len(F), len(D), R.shape[1]))
-            np.matmul(D.T[T].transpose(0, 2, 1) * F[:, None, :], R[T],
-                      out=preds)                            # E R v, eval-major
-            fix = scratch.take("gemm", preds.shape)
-            np.einsum("ia,au->iau", (Du.T[T] * F[:, :, None]).sum(axis=1), c,
-                      out=fix)
-            preds -= fix
-            preds -= Bx
-            yield preds
-
-    def _base(self, D, Y_hat, alphas, evals, scratch):
-        """As ``_Update._base``, through the block-sparse eval side."""
-        Du, c, Bx = self._center(D, Y_hat, alphas)
-        for preds in self._eval(evals, D, Du, Y_hat, c, Bx, scratch):
-            yield preds.transpose(1, 0, 2)
+        cB = np.empty((len(D), 2, R.shape[1]))
+        c = np.divide(num, den[:, None], out=cB[:, 0])
+        np.subtract((Du * self.spectrum) @ R,
+                    (Du @ (self.spectrum * self.ones))[:, None] * c,
+                    out=cB[:, 1])
+        cB[:, 1] /= D.shape[1]
+        return cB
 
     def _terms(self, D, Y_hat, W_hat, alphas, gamma_w, gamma_n, units,
                scratch):
@@ -463,25 +455,25 @@ class _BlockUpdate(_Update):
         # [Yc | W' | 1] in eigen-coordinates; the ones column's eval side is
         # each eval row's centering weight z
         R = np.hstack([Y_hat, W_hat, ones[:, None]])
-        Du, c, Bx = self._center(D, R[:, :-1], alphas)
+        cB = self._center(D, R[:, :-1], alphas)
+        c = cB[:, 0]
         # (W' - 1 c_W)^T R per alpha, then times [Yc | W'] minus 1 c
         AW = scratch.take("AW", (len(D), r, n))
         np.multiply(c[:, n_units:, None], ones, out=AW)
         np.subtract(W_hat.T, AW, out=AW)
         AW *= (D / gamma_w ** 2)[:, None, :]
-        VS = (AW.reshape(-1, n) @ R[:, :-1]).reshape(len(D), r, -1)
+        VS = (AW.reshape(-1, n) @ R[:, :-1]).reshape(len(D), r, n_units + r)
         VS -= (AW @ ones)[:, :, None] * c[:, None, :]
-        return VS[:, :, n_units:], VS[:, :, :n_units], (D, R, c, Bx)
+        return VS[:, :, n_units:], VS[:, :, :n_units], (D, R, cB)
 
     def _fused(self, terms, x, evals, gamma_n, scratch):
         """As ``_Update._fused``, through the block-sparse eval side. The
         gather of ``E_Y`` has a buffer of its own, so the add of it reads
         contiguous rows."""
-        D, R, c, Bx = terms
+        D, R, cB = terms
         (n_alphas, r, n_units), width = x.shape, 2 * x.shape[1] + 2
         right = scratch.take("right", (n_alphas, width, n_units))
         np.negative(x, out=right[:, :r])
-        cB = np.stack([c, Bx], axis=1)
         np.matmul(cB[:, :, n_units:], x, out=right[:, r:r + 2])
         right[:, r:r + 2] -= cB[:, :, :n_units]
         right[:, r + 2:] = x
@@ -489,7 +481,8 @@ class _BlockUpdate(_Update):
         for e in evals:
             F, T = self.evals[e]
             left = scratch.take("left", (len(F), n_alphas, width))
-            left[:, :, r + 1:] = (self.ones_evs[e] * scale)[:, None, :]
+            left[:, :, r + 1:] = (self.ones_evs[e][:, :r + 1]
+                                  * scale)[:, None, :]
             preds = scratch.take("preds", (len(F), n_alphas, n_units))
             if F.shape[1] == 0:  # E = 0 and z = 0
                 np.matmul(left[:, :, r + 1:].transpose(1, 0, 2),
@@ -510,11 +503,11 @@ class _Scratch(threading.local):
     prediction-sized array per eval set would make the C allocator hand the
     memory back to the system and page it in again, set after set.
     Prediction-sized are ``preds``, the update path's predictions, and
-    ``gemm``, which holds either ``_filtered_gemm``'s predictions or what is
-    added to ``preds`` (``E_Y`` or ``G D_a U^T Yc``) or, on a block base
-    with no narrow column active, the centering product taken from it: a
-    thread scores one path at a time, so one buffer serves both.
-    ``scaled``, ``left``, ``right`` and ``AW`` hold GEMM operands."""
+    ``gemm``, which holds either the design path's predictions or the term
+    that ``_Update._fused`` adds to ``preds`` (``G D_a U^T Yc``, or ``E_Y``
+    on a block base): a thread scores one path at a time, so one buffer
+    serves both. ``scaled``, ``left``, ``right`` and ``AW`` hold GEMM
+    operands."""
 
     def take(self, name, shape):
         size = math.prod(shape)
@@ -523,17 +516,6 @@ class _Scratch(threading.local):
             buf = np.empty(size)
             setattr(self, name, buf)
         return buf[:size].reshape(shape)
-
-
-def _filtered_gemm(G, D, R, scratch):
-    """``G diag(D[a]) R`` for every alpha's filter row ``D[a]`` in one GEMM:
-    an (n_alphas, n_eval, R's columns) view into ``scratch``."""
-    n_alphas, (n_eval, rank) = len(D), G.shape
-    scaled = scratch.take("scaled", (n_alphas, n_eval, rank))
-    np.multiply(G[None, :, :], D[:, None, :], out=scaled)
-    out = scratch.take("gemm", (n_alphas * n_eval, R.shape[1]))
-    np.matmul(scaled.reshape(-1, rank), R, out=out)
-    return out.reshape(n_alphas, n_eval, -1)
 
 
 def _factor_blocks(X, blocks, train_idx, eval_idxs, Yc):

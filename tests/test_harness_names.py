@@ -4,6 +4,7 @@ tests fail when a rename or a signature change would break them."""
 
 import ast
 import importlib
+import inspect
 import io
 import json
 import os
@@ -130,13 +131,34 @@ def test_setup_probe_writes_its_stamp(tmp_path, kind, make_config):
 
 @pytest.mark.parametrize("script", SCRIPTS, ids=lambda path: path.name)
 def test_script_names_resolve(script):
-    """Every ``eb.<name>`` a demo uses exists, checked without running it."""
+    """Every name a script takes from encodebench exists, checked without
+    running it: each ``eb.<name>``, each ``ridge.<name>`` (private names
+    included) and each name imported from an encodebench module."""
     tree = ast.parse(script.read_text())
-    used = {node.attr for node in ast.walk(tree)
+    modules, missing = {}, []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            modules.update((alias.asname or alias.name,
+                            importlib.import_module(alias.name))
+                           for alias in node.names
+                           if alias.name.startswith("encodebench"))
+        elif (isinstance(node, ast.ImportFrom)
+              and (node.module or "").startswith("encodebench")):
+            module = importlib.import_module(node.module)
+            for alias in node.names:
+                if not hasattr(module, alias.name):
+                    missing.append(f"{node.module}.{alias.name}")
+                elif inspect.ismodule(getattr(module, alias.name)):
+                    modules[alias.asname or alias.name] = getattr(module,
+                                                                  alias.name)
+    used = {(node.value.id, node.attr) for node in ast.walk(tree)
             if isinstance(node, ast.Attribute)
-            and isinstance(node.value, ast.Name) and node.value.id == "eb"}
-    assert used, f"{script.name} uses no eb.<name>"
-    assert sorted(name for name in used if not hasattr(eb, name)) == []
+            and isinstance(node.value, ast.Name) and node.value.id in modules}
+    assert any(name == "eb" for name, _ in used), \
+        f"{script.name} uses no eb.<name>"
+    missing += [f"{name}.{attr}" for name, attr in used
+                if not hasattr(modules[name], attr)]
+    assert sorted(missing) == []
 
 
 def test_workload_presets_exist():

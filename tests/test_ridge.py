@@ -391,7 +391,7 @@ class TestBandedSearch:
         assert held < len(inner)
         n_eval = max(len(i.validation) for i in inner)
         per_row = len(eb.default_alpha_grid()) * Y.shape[1] * 8
-        bound = (2 * n_eval * per_row  # prediction and centering buffers
+        bound = (2 * n_eval * per_row  # prediction and E_Y buffers
                  + held * per_row      # SSE of the open outer folds
                  + 2 * Y.nbytes        # test and intercept predictions
                  + 4 * Y.nbytes)       # one training set's working arrays
@@ -1044,10 +1044,15 @@ class TestUpdatePath:
         _assert_close(got[1:], _block_penalty_want(*case, gamma)[:, :, units])
         _assert_close(got[0], _min_norm_want(*case, gamma)[:, units])
 
-    def test_block_eval_holds_two_prediction_buffers(self):
-        """A scoring with narrow columns on a block base keeps two
-        prediction-sized buffers, the predictions and the gathered ``E_Y``;
-        the centering and the Woodbury correction take none of their own."""
+    # a wide-only mask is the fused scoring's r = 0 case, named by its base
+    @pytest.mark.parametrize("gamma, path", [([.5, .5], "update"),
+                                             ([1.0, 0.0], "block")],
+                             ids=["update", "block"])
+    def test_block_eval_holds_two_prediction_buffers(self, gamma, path):
+        """A scoring on a block base, with narrow columns active or none,
+        keeps two prediction-sized buffers, the predictions and the gathered
+        ``E_Y``; the centering and the Woodbury correction take none of
+        their own."""
         spec, _ = eb.preset("pereira-exp2", seed=0, n_units=200)
         recording, _ = eb.generate(spec)
         plan = eb.shuffle_plan(build_plan(SplitSpec("pereira"), recording), 7)
@@ -1057,11 +1062,11 @@ class TestUpdatePath:
         train, users = _train_sets(plan)[0]
         evals = [plan.outer_folds[o].inner_folds[j].validation
                  for o, j in users]
-        Y, alphas, gamma = recording.responses, eb.default_alpha_grid(), [.5, .5]
+        Y, alphas = recording.responses, eb.default_alpha_grid()
         fold = _FoldData(bands, Y, train, evals,
                          [_band_blocks(X) for X in bands])
         assert isinstance(fold.update, ridge._BlockUpdate)
-        assert fold.path(np.array(gamma)) == "update"
+        assert fold.path(np.array(gamma)) == path
         assert min(F.shape[1] for F, _ in fold.update.evals) > 0
         tracemalloc.start()
         try:
