@@ -63,12 +63,18 @@ def block_runs(block_ids) -> list[tuple[int, int]]:
     return list(zip(starts.tolist(), stops.tolist()))
 
 
+def check_sigma(what: str, sigma: float) -> None:
+    """Raise ``DataError`` unless ``0 < sigma <= 1e4`` samples: the kernel is
+    built whole, ``2 ceil(4 sigma) + 1`` taps, whatever the block lengths."""
+    if not (math.isfinite(sigma) and 0 < sigma <= 1e4):
+        raise DataError(f"{what} must be finite, > 0 and <= 1e4, got {sigma!r}")
+
+
 def gaussian_kernel(sigma: float) -> np.ndarray:
     """Truncated, sum-normalized discrete Gaussian (radius ceil(4*sigma)).
     Taps below eps times the peak are zero: z-scoring would blow a column
     made of such far tails up to unit variance."""
-    if not (math.isfinite(sigma) and sigma > 0):
-        raise DataError(f"sigma must be finite and > 0, got {sigma!r}")
+    check_sigma("sigma", sigma)
     radius = math.ceil(4.0 * sigma)
     offsets = np.arange(-radius, radius + 1, dtype=np.float64)
     kernel = np.exp(-0.5 * (offsets / sigma) ** 2)  # peak 1
@@ -147,6 +153,8 @@ def sweep_oasm_sigma(recording, block_ids, plan, sigmas=None,
 
     responses = getattr(recording, "responses", recording)
     sigmas = oasm_sigma_grid() if sigmas is None else np.asarray(sigmas, float)
+    for sigma in sigmas:  # before the first fit
+        check_sigma("sigma", sigma)
     scores = np.empty(sigmas.size)
     for i, sigma in enumerate(sigmas):
         oasm = build_oasm(responses.shape[0], block_ids, float(sigma))

@@ -24,11 +24,10 @@ from pathlib import Path
 from typing import Mapping, Optional, Sequence
 
 import numpy as np
-import scipy
 
 from . import __version__
 from .errors import DataError, ManifestError, check_int, check_real
-from .features import FeatureSpace, build_oasm
+from .features import FeatureSpace, build_oasm, check_sigma
 from .matrixio import LoadedDataset, load_manifest, read_json, save_matrix, write_json
 from .metrics import (
     ComparisonReport,
@@ -195,8 +194,7 @@ class AnalysisConfig:
             raise DataError(f"alpha_level must lie in (0, 1), got {self.alpha_level!r}")
         if self.oasm_sigma is not None:
             check_real("oasm_sigma", self.oasm_sigma)
-            if not self.oasm_sigma > 0:
-                raise DataError(f"oasm_sigma must be > 0, got {self.oasm_sigma!r}")
+            check_sigma("oasm_sigma", self.oasm_sigma)
         if not self.families:
             raise DataError("config declares no families")
         self.validate()
@@ -532,7 +530,6 @@ def run_analysis(config: AnalysisConfig, threads: int = 1,
         "blas": _blas_build(),
         "blas_threads": fit_blas_threads(),
         "numpy_version": np.__version__,
-        "scipy_version": scipy.__version__,
         "encodebench_version": __version__,
     }
     report = RunReport(

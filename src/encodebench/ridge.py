@@ -3,19 +3,19 @@ per-unit hyperparameter search.
 
 Solver notes
 ------------
-Every solve factors a centered problem once and filters its spectrum per
-alpha through one function, ``_filter``. One rule, ``_uses_gram``, picks the
-factorization: an economy SVD of the design X (``_design_predict``) while X
-has no more columns than rows, else ``eigh`` of the smaller Gram matrix
-K = X X^T, which gives identical predictions through the push-through
-identity ``X_ev (X^T X + aI)^-1 X^T Y = K_ev (K + aI)^-1 Y``. Every dense
-Gram is factored by ``_Update``, a Gram alone as its rank-0 case
-(``_gram_predict``). ``alpha = 0`` is the pseudo-inverse (minimum-norm least
-squares) limit, with numpy's pinv rank cutoff on the matrix factored. One
-drop rule serves every dense Gram: eigenvalues at or below the cutoff are
-exact zeros at every alpha, so the Gram path resolves singular values of X
-down to about ``sqrt(n * eps) * smax``. The rule keeps the dense base's GEMMs
-as wide as the band's rank; at alpha 2^-5 it keeps a rank-5 144 x 512 design
+Every solve factors a centered problem once, by ``eigh`` of the smaller
+Gram of the design X, and filters its spectrum per alpha through one
+function, ``_filter``. One rule, ``_uses_gram``, picks the Gram: X^T X while
+X has no more columns than rows (the design path), else K = X X^T. By the
+push-through identity ``X_ev (X^T X + aI)^-1 X^T Y = K_ev (K + aI)^-1 Y``
+the first takes ``X^T Yc`` as its targets and ``X_ev`` as its eval side.
+Either is factored by ``_Update`` as its rank-0 case (``_gram_predict``).
+``alpha = 0`` is the pseudo-inverse (minimum-norm least squares) limit. One
+drop rule serves every Gram at every alpha: eigenvalues at or below numpy's
+pinv cutoff on a Gram of order m are exact zeros, so a solve resolves
+singular values of X down to about ``sqrt(m * eps) * smax`` (m = p on the
+design path, n on the Gram path). The rule keeps the dense base's GEMMs as
+wide as the band's rank; at alpha 2^-5 it keeps a rank-5 144 x 512 design
 within 2e-15 relative of the oracle (2e-9 if those eigenvalues are kept).
 Where they are real it costs up to 3e-7 there (5e-11 if kept): OASM at
 sigma 4.1 beside a rank-3 band of 500 columns, more beside a wider one.
@@ -42,14 +42,14 @@ With ``W' = W diag(gamma_n)`` the mixed Gram is ``A + W' W'^T``,
 ``A = gamma_w^2 K_w + aI`` is diagonal in U, and by Woodbury with
 ``S = I + W'^T A^-1 W'`` and ``x = S^-1 W'^T A^-1 Yc`` the predictions are
 ``gamma_w^2 K_w,ev A^-1 (Yc - W' x) + W'_ev x``: per alpha an r x r ``S``,
-and per eval set one GEMM batched over alphas carries the Woodbury
-correction, ``(W'_ev - G D_a U^T W') x_a``, with ``G D_a`` the rows
-``gamma_w^2 K_w,ev U A^-1``, and ``G D_a U^T Yc`` is added to it, as
-``E_Y`` is on the block base. With no narrow column active (a single-band
-fit, or a wide-only mask) the scoring is the same with r = 0: the narrow
-side is taken as empty prefix slices, so there are no correction columns,
-``S`` is 0 x 0, and a wide-only mask runs the code, and gives the bits, of
-the fit of its band alone.
+and per eval set one GEMM batched over alphas gives ``G D_a U^T Yc``,
+with ``G D_a`` the rows ``gamma_w^2 K_w,ev U A^-1``; another carries the
+Woodbury correction, ``(W'_ev - G D_a U^T W') x_a``, which is added to it
+as ``E_Y`` is on the block base. With no narrow column active (a
+single-band fit, a wide-only mask, or a Gram alone) the scoring is the
+same with r = 0: the narrow side is taken as empty prefix slices, ``S`` is
+0 x 0, there is no correction to compute, and a wide-only mask runs the
+code, and gives the bits, of the fit of its band alone.
 Eigenvalues of ``K_w`` at or below its Gram cutoff are taken as exact zeros
 for every alpha, so their columns of ``K_w,ev U`` vanish and only the r x r
 Gram terms of ``W^T U`` there enter ``S`` (with ``A^-1 = 1/a``).
@@ -257,45 +257,27 @@ def _uses_update(narrow_dims: int, n_rows: int) -> bool:
     return _UPDATE_RATIO * narrow_dims <= n_rows
 
 
-def _filter(alphas, spectrum, cutoff, singular=False) -> np.ndarray:
-    """(n_alphas, rank) filter factors of an eigenvalue ``spectrum``,
-    ``1 / (lam + alpha)``, or of singular values, ``s / (s^2 + alpha)``;
-    ``alpha = 0`` is the pseudo-inverse, values at or below ``cutoff`` taken
-    as exact zeros (``_Update`` drops a dense Gram's for every alpha first)."""
+def _filter(alphas, spectrum, cutoff) -> np.ndarray:
+    """(n_alphas, rank) filter factors ``1 / (lam + alpha)`` of an eigenvalue
+    ``spectrum``; ``alpha = 0`` is the pseudo-inverse, eigenvalues at or below
+    ``cutoff`` taken as exact zeros (``_Update`` drops a dense Gram's for
+    every alpha first)."""
     alphas = np.asarray(alphas, dtype=np.float64)
     D = np.empty((alphas.size, spectrum.size))
     pos = alphas > 0.0
-    if singular:
-        D[pos] = spectrum / (spectrum ** 2 + alphas[pos, None])
-    else:
-        D[pos] = 1.0 / (spectrum + alphas[pos, None])
+    D[pos] = 1.0 / (spectrum + alphas[pos, None])
     keep = spectrum > cutoff
     D[~pos] = np.where(keep, 1.0 / np.where(keep, spectrum, 1.0), 0.0)
     return D
 
 
-def _design_predict(Yc, X, eval_sides, alphas, scratch):
-    """Centered predictions per alpha, (n_alphas, n_eval, n_units), of the
-    design ``X`` for each eval side in turn, from one economy SVD and, per
-    eval side, one GEMM over every alpha's filter row: each a view into
-    ``scratch`` that the next one overwrites."""
-    U, s, Vt = np.linalg.svd(X, full_matrices=False)
-    cutoff = s.max(initial=0.0) * max(X.shape) * _RCOND  # numpy's pinv rule
-    D, UTY = _filter(alphas, s, cutoff, singular=True), U.T @ Yc
-    for Xe in eval_sides:
-        G = Xe @ Vt.T
-        scaled = scratch.take("scaled", (len(D), len(G), len(s)))
-        np.multiply(G[None, :, :], D[:, None, :], out=scaled)  # G diag(D[a])
-        preds = scratch.take("gemm", (len(D), len(G), UTY.shape[1]))
-        np.matmul(scaled.reshape(-1, len(s)), UTY,
-                  out=preds.reshape(-1, UTY.shape[1]))
-        yield preds
-
-
-def _gram_predict(Yc, gram, cross, alphas, scratch):
-    """As ``_design_predict``, from a dense ``gram`` and its eval-by-train
-    Grams ``cross``: the update path's rank-0 case, with no narrow column."""
-    update = _Update(Yc, Yc[:, :0], gram, cross, [C[:, :0] for C in cross])
+def _gram_predict(targets, gram, cross, alphas, scratch):
+    """Centered predictions per alpha, (n_alphas, n_eval, n_units), per eval
+    side in ``cross``, from one ``eigh`` of ``gram``: the update path's rank-0
+    case. ``targets`` are ``Yc`` beside X X^T and ``X^T Yc`` beside X^T X;
+    each yield is a view into ``scratch`` that the next overwrites."""
+    update = _Update(targets, targets[:, :0], gram, cross,
+                     [C[:, :0] for C in cross])
     return update.predict(1.0, np.zeros(0), alphas, range(len(cross)),
                           scratch, slice(None))
 
@@ -327,13 +309,15 @@ class _Update:
         """``(B, y)`` for the limit ``alpha -> 0+``: the active narrow
         columns' weight on the dropped directions, and the targets', in an
         orthonormal basis of the part those columns span that clears the
-        cutoff."""
+        cutoff: ``Q = M V lam^-1/2`` from the eigenpairs of their r x r
+        Gram ``M^T M``."""
         W = self.null_W[:, :len(active)]
         M = W * active
-        if np.square(M).sum() <= self.cutoff:  # no singular value clears it
+        if np.square(M).sum() <= self.cutoff:  # no eigenvalue clears it
             return M[:0], self.null_Y[:0]
-        Q, sv, _ = np.linalg.svd(M, full_matrices=False)
-        Q = Q[:, sv ** 2 > self.cutoff]
+        lam, V = np.linalg.eigh(M.T @ M)
+        keep = lam > self.cutoff
+        Q = M @ V[:, keep] / np.sqrt(lam[keep])
         return Q.T @ W, Q.T @ self.null_Y
 
     def _terms(self, D, Y_hat, W_hat, alphas, gamma_w, gamma_n, units,
@@ -351,33 +335,35 @@ class _Update:
         return S, V, (D, Y_hat, W_hat)
 
     def _fused(self, terms, x, evals, gamma_n, scratch):
-        """Per eval set in ``evals``, its predictions for every alpha from
-        ``x`` (n_alphas, r, units) through one correction GEMM batched over
-        alphas (see the module notes), eval-major in ``scratch``: the next
-        set overwrites them."""
+        """Per eval set in ``evals``, its predictions for every alpha:
+        ``G D_a U^T Yc`` plus, with r > 0, the correction from ``x``
+        (n_alphas, r, units), each one GEMM batched over alphas (see the
+        module notes), eval-major in ``scratch``: the next set overwrites
+        them."""
         D, Y_hat, W_hat = terms
         k, (n_alphas, r, n_units) = D.shape[1], x.shape
         for e in evals:
             G = self.G[e]
             scaled = scratch.take("scaled", (len(G), n_alphas, k))
             np.multiply(G[:, None, :], D, out=scaled)  # G D_a, eval-major
-            left = scratch.take("left", (len(G), n_alphas, r))
-            # r = 0 leaves reshape(-1, 0) ambiguous: the shapes are written out
-            np.matmul(scaled.reshape(-1, k), W_hat,
-                      out=left.reshape(len(G) * n_alphas, r))
-            np.subtract(self.narrow_evs[e][:, None, :r] * gamma_n, left,
-                        out=left)                   # W'_ev - G D_a U^T W'
             preds = scratch.take("preds", (len(G), n_alphas, n_units))
-            np.matmul(left.transpose(1, 0, 2), x, out=preds.transpose(1, 0, 2))
-            term = scratch.take("gemm", preds.shape)
             np.matmul(scaled.reshape(-1, k), Y_hat,
-                      out=term.reshape(-1, n_units))  # G D_a U^T Yc
-            preds += term
+                      out=preds.reshape(-1, n_units))  # G D_a U^T Yc
+            if r:
+                left = scratch.take("left", (len(G), n_alphas, r))
+                np.matmul(scaled.reshape(-1, k), W_hat,
+                          out=left.reshape(-1, r))
+                np.subtract(self.narrow_evs[e][:, None, :r] * gamma_n, left,
+                            out=left)               # W'_ev - G D_a U^T W'
+                term = scratch.take("gemm", preds.shape)
+                np.matmul(left.transpose(1, 0, 2), x,
+                          out=term.transpose(1, 0, 2))
+                preds += term
             yield preds.transpose(1, 0, 2)
 
     def predict(self, gamma_w, gamma_n, alphas, evals, scratch, units):
         """Centered predictions per alpha for wide-band scale ``gamma_w`` and
-        narrow-column scales ``gamma_n``, yielded as ``_design_predict``
+        narrow-column scales ``gamma_n``, yielded as ``_gram_predict``
         yields them. With no narrow column active the scoring has r = 0, no
         correction columns, and runs as the fit of the wide band alone."""
         alphas = np.asarray(alphas, dtype=np.float64)
@@ -495,6 +481,7 @@ class _BlockUpdate(_Update):
                 term = scratch.take("gemm", preds.shape)
                 np.matmul(FD, RT[:, :, :n_units], out=term)  # E_Y
                 preds += term
+                del FD, RT  # before the next eval set gathers its own
             yield preds.transpose(1, 0, 2)
 
 
@@ -502,12 +489,10 @@ class _Scratch(threading.local):
     """Per-thread buffers, grown to the largest request and reused. A fresh
     prediction-sized array per eval set would make the C allocator hand the
     memory back to the system and page it in again, set after set.
-    Prediction-sized are ``preds``, the update path's predictions, and
-    ``gemm``, which holds either the design path's predictions or the term
-    that ``_Update._fused`` adds to ``preds`` (``G D_a U^T Yc``, or ``E_Y``
-    on a block base): a thread scores one path at a time, so one buffer
-    serves both. ``scaled``, ``left``, ``right`` and ``AW`` hold GEMM
-    operands."""
+    Prediction-sized are ``preds``, every path's predictions, and ``gemm``,
+    the term that ``_Update._fused`` adds to them: the Woodbury correction
+    on the dense base (none with r = 0) or ``E_Y`` on a block base.
+    ``scaled``, ``left``, ``right`` and ``AW`` hold GEMM operands."""
 
     def take(self, name, shape):
         size = math.prod(shape)
@@ -654,10 +639,10 @@ def ridge_solve(X_train, Y_train, X_eval, alphas) -> np.ndarray:
     y_mean = Y.mean(axis=0)
     Xc, Xe, Yc = X - x_mean, Xe - x_mean, Y - y_mean
     if _uses_gram(X.shape[1], X.shape[0]):
-        (preds,) = _gram_predict(Yc, Xc @ Xc.T, [Xe @ Xc.T], alphas,
-                                 _Scratch())
+        targets, gram, cross = Yc, Xc @ Xc.T, Xe @ Xc.T
     else:
-        (preds,) = _design_predict(Yc, Xc, [Xe], alphas, _Scratch())
+        targets, gram, cross = Xc.T @ Yc, Xc.T @ Xc, Xe
+    (preds,) = _gram_predict(targets, gram, [cross], alphas, _Scratch())
     preds += y_mean
     return preds[:, :, 0] if np.ndim(Y_train) == 1 else preds
 
@@ -811,7 +796,7 @@ class _FoldData:
         Xtr = np.hstack([gamma[b] * self.Ztr[b] for b in active])
         Xevs = [np.hstack([gamma[b] * self.Zev[b][e] for b in active])
                 for e in evals]
-        return _design_predict(Yc, Xtr, Xevs, alphas, scratch)
+        return _gram_predict(Xtr.T @ Yc, Xtr.T @ Xtr, Xevs, alphas, scratch)
 
 
 def _random_gamma(seed: int, iteration: int, n_bands: int) -> np.ndarray:
@@ -865,13 +850,16 @@ def banded_search(features: Sequence[FeatureSpace], responses, plan: SplitPlan,
     n_outer, n_units, n_bands = len(folds), Y.shape[1], len(band_mats)
     sets = _train_sets(plan)
     # validation targets centered on their training mean, in inner-fold order
-    sse_icpt = [sum(np.square(Y[inner.validation] - Y[inner.train].mean(axis=0))
-                    .sum(axis=0) for inner in fold.inner_folds)
-                for fold in folds]
+    with np.errstate(over="ignore", invalid="ignore"):  # refused below
+        sse_icpt = [sum(np.square(Y[inner.validation]
+                                  - Y[inner.train].mean(axis=0)).sum(axis=0)
+                        for inner in fold.inner_folds) for fold in folds]
     for icpt in sse_icpt:
-        if (icpt == 0).any():
-            bad = np.flatnonzero(icpt == 0).tolist()
-            raise DataError(f"constant validation target for units {bad}")
+        for bad, what in ((icpt == 0, "constant"),
+                          (~np.isfinite(icpt), "overflowing")):
+            if bad.any():
+                raise DataError(f"{what} validation target for units "
+                                f"{np.flatnonzero(bad).tolist()}")
 
     best_score = np.full((n_outer, n_units), -np.inf)
     best_cand = np.zeros((n_outer, n_units), dtype=np.int64)

@@ -23,6 +23,7 @@ from .features import (
     build_sentence_position,
     build_word_position,
     block_runs,
+    check_sigma,
     smooth_within_blocks,
 )
 from .matrixio import NeuralRecording, save_manifest, save_matrix
@@ -49,6 +50,8 @@ class SynthSpec:
         scales = (self.noise_scale, self.signal_scale, self.autocorr_sigma)
         if not all(math.isfinite(s) and s >= 0 for s in scales):
             raise DataError("scales must be finite and non-negative")
+        if self.autocorr_sigma > 0:
+            check_sigma("autocorr_sigma", self.autocorr_sigma)
         for fs in self.signal_features:
             if fs.n_samples != self.n_samples:
                 raise DataError(f"signal feature {fs.name!r} row count mismatch")

@@ -165,10 +165,14 @@ class TestSmoothingWidth:
         ["fit", "--scheme", "pereira", "--oasm-sigma", "nan"],
         ["synth", "--preset", "blank", "--autocorr-sigma", "inf"],
         ["synth", "--preset", "blank", "--autocorr-sigma", "nan"],
+        # finite, yet a kernel of 8e300 taps
+        ["fit", "--scheme", "pereira", "--oasm-sigma", "1e300"],
+        ["synth", "--preset", "blank", "--autocorr-sigma", "1e300"],
     ])
     def test_non_finite_sigma_exits_2(self, tmp_path, capsys, argv):
-        # each used to end in an OverflowError or ValueError traceback,
-        # except synth's nan width, which skipped the smoothing and exited 0
+        # each used to end in an OverflowError or ValueError traceback (exit
+        # 1), except synth's nan width, which skipped the smoothing and
+        # exited 0
         if argv[0] == "fit":
             assert main(["synth", "--preset", "pereira-exp2", "--units", "4",
                          "--output", str(tmp_path / "d")]) == 0

@@ -84,6 +84,21 @@ class TestOasm:
         with pytest.raises(DataError):
             eb.build_oasm(3, [0, 0, 0], 0.0)
 
+    def test_unbuildable_sigma_rejected(self, tiny_recording, small_blocks,
+                                        small_plan):
+        # the kernel is built whole: at 1e300 np.arange raised ValueError,
+        # and below that its memory grew with sigma
+        assert eb.features.gaussian_kernel(1e4).size == 80001
+        with pytest.raises(DataError, match="<= 1e4"):
+            eb.features.gaussian_kernel(1e300)
+        with pytest.raises(DataError, match="autocorr_sigma"):
+            eb.SynthSpec(n_samples=4, n_units=1, block_ids=[0, 0, 1, 1],
+                         autocorr_sigma=1e5)
+        _, responses, _ = tiny_recording
+        with pytest.raises(DataError, match="<= 1e4"):  # before any fit
+            eb.sweep_oasm_sigma(responses, small_blocks, small_plan,
+                                sigmas=[1.0, 1e300])
+
 
 class TestSigmaSweep:
     def test_grid_shape(self):

@@ -87,18 +87,24 @@ class TestRidgeSolve:
         # 144 x 512 of rank 5: the Gram path must drop eigh's noise
         # eigenvalues at every alpha rather than invert them at alpha = 0 or
         # add them to a small alpha
-        basis = rng.standard_normal((5, 512))
-        X = rng.standard_normal((144, 5)) @ basis
-        Xe = rng.standard_normal((12, 5)) @ basis
-        Y = rng.standard_normal((144, 3))
-        x_mean, y_mean = X.mean(axis=0), Y.mean(axis=0)
-        expected = (Xe - x_mean) @ np.linalg.pinv(X - x_mean) @ (Y - y_mean) + y_mean
-        alphas = [0.0, 2.0 ** -5, 1.0, 32.0]
-        mine = eb.ridge_solve(X, Y, Xe, alphas)
-        np.testing.assert_allclose(mine[0], expected, atol=1e-8)
-        for pos, alpha in enumerate(alphas[1:], 1):
-            want = ridge_normal_eq_oracle(X, Y, Xe, alpha)
-            assert np.abs(mine[pos] - want).max() <= 1e-12 * np.abs(want).max()
+        _assert_rank_deficient_matches_oracle(rng, 512)
+
+    def test_rank_deficient_design_matches_oracle(self, rng):
+        # 144 x 40 of rank 5: the primal Gram X^T X drops its noise
+        # eigenvalues by the same rule
+        _assert_rank_deficient_matches_oracle(rng, 40)
+
+    def test_tall_problem_takes_no_svd(self, rng, monkeypatch):
+        # a design no wider than tall factors its primal Gram X^T X by eigh
+        X = rng.standard_normal((20, 5))
+        Y = rng.standard_normal((20, 3))
+        Xe = rng.standard_normal((6, 5))
+        monkeypatch.setattr(np.linalg, "svd", _no_svd)
+        mine = eb.ridge_solve(X, Y, Xe, [0.0, 2.0])
+        monkeypatch.undo()
+        for pos, alpha in enumerate([0.0, 2.0]):
+            np.testing.assert_allclose(
+                mine[pos], ridge_normal_eq_oracle(X, Y, Xe, alpha), atol=1e-8)
 
     def test_non_finite_rejected(self):
         with pytest.raises(DataError):
@@ -117,6 +123,27 @@ class TestRidgeSolve:
             fitted = eb.ridge_solve(X, Y, X, eb.default_alpha_grid())
             norms = np.linalg.norm(fitted - Y.mean(axis=0), axis=1)
             assert (np.diff(norms, axis=0) <= 1e-12).all()  # (n_alphas, units)
+
+
+def _no_svd(*args, **kwargs):
+    raise AssertionError("np.linalg.svd called")
+
+
+def _assert_rank_deficient_matches_oracle(rng, width):
+    """ridge_solve on 144 rows of rank 5 and ``width`` columns: the pseudo-
+    inverse at alpha 0, ``ridge_normal_eq_oracle`` at alpha > 0."""
+    basis = rng.standard_normal((5, width))
+    X = rng.standard_normal((144, 5)) @ basis
+    Xe = rng.standard_normal((12, 5)) @ basis
+    Y = rng.standard_normal((144, 3))
+    x_mean, y_mean = X.mean(axis=0), Y.mean(axis=0)
+    expected = (Xe - x_mean) @ np.linalg.pinv(X - x_mean) @ (Y - y_mean) + y_mean
+    alphas = [0.0, 2.0 ** -5, 1.0, 32.0]
+    mine = eb.ridge_solve(X, Y, Xe, alphas)
+    np.testing.assert_allclose(mine[0], expected, atol=1e-8)
+    for pos, alpha in enumerate(alphas[1:], 1):
+        want = ridge_normal_eq_oracle(X, Y, Xe, alpha)
+        assert np.abs(mine[pos] - want).max() <= 1e-12 * np.abs(want).max()
 
 
 class TestBandScaling:
@@ -189,6 +216,18 @@ class TestBandedSearch:
         assert fit.train_sets == 15
         assert fit.solver_paths == {"block": 0, "gram": 0,
                                    "design": 21, "update": 0}
+
+    def test_narrow_bands_take_no_svd(self, rng, small_plan, monkeypatch):
+        # every scaling of narrow bands takes the design path, an eigh of
+        # the primal Gram X^T X
+        bands = [eb.FeatureSpace(name, rng.standard_normal((96, 3)), name)
+                 for name in ("a", "b")]
+        Y = rng.standard_normal((96, 4))
+        monkeypatch.setattr(np.linalg, "svd", _no_svd)
+        fit = eb.banded_search(bands, Y, small_plan,
+                               search_cfg=BandedSearchConfig(max_iters=2,
+                                                             patience=2))
+        assert fit.solver_paths["design"] == sum(fit.solver_paths.values())
 
     def test_signal_band_dominates(self, rng, small_blocks, small_plan):
         sig = eb.FeatureSpace("SIG", rng.standard_normal((96, 6)), "sig")
@@ -361,6 +400,21 @@ class TestBandedSearch:
                            match=r"constant validation target for units \[3\]"):
             eb.banded_search([features], Y, small_plan)
 
+    def test_overflowing_validation_target_rejected(self, tiny_recording,
+                                                    small_plan, monkeypatch):
+        # squares of 1e200 overflow: the search used to run every candidate
+        # on an infinite intercept SSE and return NaN scores
+        features, Y, _ = tiny_recording
+        Y = Y.copy()
+        Y[:, 2] *= 1e200
+        built = []
+        monkeypatch.setattr(ridge._FoldData, "__init__",
+                            lambda *args: built.append(1))
+        with pytest.raises(DataError, match=r"overflowing validation "
+                                            r"target for units \[2\]"):
+            eb.banded_search([features], Y, small_plan)
+        assert not built
+
     def test_fit_holds_no_copy_of_every_folds_targets(self):
         """At its traced peak a many-unit single-band fit holds one eval set's
         two prediction buffers, its outputs, one training set's working
@@ -396,6 +450,36 @@ class TestBandedSearch:
                  + 2 * Y.nbytes        # test and intercept predictions
                  + 4 * Y.nbytes)       # one training set's working arrays
         assert peak <= bound
+
+    def test_block_fit_frees_each_gather_before_the_next(self):
+        """A Blank-shaped OASM fit (eight stories, one row group each, about
+        140 training rows per group) gathers ``R[T]``, eval rows x group
+        rows x units, once per eval set. Each gather is freed before the
+        next is built, so the traced peak stays below two of the largest
+        gathers beside the two prediction buffers."""
+        spec, _ = eb.preset("blank", seed=3, n_units=200)
+        recording, _ = eb.generate(spec)
+        plan = eb.shuffle_plan(build_plan(SplitSpec("blank"), recording), 7)
+        oasm = eb.build_oasm(recording.n_samples, recording.block_ids, 1.5)
+        Y = recording.responses
+        tracemalloc.start()
+        try:
+            eb.banded_search([oasm], Y, plan)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        group = _band_blocks(oasm.data).group
+        pairs = [(train, plan.outer_folds[o].inner_folds[j].validation)
+                 for train, users in _train_sets(plan) for o, j in users]
+        pairs += [(np.setdiff1d(np.arange(plan.n_samples), fold.test),
+                   fold.test) for fold in plan.outer_folds]
+        rows = [np.bincount(group[train], minlength=group.max() + 1)
+                for train, _ in pairs]  # training rows per group
+        gather = max(len(ev) * k[group[ev]].max()
+                     for k, (_, ev) in zip(rows, pairs)) * (Y.shape[1] + 1) * 8
+        n_eval = max(len(ev) for _, ev in pairs[:-len(plan.outer_folds)])
+        per_row = len(eb.default_alpha_grid()) * Y.shape[1] * 8
+        assert peak < 2 * gather + 2 * n_eval * per_row
 
     def test_pool_raises_serial_error_and_restores_blas(
             self, tiny_recording, small_plan, monkeypatch):

@@ -212,9 +212,9 @@ def test_import_leaves_scipy_special_unloaded():
     assert proc.stdout.strip() == "False"
 
 
-def test_compare_leaves_scipy_special_unloaded(tmp_path):
-    # the t-tests use their own Student-t CDF: scipy.special would load
-    # scipy's own BLAS and special-function libraries
+def _compare_code(tmp_path):
+    """Python source that runs a small two-space ``compare`` (SP beside
+    OASM, with a chance-level t-test) and prints its exit code."""
     blocks = np.repeat(np.arange(8), 3)
     sp = eb.build_sentence_position([3] * 8, band_group="sp")
     spec = eb.SynthSpec(n_samples=24, n_units=4, block_ids=blocks,
@@ -234,14 +234,33 @@ def test_compare_leaves_scipy_special_unloaded(tmp_path):
         "search": {"max_iters": 2, "patience": 1},
     }))
     out = tmp_path / "out"
-    code = ("import sys; from encodebench.cli import main; "
+    return ("from encodebench.cli import main; "
             f"code = main(['compare', '--config', {str(config)!r}, "
-            f"'--output', {str(out)!r}]); "
-            "print(code, 'scipy.special' in sys.modules)")
+            f"'--output', {str(out)!r}]); print(code)")
+
+
+def _run_python(code):
     src = os.path.dirname(os.path.dirname(eb.__file__))
     proc = subprocess.run([sys.executable, "-c", code],
                           env=dict(os.environ, PYTHONPATH=src),
                           capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines()[-1] == "0 False"
-    assert (out / "tables" / "contiguous__main__tests.csv").exists()
+    return proc.stdout.splitlines()
+
+
+def test_compare_leaves_scipy_special_unloaded(tmp_path):
+    # the t-tests use their own Student-t CDF: scipy.special would load
+    # scipy's own BLAS and special-function libraries
+    lines = _run_python("import sys; " + _compare_code(tmp_path)
+                        + "; print('scipy.special' in sys.modules)")
+    assert lines[-2:] == ["0", "False"]
+    assert (tmp_path / "out" / "tables" / "contiguous__main__tests.csv").exists()
+
+
+def test_import_and_compare_leave_scipy_unloaded(tmp_path):
+    # scipy is a test dependency only: no module of the package imports it
+    lines = _run_python("import sys, encodebench; "
+                        "print('scipy' in sys.modules); "
+                        + _compare_code(tmp_path)
+                        + "; print('scipy' in sys.modules)")
+    assert lines[0] == "False" and lines[-2:] == ["0", "False"]
