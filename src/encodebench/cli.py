@@ -73,8 +73,11 @@ def _family_lines(event: str, doc: dict) -> list[dict]:
 
 
 def _resolve_threads(value) -> int:
-    """``--threads``, else the CPU count."""
+    """``--threads``, else the CPUs this process may run on (the CPU count
+    where the platform cannot tell)."""
     if value is None:
+        if hasattr(os, "sched_getaffinity"):
+            return len(os.sched_getaffinity(0))
         return os.cpu_count() or 1
     check_int("--threads", value, 1)
     return value
@@ -101,9 +104,12 @@ def build_parser() -> _Parser:
 
     threaded = _Parser(add_help=False)
     threaded.add_argument("--threads", type=int, default=None,
-                          help="distinct inner training sets, or outer-fold "
-                               "refits, factored at once (default: the CPU "
-                               "count)")
+                          help="processes per fit, each owning its share of "
+                               "the fit's distinct inner training sets and "
+                               "outer-fold refits; all but the calling one "
+                               "are forked, so a fit runs serially where the "
+                               "fork start method is missing (default: the "
+                               "CPUs this process may use)")
 
     parser = _Parser(prog="encodebench")
     sub = parser.add_subparsers(dest="command", required=True)

@@ -103,13 +103,19 @@ Search notes
 Inner fold (test i, validation j) trains on the same rows as inner fold
 (test j, validation i), so a training set serves two outer folds. The outer
 folds step through one candidate sequence together. At each step every
-distinct training set that an unstopped outer fold uses is one task, the
-unit of parallel work (``threads=n`` runs up to n at once): it is factored
-once and predicts each of its inner folds' validation rows with the array
-shapes of a split of its own. Multi-band fits keep a set's training side
-while a fold uses it. When numpy's bundled OpenBLAS is found, it runs on one
-thread during a search, so results do not depend on ``threads`` or on the
-core count; otherwise they can differ at ulp level.
+distinct training set that an unstopped outer fold uses is one task: it is
+factored once and predicts each of its inner folds' validation rows with the
+array shapes of a split of its own. A set is the unit of parallel work, and
+one process owns it for the whole fit (``_Workers``): of ``n`` workers,
+worker w owns the sets s and the outer-fold refits o with ``s mod n = w``
+and ``o mod n = w``. Worker 0 is the calling process; the others are forked
+from it once the fit's data are known, and each keeps its own sets'
+training sides (multi-band fits keep a set's training side while a fold
+uses it). The caller reduces every step's results in set order, whichever
+process computed them, so a fit's outputs do not depend on ``threads``. When numpy's
+bundled OpenBLAS is found, it runs on one thread during a search, so results
+do not depend on the core count either; otherwise they can differ at ulp
+level.
 
 Candidate scaling vectors come first from the subset-mask enumeration (every
 way of zeroing out feature spaces), then from Dirichlet draws whose RNG
@@ -132,7 +138,6 @@ import ctypes
 import functools
 import math
 import threading
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional, Sequence
@@ -298,7 +303,8 @@ class _Update:
         keep = lam > self.cutoff
         self.spectrum = lam[keep]
         self.G = [C @ U[:, keep] for C in cross]
-        UTR, n_units = U.T @ np.hstack([Yc, narrow]), Yc.shape[1]
+        n_units = Yc.shape[1]
+        UTR = U.T @ (np.hstack([Yc, narrow]) if narrow.shape[1] else Yc)
         self.null_Y, self.null_W = UTR[~keep, :n_units], UTR[~keep, n_units:]
         self.null_WW = self.null_W.T @ self.null_W
         self.null_WY = self.null_W.T @ self.null_Y
@@ -324,15 +330,17 @@ class _Update:
                scratch):
         """``W'^T A^-1 W'`` and ``W'^T A^-1 Yc`` per alpha, and the terms
         that ``_Update._fused`` takes."""
+        r, terms = len(gamma_n), (D, Y_hat, W_hat)
+        if not r:  # no narrow column: S and V are empty
+            return None, np.empty((len(D), 0, Y_hat.shape[1])), terms
         AW = W_hat.T[None, :, :] * (D / gamma_w ** 2)[:, None, :]  # W'^T A^-1
         S, V = AW @ W_hat, AW @ Y_hat
         # A^-1 is 1/alpha on the dropped directions (0 at alpha = 0)
         inv = np.divide(1.0, alphas, out=np.zeros_like(alphas),
                         where=alphas > 0.0)[:, None, None]
-        r = len(gamma_n)
         S += inv * (gamma_n[:, None] * self.null_WW[:r, :r] * gamma_n)
         V += inv * (gamma_n[:, None] * self.null_WY[:r, units])
-        return S, V, (D, Y_hat, W_hat)
+        return S, V, terms
 
     def _fused(self, terms, x, evals, gamma_n, scratch):
         """Per eval set in ``evals``, its predictions for every alpha:
@@ -373,17 +381,18 @@ class _Update:
         # gamma_w^2 A^-1
         D = _filter(alphas / gamma_w ** 2, self.spectrum, self.cutoff)
         Y_hat, W_hat = self.UTY[:, units], self.UTW[:, :r] * gamma_n
-        S, V, terms = self._terms(D, Y_hat, W_hat, alphas, gamma_w, gamma_n,
+        S, x, terms = self._terms(D, Y_hat, W_hat, alphas, gamma_w, gamma_n,
                                   units, scratch)
-        S[:, np.arange(r), np.arange(r)] += 1.0
-        # S_a^-1 V_a per alpha; S_a is r x r, V_a has a column per unit
-        x = np.linalg.inv(S) @ V
-        B, y0 = self._null_weight(gamma_n > 0)
-        B, y0 = B * gamma_n, y0[:, units]
-        if len(B):
-            for a in np.flatnonzero(alphas == 0.0):
-                SB = np.linalg.solve(S[a], B.T)
-                x[a] += SB @ np.linalg.solve(B @ SB, y0 - B @ x[a])
+        if r:  # with r = 0, x is empty and there is no S to solve
+            S[:, np.arange(r), np.arange(r)] += 1.0
+            # S_a^-1 V_a per alpha; S_a is r x r, V_a has a column per unit
+            x = np.linalg.inv(S) @ x
+            B, y0 = self._null_weight(gamma_n > 0)
+            B, y0 = B * gamma_n, y0[:, units]
+            if len(B):
+                for a in np.flatnonzero(alphas == 0.0):
+                    SB = np.linalg.solve(S[a], B.T)
+                    x[a] += SB @ np.linalg.solve(B @ SB, y0 - B @ x[a])
         yield from self._fused(terms, x, evals, gamma_n, scratch)
 
 
@@ -485,10 +494,10 @@ class _BlockUpdate(_Update):
             yield preds.transpose(1, 0, 2)
 
 
-class _Scratch(threading.local):
-    """Per-thread buffers, grown to the largest request and reused. A fresh
-    prediction-sized array per eval set would make the C allocator hand the
-    memory back to the system and page it in again, set after set.
+class _Scratch:
+    """One process's buffers, grown to the largest request and reused. A
+    fresh prediction-sized array per eval set would make the C allocator
+    hand the memory back to the system and page it in again, set after set.
     Prediction-sized are ``preds``, every path's predictions, and ``gemm``,
     the term that ``_Update._fused`` adds to them: the Woodbury correction
     on the dense base (none with r = 0) or ``E_Y`` on a block base.
@@ -824,15 +833,99 @@ def _train_sets(plan: SplitPlan) -> list:
     return list(sets.values())
 
 
+class _Workers:
+    """The processes of one search (see the module notes). Item i of each
+    ``map`` runs in worker ``i mod n``. Worker 0 is the calling process;
+    each other worker is forked from it and runs ``serve(w, n, conn)``,
+    which inherits the caller's data and closures, so only messages are
+    pickled. ``serve`` answers each message through ``reply``: one
+    ``(result, error)`` pair per item it owns, in item order, up to its
+    first error. Without the ``fork`` start method n is 1."""
+
+    def __init__(self, n, serve):
+        self.n, self.serve, self.conns, self.procs = n, serve, [], []
+
+    def __enter__(self):
+        if self.n == 1:
+            return self
+        import multiprocessing.connection  # only a fit that forks loads it
+        if "fork" not in multiprocessing.get_all_start_methods():
+            self.n = 1
+            return self
+        context = multiprocessing.get_context("fork")
+        self.wait = multiprocessing.connection.wait
+        try:
+            for w in range(1, self.n):
+                ours, theirs = context.Pipe()
+                proc = context.Process(target=self.serve,
+                                       args=(w, self.n, theirs), daemon=True)
+                proc.start()
+                theirs.close()
+                self.conns.append(ours)
+                self.procs.append(proc)
+        except BaseException:
+            self.__exit__()
+            raise
+        return self
+
+    def __exit__(self, *exc):
+        """Stop and reap every worker. A worker still running computes
+        results that nobody reads."""
+        for conn in self.conns:
+            conn.close()
+        for proc in self.procs:
+            proc.kill()
+            proc.join()
+
+    def map(self, fn, items, message):
+        """``fn`` over ``items``, yielded in order: the caller runs its own
+        items as they come and reads the others' results; every other worker
+        gets ``message`` first."""
+        for conn in self.conns:
+            conn.send(message)
+        return (fn(i) if i % self.n == 0 else self._receive(i % self.n)
+                for i in items)
+
+    def _receive(self, w):
+        conn, proc = self.conns[w - 1], self.procs[w - 1]
+        if conn in self.wait([conn, proc.sentinel]):
+            with contextlib.suppress(EOFError):
+                result, error = conn.recv()
+                if error is not None:
+                    raise error
+                return result
+        proc.join()
+        raise DataError(f"search worker {w} (pid {proc.pid}) died with exit "
+                        f"code {proc.exitcode}")
+
+    @staticmethod
+    def reply(conn, fn, items):
+        """In a worker: ``fn`` over ``items``, each result or error sent to
+        the caller as one message; stops at the first error."""
+        for i in items:
+            try:
+                message = (fn(i), None)
+            except Exception as exc:  # the caller raises it in its turn
+                message = (None, exc)
+            conn.send(message)
+            if message[1] is not None:
+                return
+
+
 def banded_search(features: Sequence[FeatureSpace], responses, plan: SplitPlan,
                   ridge_cfg: Optional[RidgeConfig] = None,
                   search_cfg: Optional[BandedSearchConfig] = None,
                   threads: int = 1) -> FitResult:
     """Nested-CV banded ridge fit with per-unit hyperparameter selection.
 
-    Up to ``threads`` distinct inner training sets are factored at once (see
-    the module notes); while BLAS is pinned (``fit_blas_threads() == 1``)
-    the result does not depend on it.
+    ``threads`` processes search at once, each owning its distinct inner
+    training sets and outer-fold refits (see the module notes), never more
+    processes than the fit has training sets; the caller is one of them, and
+    the others are forked, so without the ``fork`` start method the fit runs
+    in the caller alone. Results are reduced in set order, so while BLAS is
+    pinned (``fit_blas_threads() == 1``) the result does not depend on
+    ``threads``. Every worker is stopped before the fit returns or raises;
+    one that dies makes the fit raise ``DataError``.
     """
     check_int("threads", threads, 1)
     ridge_cfg = ridge_cfg or RidgeConfig()
@@ -882,7 +975,7 @@ def banded_search(features: Sequence[FeatureSpace], responses, plan: SplitPlan,
             fold = _FoldData(band_mats, Y, train, [
                 folds[o].inner_folds[j].validation for o, j in users], blocks)
             if n_bands > 1:
-                kept[s] = fold  # written by this set's task alone
+                kept[s] = fold
         live = [u for u, (o, _) in enumerate(users) if not stopped[o]]
         sse = {}
         for u, preds in zip(live, fold.predict_grid(gamma, alphas, live,
@@ -892,12 +985,18 @@ def banded_search(features: Sequence[FeatureSpace], responses, plan: SplitPlan,
             sse[o, j] = np.square(preds, out=preds).sum(axis=1)
         return fold.path(gamma), sse
 
-    def step(run, cand_id):
+    def live_sets():
+        """The sets an unstopped outer fold uses; the others' training
+        sides are dropped."""
         live = [not all(stopped[o] for o, _ in users) for _, users in sets]
         kept[:] = [fold if used else None for fold, used in zip(kept, live)]
-        tasks = [s for s, used in enumerate(live) if used]
+        return [s for s, used in enumerate(live) if used]
+
+    def step(workers, cand_id):
+        gamma = candidates[cand_id]
         pending = collections.defaultdict(dict)  # outer fold -> inner -> SSE
-        for path, part in run(lambda s: score(s, candidates[cand_id]), tasks):
+        for path, part in workers.map(lambda s: score(s, gamma), live_sets(),
+                                      ("step", gamma, stopped)):
             paths[path] += 1
             for (o, j), sse in part.items():
                 pending[o][j] = sse
@@ -925,7 +1024,8 @@ def banded_search(features: Sequence[FeatureSpace], responses, plan: SplitPlan,
         prev_mean[o] = cur_mean
 
     def refit(o):
-        """Refit each unit's winner on train+validation to predict the test."""
+        """Refit each unit's winner on train+validation to predict the test:
+        the test rows' predictions, the training mean and the solver paths."""
         fold = folds[o]
         trval = np.setdiff1d(np.arange(Y.shape[0]), fold.test)
         data = _FoldData(band_mats, Y, trval, [fold.test], blocks)
@@ -941,23 +1041,39 @@ def banded_search(features: Sequence[FeatureSpace], responses, plan: SplitPlan,
                 sel = unit_alpha_idx == ai
                 fold_pred[:, units[sel]] = (preds[pos][:, sel]
                                             + data.y_mean[units[sel]])
-        test_pred[fold.test] = fold_pred
-        intercept_pred[fold.test] = data.y_mean
-        return [data.path(candidates[c]) for c in np.unique(best_cand[o])]
+        return (fold_pred, data.y_mean,
+                [data.path(candidates[c]) for c in np.unique(best_cand[o])])
+
+    def serve(w, n, conn):
+        """Worker w of n: score its sets at each step the caller sends, with
+        the caller's candidate and stopped folds, then refit its outer
+        folds."""
+        while True:
+            kind, *state = conn.recv()
+            if kind == "refit":
+                kept.clear()
+                candidates[:], best_cand[:], best_alpha_idx[:] = state
+                _Workers.reply(conn, refit, range(w, n_outer, n))
+                return
+            gamma, stopped[:] = state
+            _Workers.reply(conn, lambda s: score(s, gamma),
+                           [s for s in live_sets() if s % n == w])
 
     n_random_max = search_cfg.max_iters if n_bands > 1 else 0
-    # one pool per fit; threads=1 runs every task on this thread
-    with _blas_pinned(), ThreadPoolExecutor(max_workers=threads) as pool:
-        run = pool.map if threads > 1 else map
+    with _blas_pinned(), _Workers(min(threads, len(sets)), serve) as workers:
         for cand_id in range(n_masks + n_random_max):
             if all(stopped):
                 break
             if cand_id >= n_masks:
                 candidates.append(
                     _random_gamma(search_cfg.seed, cand_id - n_masks, n_bands))
-            step(run, cand_id)
+            step(workers, cand_id)
         kept.clear()
-        for fold_paths in run(refit, range(n_outer)):
+        refits = workers.map(refit, range(n_outer),
+                             ("refit", candidates, best_cand, best_alpha_idx))
+        for fold, (fold_pred, y_mean, fold_paths) in zip(folds, refits):
+            test_pred[fold.test] = fold_pred
+            intercept_pred[fold.test] = y_mean
             paths.update(fold_paths)
     return FitResult(
         band_names=band_names,

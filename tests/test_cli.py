@@ -472,7 +472,15 @@ class TestThreads:
         # the retired ENCODEBENCH_THREADS must not change the default
         from encodebench.cli import _resolve_threads
         monkeypatch.setenv("ENCODEBENCH_THREADS", "3")
-        assert _resolve_threads(None) == (os.cpu_count() or 1)
+        # the CPUs this process may run on, where the platform tells them
+        monkeypatch.setattr(os, "cpu_count", lambda: 8)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 5},
+                            raising=False)
+        assert _resolve_threads(None) == 2
+        monkeypatch.delattr(os, "sched_getaffinity")
+        assert _resolve_threads(None) == 8
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+        assert _resolve_threads(None) == 1
         assert _resolve_threads(5) == 5
 
     # env: a value of the retired ENCODEBENCH_THREADS, which changes nothing

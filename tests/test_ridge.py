@@ -1,4 +1,7 @@
 import hashlib
+import multiprocessing
+import os
+import signal
 import sys
 import threading
 import time
@@ -246,14 +249,16 @@ class TestBandedSearch:
         a = eb.banded_search([features, other], Y, small_plan, search_cfg=cfg)
         interval = sys.getswitchinterval()
         try:
-            # more workers than training sets per step and a short switch
-            # interval stress the per-set state that workers write
+            # more workers than training sets (capped at one per set) and
+            # uneven set ownership (3 workers, 15 sets) exercise the per-set
+            # state that each worker keeps
             sys.setswitchinterval(1e-5)
             runs = [eb.banded_search([features, other], Y, small_plan,
                                      search_cfg=cfg, threads=threads)
-                    for threads in (2, 16)]
+                    for threads in (2, 3, 16)]
         finally:
             sys.setswitchinterval(interval)
+        assert multiprocessing.active_children() == []
         for b in runs:
             np.testing.assert_array_equal(a.test_predictions,
                                           b.test_predictions)
@@ -518,6 +523,85 @@ class TestBandedSearch:
                      for f in o.inner_folds if 0 not in f.train)
         assert errors[0] == f"set from row {first} fails"
         assert set(seen) == {ridge.fit_blas_threads()}
+
+    def test_worker_errors_raise_in_set_order(self, tiny_recording,
+                                              small_plan, monkeypatch):
+        features, Y, _ = tiny_recording
+        caller = os.getpid()
+
+        class FailingInWorkers(_FoldData):
+            # every set that a forked worker owns fails, with its own message
+            def __init__(self, band_mats, Y, train_idx, *args):
+                if os.getpid() != caller:
+                    raise DataError(f"set from row {train_idx[0]} fails")
+                super().__init__(band_mats, Y, train_idx, *args)
+
+        monkeypatch.setattr(ridge, "_FoldData", FailingInWorkers)
+        # set 1 is worker 1's; with 3 workers, worker 2's set 2 fails too
+        first = _train_sets(small_plan)[1][0][0]
+        for threads in (2, 3):
+            with pytest.raises(DataError,
+                               match=f"^set from row {first} fails$"):
+                eb.banded_search([features], Y, small_plan, threads=threads)
+            assert multiprocessing.active_children() == []
+
+    def test_dead_worker_raises_and_leaves_no_process(
+            self, tiny_recording, small_plan, monkeypatch):
+        features, Y, _ = tiny_recording
+        caller = os.getpid()
+
+        class Dying(_FoldData):
+            # a worker that dies outright, before it sends anything
+            def __init__(self, *args):
+                if os.getpid() != caller:
+                    os._exit(3)
+                super().__init__(*args)
+
+        def hung(signum, frame):
+            raise TimeoutError("the fit waits on a dead worker")
+
+        monkeypatch.setattr(ridge, "_FoldData", Dying)
+        previous = signal.signal(signal.SIGALRM, hung)
+        signal.alarm(60)
+        try:
+            # set 1 is worker 1's; the caller scores set 0 and then waits
+            with pytest.raises(DataError, match=r"^search worker 1 \(pid \d+\)"
+                                                r" died with exit code 3$"):
+                eb.banded_search([features], Y, small_plan, threads=2)
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
+        assert multiprocessing.active_children() == []
+
+    def test_workers_never_outnumber_training_sets(
+            self, tiny_recording, small_plan, monkeypatch):
+        features, Y, _ = tiny_recording
+        seen = []
+
+        class Counted(ridge._Workers):
+            def __init__(self, n, serve):
+                seen.append(n)
+                super().__init__(1, serve)  # the caller alone: no process
+
+        monkeypatch.setattr(ridge, "_Workers", Counted)
+        for threads in (2, 64):
+            fit = eb.banded_search([features], Y, small_plan, threads=threads)
+        assert seen == [2, fit.train_sets]
+
+    def test_fit_without_fork_runs_in_the_caller(self, tiny_recording,
+                                                 small_plan, monkeypatch):
+        features, Y, _ = tiny_recording
+        serial = eb.banded_search([features], Y, small_plan)
+
+        def no_context(method=None):
+            raise AssertionError("a process was started")
+
+        monkeypatch.setattr(multiprocessing, "get_all_start_methods",
+                            lambda: ["spawn"])
+        monkeypatch.setattr(multiprocessing, "get_context", no_context)
+        fit = eb.banded_search([features], Y, small_plan, threads=2)
+        assert fit.test_predictions.tobytes() == \
+            serial.test_predictions.tobytes()
 
     def test_overlapping_pins_restore_once(self, monkeypatch):
         count = {"threads": 2}  # stands in for OpenBLAS's global count
@@ -1242,6 +1326,35 @@ def test_mask_predicts_as_the_single_band_fit_of_its_band(rng, case, units):
             bands, blocks, b, Y, train, ev, units)
         assert mask_path == alone_path == path
         np.testing.assert_array_equal(got, want)
+
+
+def test_rank0_scoring_solves_nothing(rng, small_plan, monkeypatch):
+    """A scaling with no narrow column active solves no r x r system: a
+    narrow-only fit (the design path) and a single-wide-band fit (the dense
+    base) run with ``np.linalg.inv`` refused. Their outputs are the bits
+    the solver gave when it still inverted the empty ``S`` (numpy's bundled
+    OpenBLAS on one thread)."""
+    sig = eb.FeatureSpace("SIG", rng.standard_normal((96, 4)), "sig")
+    oth = eb.FeatureSpace("OTH", rng.standard_normal((96, 3)), "oth")
+    wide = eb.FeatureSpace("WID", rng.standard_normal((96, 100)), "wid")
+    Y = (sig.data @ rng.standard_normal((4, 20))
+         + 0.3 * rng.standard_normal((96, 20)))
+    cfg = BandedSearchConfig(max_iters=20, patience=8, seed=9)
+
+    def refused(*args):
+        raise AssertionError("np.linalg.inv called")
+
+    monkeypatch.setattr(np.linalg, "inv", refused)
+    for spaces, path, digest in (([sig, oth], "design", "841fed169f714879"),
+                                 ([wide], "gram", "b9367c74c461336d")):
+        fit = eb.banded_search(spaces, Y, small_plan, search_cfg=cfg)
+        assert fit.solver_paths[path] == sum(fit.solver_paths.values())
+        h = hashlib.sha256()
+        for key in ("test_predictions", "intercept_predictions",
+                    "validation_r2", "chosen_alpha", "chosen_gamma"):
+            h.update(getattr(fit, key).tobytes())
+        if ridge.fit_blas_threads() == 1:
+            assert h.hexdigest()[:16] == digest
 
 
 def test_paths_that_round_differently_choose_alike(monkeypatch):
