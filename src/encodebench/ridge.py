@@ -66,8 +66,8 @@ has more rows than columns). With ``S`` the training-column std and ``P``
 the centering projection, the band's standardized train Gram is ``P B P``
 with ``B = X_tr S^-2 X_tr^T`` block-diagonal over the groups. Each split
 factors ``B`` group by group (one stacked ``eigh`` per training-row count)
-and keeps ``U^T [Yc | W]``; it never forms the band's standardized matrices
-or any dense Gram. On centered vectors ``A^-1`` is
+and keeps ``U^T [Yc | W | 1]`` in one array; it never forms the band's
+standardized matrices or any dense Gram. On centered vectors ``A^-1`` is
 ``Q_a = R - R 1 1^T R / 1^T R 1`` with ``R = (gamma_w^2 B + aI)^-1``, so
 ``u^T Q_a v = (u - 1 c_u)^T R (v - 1 c_v)`` with the centering
 ``c_v = 1^T R v / 1^T R 1``: ``S`` and ``W'^T A^-1 Yc`` take that form over
@@ -106,7 +106,7 @@ folds step through one candidate sequence together. At each step every
 distinct training set that an unstopped outer fold uses is one task: it is
 factored once and predicts each of its inner folds' validation rows with the
 array shapes of a split of its own. A set is the unit of parallel work, and
-one process owns it for the whole fit (``_Workers``): of ``n`` workers,
+one process owns it for the whole fit (``_workers``): of ``n`` workers,
 worker w owns the sets s and the outer-fold refits o with ``s mod n = w``
 and ``o mod n = w``. Worker 0 is the calling process; the others are forked
 from it once the fit's data are known, and each keeps its own sets'
@@ -267,12 +267,10 @@ def _filter(alphas, spectrum, cutoff) -> np.ndarray:
     ``spectrum``; ``alpha = 0`` is the pseudo-inverse, eigenvalues at or below
     ``cutoff`` taken as exact zeros (``_Update`` drops a dense Gram's for
     every alpha first)."""
-    alphas = np.asarray(alphas, dtype=np.float64)
-    D = np.empty((alphas.size, spectrum.size))
-    pos = alphas > 0.0
-    D[pos] = 1.0 / (spectrum + alphas[pos, None])
-    keep = spectrum > cutoff
-    D[~pos] = np.where(keep, 1.0 / np.where(keep, spectrum, 1.0), 0.0)
+    alphas = np.asarray(alphas, dtype=np.float64)[:, None]
+    with np.errstate(divide="ignore", over="ignore"):  # 1/0 zeroed below
+        D = 1.0 / (spectrum + alphas)
+    D[(alphas == 0.0) & (spectrum <= cutoff)] = 0.0
     return D
 
 
@@ -405,8 +403,9 @@ class _BlockUpdate(_Update):
 
     def __init__(self, X, blocks, train_idx, eval_idxs, Yc, narrow,
                  narrow_evs):
-        self.spectrum, self.ones, UTR, self.evals = _factor_blocks(
+        self.spectrum, self.UTR, self.evals = _factor_blocks(
             X, blocks, train_idx, eval_idxs, np.hstack([Yc, narrow]))
+        self.ones = self.UTR[:, -1].copy()
         self.cutoff = self.spectrum.max() * len(self.spectrum) * _RCOND  # pinv rule
         # alpha = 0: the ones vector's weight w on the dropped directions, and
         # whether it counts (see the module notes)
@@ -414,11 +413,12 @@ class _BlockUpdate(_Update):
         self.w = self.ones[self.drop]
         R1 = _filter([0.0], self.spectrum, self.cutoff) * self.ones @ self.ones
         self.limit = self.w @ self.w > self.cutoff * R1[0]
-        null, n_units = UTR[self.drop], Yc.shape[1]
+        null, n_units = self.UTR[self.drop, :-1], Yc.shape[1]
         if self.limit:  # the ones vector's part there is no null direction
             null -= np.outer(self.w, self.w @ null) / (self.w @ self.w)
         self.null_Y, self.null_W = null[:, :n_units], null[:, n_units:]
-        self.UTY, self.UTW = UTR[:, :n_units], UTR[:, n_units:]
+        self.UTY = self.UTR[:, :n_units]
+        self.UTW = self.UTR[:, n_units:-1].copy()  # a scoring writes W' there
         # [1 | W_ev] per eval set: the constant and narrow columns of the
         # correction's left side
         self.ones_evs = [np.hstack([np.ones((len(W), 1)), W])
@@ -447,9 +447,12 @@ class _BlockUpdate(_Update):
         block base's ``Q_a = R - R 1 1^T R / 1^T R 1``: ``u^T Q_a v`` is
         ``(u - 1 c_u)^T R (v - 1 c_v)``, over every direction of ``B``."""
         (n, n_units), r, ones = Y_hat.shape, W_hat.shape[1], self.ones
-        # [Yc | W' | 1] in eigen-coordinates; the ones column's eval side is
-        # each eval row's centering weight z
-        R = np.hstack([Y_hat, W_hat, ones[:, None]])
+        # [Yc | W' | 1] in eigen-coordinates, the set's own array but for r = 0
+        # beside narrow bands or a unit subset; the ones column's eval side
+        # is each eval row's centering weight z
+        full = isinstance(units, slice) and r == self.UTW.shape[1]
+        R = self.UTR if full else np.hstack([Y_hat, W_hat, ones[:, None]])
+        R[:, n_units:-1] = W_hat
         cB = self._center(D, R[:, :-1], alphas)
         c = cB[:, 0]
         # (W' - 1 c_W)^T R per alpha, then times [Yc | W'] minus 1 c
@@ -514,15 +517,14 @@ class _Scratch:
 
 def _factor_blocks(X, blocks, train_idx, eval_idxs, Yc):
     """One training set's wide band factored by blocks: the eigenvalues of
-    ``B = X_tr S^-2 X_tr^T``, ``U^T 1`` and ``U^T Yc`` over its eigen-
-    coordinates, and per eval set its (F, T): the block-sparse eval-by-train
-    Gram times U, and the eigen-coordinates of its columns. Groups with
-    equal training-row counts share one stacked ``eigh``."""
+    ``B = X_tr S^-2 X_tr^T``, ``U^T [Yc | 1]`` over its eigen-coordinates,
+    and per eval set its (F, T): the block-sparse eval-by-train Gram times
+    U, and the eigen-coordinates of its columns. Groups with equal
+    training-row counts share one stacked ``eigh``."""
     n = len(train_idx)
     k_of = np.bincount(blocks.group[train_idx], minlength=blocks.n_groups)
     tr_order, tr_start = _group_order(blocks.group[train_idx], k_of)
-    spectrum, ones = np.empty(n), np.empty(n)
-    UTY = np.empty((n, Yc.shape[1]))
+    spectrum, UTR = np.empty(n), np.empty((n, Yc.shape[1] + 1))
     ev_groups = [blocks.group[idx] for idx in eval_idxs]
     ev_counts = [np.bincount(g, minlength=blocks.n_groups) for g in ev_groups]
     ev_orders = [_group_order(g, c) for g, c in zip(ev_groups, ev_counts)]
@@ -542,8 +544,8 @@ def _factor_blocks(X, blocks, train_idx, eval_idxs, Yc):
         A = Xtr * scale[:, None, :]
         lam, U = np.linalg.eigh(A @ A.transpose(0, 2, 1))
         spectrum[slots] = np.maximum(lam, 0.0)
-        ones[slots] = U.sum(axis=1)
-        UTY[slots] = U.transpose(0, 2, 1) @ Yc[tr_order[slots]]
+        UTR[slots, -1] = U.sum(axis=1)
+        UTR[slots, :-1] = U.transpose(0, 2, 1) @ Yc[tr_order[slots]]
         AU = A.transpose(0, 2, 1) @ U
         for e, idx in enumerate(eval_idxs):
             (ev_order, ev_start), count = ev_orders[e], ev_counts[e][gs]
@@ -559,7 +561,7 @@ def _factor_blocks(X, blocks, train_idx, eval_idxs, Yc):
             F[e][at[valid], :k] = FU[valid]
             T[e][at[valid], :k] = np.broadcast_to(slots[:, None, :],
                                                   FU.shape)[valid]
-    return spectrum, ones, UTY, list(zip(F, T))
+    return spectrum, UTR, list(zip(F, T))
 
 
 def _group_order(groups, counts):
@@ -833,62 +835,43 @@ def _train_sets(plan: SplitPlan) -> list:
     return list(sets.values())
 
 
-class _Workers:
-    """The processes of one search (see the module notes). Item i of each
-    ``map`` runs in worker ``i mod n``. Worker 0 is the calling process;
-    each other worker is forked from it and runs ``serve(w, n, conn)``,
-    which inherits the caller's data and closures, so only messages are
-    pickled. ``serve`` answers each message through ``reply``: one
-    ``(result, error)`` pair per item it owns, in item order, up to its
-    first error. Without the ``fork`` start method n is 1."""
-
-    def __init__(self, n, serve):
-        self.n, self.serve, self.conns, self.procs = n, serve, [], []
-
-    def __enter__(self):
-        if self.n == 1:
-            return self
+@contextlib.contextmanager
+def _workers(n, *fns):
+    """The n processes of one search (see the module notes) as
+    ``run(fn, lister, *args)``: each process calls ``lister(*args)`` to bring
+    its copy of the search state up to date and get the items, and item i
+    runs ``fn(i)`` in process ``i mod n``, results and errors coming back in
+    item order. The caller is process 0 and forks the others, so only
+    names of ``fns``, arguments and ``(result, error)`` pairs are pickled.
+    Without the ``fork`` start method n is 1. Every worker is killed on
+    leaving: one still running computes results that nobody reads."""
+    if n > 1:
         import multiprocessing.connection  # only a fit that forks loads it
-        if "fork" not in multiprocessing.get_all_start_methods():
-            self.n = 1
-            return self
-        context = multiprocessing.get_context("fork")
-        self.wait = multiprocessing.connection.wait
-        try:
-            for w in range(1, self.n):
-                ours, theirs = context.Pipe()
-                proc = context.Process(target=self.serve,
-                                       args=(w, self.n, theirs), daemon=True)
-                proc.start()
-                theirs.close()
-                self.conns.append(ours)
-                self.procs.append(proc)
-        except BaseException:
-            self.__exit__()
-            raise
-        return self
+        if "fork" in multiprocessing.get_all_start_methods():
+            context = multiprocessing.get_context("fork")
+        else:
+            n = 1
+    by_name, conns, procs = {fn.__name__: fn for fn in fns}, [], []
 
-    def __exit__(self, *exc):
-        """Stop and reap every worker. A worker still running computes
-        results that nobody reads."""
-        for conn in self.conns:
-            conn.close()
-        for proc in self.procs:
-            proc.kill()
-            proc.join()
+    def work(w, conn):  # up to its first error per item list
+        for ours in conns:  # the caller's ends, its own included
+            ours.close()
+        with contextlib.suppress(EOFError, OSError):  # the caller hung up
+            while True:
+                fn, lister, args = conn.recv()
+                for i in by_name[lister](*args):
+                    if i % n == w:
+                        try:
+                            message = (by_name[fn](i), None)
+                        except Exception as exc:  # the caller raises it
+                            message = (None, exc)
+                        conn.send(message)
+                        if message[1] is not None:
+                            break
 
-    def map(self, fn, items, message):
-        """``fn`` over ``items``, yielded in order: the caller runs its own
-        items as they come and reads the others' results; every other worker
-        gets ``message`` first."""
-        for conn in self.conns:
-            conn.send(message)
-        return (fn(i) if i % self.n == 0 else self._receive(i % self.n)
-                for i in items)
-
-    def _receive(self, w):
-        conn, proc = self.conns[w - 1], self.procs[w - 1]
-        if conn in self.wait([conn, proc.sentinel]):
+    def receive(w):
+        conn, proc = conns[w - 1], procs[w - 1]
+        if conn in multiprocessing.connection.wait([conn, proc.sentinel]):
             with contextlib.suppress(EOFError):
                 result, error = conn.recv()
                 if error is not None:
@@ -898,18 +881,28 @@ class _Workers:
         raise DataError(f"search worker {w} (pid {proc.pid}) died with exit "
                         f"code {proc.exitcode}")
 
-    @staticmethod
-    def reply(conn, fn, items):
-        """In a worker: ``fn`` over ``items``, each result or error sent to
-        the caller as one message; stops at the first error."""
-        for i in items:
-            try:
-                message = (fn(i), None)
-            except Exception as exc:  # the caller raises it in its turn
-                message = (None, exc)
-            conn.send(message)
-            if message[1] is not None:
-                return
+    def run(fn, lister, *args):
+        for conn in conns:
+            conn.send((fn.__name__, lister.__name__, args))
+        return (fn(i) if i % n == 0 else receive(i % n)
+                for i in lister(*args))
+
+    try:
+        for w in range(1, n):
+            ours, theirs = context.Pipe()
+            conns.append(ours)
+            proc = context.Process(target=work, args=(w, theirs),
+                                   daemon=True)
+            proc.start()
+            theirs.close()
+            procs.append(proc)
+        yield run
+    finally:
+        for conn in conns:
+            conn.close()
+        for proc in procs:
+            proc.kill()
+            proc.join()
 
 
 def banded_search(features: Sequence[FeatureSpace], responses, plan: SplitPlan,
@@ -918,14 +911,14 @@ def banded_search(features: Sequence[FeatureSpace], responses, plan: SplitPlan,
                   threads: int = 1) -> FitResult:
     """Nested-CV banded ridge fit with per-unit hyperparameter selection.
 
-    ``threads`` processes search at once, each owning its distinct inner
-    training sets and outer-fold refits (see the module notes), never more
-    processes than the fit has training sets; the caller is one of them, and
-    the others are forked, so without the ``fork`` start method the fit runs
-    in the caller alone. Results are reduced in set order, so while BLAS is
-    pinned (``fit_blas_threads() == 1``) the result does not depend on
-    ``threads``. Every worker is stopped before the fit returns or raises;
-    one that dies makes the fit raise ``DataError``.
+    ``threads`` processes search at once (``_workers``), each owning its
+    distinct inner training sets and outer-fold refits (see the module
+    notes), never more processes than the fit has training sets; the caller
+    is one of them, and the others are forked, so without the ``fork`` start
+    method the fit runs in the caller alone. Results are reduced in set
+    order, so while BLAS is pinned (``fit_blas_threads() == 1``) the result
+    does not depend on ``threads``. Every worker is stopped before the fit
+    returns or raises; one that dies makes the fit raise ``DataError``.
     """
     check_int("threads", threads, 1)
     ridge_cfg = ridge_cfg or RidgeConfig()
@@ -962,11 +955,21 @@ def banded_search(features: Sequence[FeatureSpace], responses, plan: SplitPlan,
     stopped = [False] * n_outer
     n_random, stall, prev_mean = [0] * n_outer, [0] * n_outer, [0.0] * n_outer
     kept = [None] * len(sets)  # training sides that multi-band fits reuse
+    step_gamma = None  # the candidate that live_sets last took
     scratch = _Scratch()
     paths = collections.Counter()
     test_pred, intercept_pred = np.zeros(Y.shape), np.zeros(Y.shape)
 
-    def score(s, gamma):
+    def live_sets(gamma, now_stopped):
+        """Take a step's candidate and stopped folds; return the sets an
+        unstopped outer fold uses, dropping the others' training sides."""
+        nonlocal step_gamma
+        step_gamma, stopped[:] = gamma, now_stopped
+        live = [not all(stopped[o] for o, _ in users) for _, users in sets]
+        kept[:] = [fold if used else None for fold, used in zip(kept, live)]
+        return [s for s, used in enumerate(live) if used]
+
+    def score(s):
         """Set s's solver path, and per (outer, inner) fold that it serves
         and that still searches, the (n_alphas, n_units) validation SSE."""
         train, users = sets[s]
@@ -978,25 +981,16 @@ def banded_search(features: Sequence[FeatureSpace], responses, plan: SplitPlan,
                 kept[s] = fold
         live = [u for u, (o, _) in enumerate(users) if not stopped[o]]
         sse = {}
-        for u, preds in zip(live, fold.predict_grid(gamma, alphas, live,
+        for u, preds in zip(live, fold.predict_grid(step_gamma, alphas, live,
                                                     scratch)):
             o, j = users[u]
             preds -= Y[folds[o].inner_folds[j].validation] - fold.y_mean
             sse[o, j] = np.square(preds, out=preds).sum(axis=1)
-        return fold.path(gamma), sse
+        return fold.path(step_gamma), sse
 
-    def live_sets():
-        """The sets an unstopped outer fold uses; the others' training
-        sides are dropped."""
-        live = [not all(stopped[o] for o, _ in users) for _, users in sets]
-        kept[:] = [fold if used else None for fold, used in zip(kept, live)]
-        return [s for s, used in enumerate(live) if used]
-
-    def step(workers, cand_id):
-        gamma = candidates[cand_id]
+    def step(run, cand_id):
         pending = collections.defaultdict(dict)  # outer fold -> inner -> SSE
-        for path, part in workers.map(lambda s: score(s, gamma), live_sets(),
-                                      ("step", gamma, stopped)):
+        for path, part in run(score, live_sets, candidates[cand_id], stopped):
             paths[path] += 1
             for (o, j), sse in part.items():
                 pending[o][j] = sse
@@ -1023,6 +1017,14 @@ def banded_search(features: Sequence[FeatureSpace], responses, plan: SplitPlan,
             stopped[o] = stall[o] >= search_cfg.patience
         prev_mean[o] = cur_mean
 
+    def winners(all_candidates, cand, alpha_idx):
+        """Take every candidate and each unit's winner per outer fold, keep
+        no training side, and return the outer folds to refit."""
+        kept.clear()
+        candidates[:], best_cand[:], best_alpha_idx[:] = (
+            all_candidates, cand, alpha_idx)
+        return range(n_outer)
+
     def refit(o):
         """Refit each unit's winner on train+validation to predict the test:
         the test rows' predictions, the training mean and the solver paths."""
@@ -1044,33 +1046,17 @@ def banded_search(features: Sequence[FeatureSpace], responses, plan: SplitPlan,
         return (fold_pred, data.y_mean,
                 [data.path(candidates[c]) for c in np.unique(best_cand[o])])
 
-    def serve(w, n, conn):
-        """Worker w of n: score its sets at each step the caller sends, with
-        the caller's candidate and stopped folds, then refit its outer
-        folds."""
-        while True:
-            kind, *state = conn.recv()
-            if kind == "refit":
-                kept.clear()
-                candidates[:], best_cand[:], best_alpha_idx[:] = state
-                _Workers.reply(conn, refit, range(w, n_outer, n))
-                return
-            gamma, stopped[:] = state
-            _Workers.reply(conn, lambda s: score(s, gamma),
-                           [s for s in live_sets() if s % n == w])
-
     n_random_max = search_cfg.max_iters if n_bands > 1 else 0
-    with _blas_pinned(), _Workers(min(threads, len(sets)), serve) as workers:
+    with _blas_pinned(), _workers(min(threads, len(sets)), score, live_sets,
+                                  refit, winners) as run:
         for cand_id in range(n_masks + n_random_max):
             if all(stopped):
                 break
             if cand_id >= n_masks:
                 candidates.append(
                     _random_gamma(search_cfg.seed, cand_id - n_masks, n_bands))
-            step(workers, cand_id)
-        kept.clear()
-        refits = workers.map(refit, range(n_outer),
-                             ("refit", candidates, best_cand, best_alpha_idx))
+            step(run, cand_id)
+        refits = run(refit, winners, candidates, best_cand, best_alpha_idx)
         for fold, (fold_pred, y_mean, fold_paths) in zip(folds, refits):
             test_pred[fold.test] = fold_pred
             intercept_pred[fold.test] = y_mean

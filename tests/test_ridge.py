@@ -10,6 +10,8 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import encodebench as eb
 from encodebench.errors import DataError
@@ -486,6 +488,44 @@ class TestBandedSearch:
         per_row = len(eb.default_alpha_grid()) * Y.shape[1] * 8
         assert peak < 2 * gather + 2 * n_eval * per_row
 
+    def test_block_scoring_copies_no_eigen_coordinates(self):
+        """A warm scoring of a single-band block fit scores from the set's
+        one ``U^T [Yc | 1]`` array. At its traced peak it holds per-alpha
+        arrays only: the centering's two per-unit rows per alpha, up to four
+        temporaries of that size, and filter-sized arrays. A copy of the
+        eigen-coordinates, training rows x units, does not fit beside
+        them."""
+        spec, _ = eb.preset("pereira-exp2", seed=0, n_units=600)
+        recording, _ = eb.generate(spec)
+        plan = eb.shuffle_plan(build_plan(SplitSpec("pereira"), recording), 7)
+        oasm = eb.build_oasm(recording.n_samples, recording.block_ids, 1.0)
+        Y, alphas = recording.responses, eb.default_alpha_grid()
+        (train, users), *_ = _train_sets(plan)
+        evals = [plan.outer_folds[o].inner_folds[j].validation
+                 for o, j in users]
+        fold = _FoldData([oasm.data], Y, train, evals,
+                         [_band_blocks(oasm.data)])
+        assert isinstance(fold.update, ridge._BlockUpdate)
+        scratch = _Scratch()
+
+        def scoring():
+            for _ in fold.predict_grid(np.ones(1), alphas, range(len(evals)),
+                                       scratch):
+                pass
+
+        scoring()  # the scratch buffers grow to size here
+        tracemalloc.start()
+        try:
+            scoring()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        per_unit = len(alphas) * Y.shape[1] * 8
+        per_row = len(alphas) * len(train) * 8
+        copy = len(train) * (Y.shape[1] + 1) * 8
+        assert copy > per_unit + 4 * per_row  # the bound has no room for it
+        assert peak < 6 * per_unit + 4 * per_row
+
     def test_pool_raises_serial_error_and_restores_blas(
             self, tiny_recording, small_plan, monkeypatch):
         # without numpy's bundled OpenBLAS the pin does nothing: only the
@@ -573,17 +613,69 @@ class TestBandedSearch:
             signal.signal(signal.SIGALRM, previous)
         assert multiprocessing.active_children() == []
 
+    @staticmethod
+    def _failing_refits(monkeypatch, caller, n_samples, fail):
+        """``_FoldData`` that calls ``fail(eval rows)`` where a forked worker
+        builds an outer fold's refit: one eval set, and training rows that
+        cover every other sample."""
+
+        class FailingRefits(_FoldData):
+            def __init__(self, band_mats, Y, train_idx, eval_idxs, *args):
+                if (os.getpid() != caller and len(eval_idxs) == 1
+                        and len(train_idx) + len(eval_idxs[0]) == n_samples):
+                    fail(eval_idxs[0])
+                super().__init__(band_mats, Y, train_idx, eval_idxs, *args)
+
+        monkeypatch.setattr(ridge, "_FoldData", FailingRefits)
+
+    def test_worker_refit_errors_raise_in_fold_order(
+            self, tiny_recording, small_plan, monkeypatch):
+        features, Y, _ = tiny_recording
+
+        def fail(test):
+            raise DataError(f"refit testing row {test[0]} fails")
+
+        self._failing_refits(monkeypatch, os.getpid(), len(Y), fail)
+        # fold 1 is worker 1's; with 3 workers, worker 2's fold 2 fails too
+        first = small_plan.outer_folds[1].test[0]
+        for threads in (2, 3):
+            with pytest.raises(DataError,
+                               match=f"^refit testing row {first} fails$"):
+                eb.banded_search([features], Y, small_plan, threads=threads)
+            assert multiprocessing.active_children() == []
+
+    def test_worker_dying_in_its_refit_raises(self, tiny_recording,
+                                             small_plan, monkeypatch):
+        features, Y, _ = tiny_recording
+
+        def hung(signum, frame):
+            raise TimeoutError("the fit waits on a dead worker")
+
+        self._failing_refits(monkeypatch, os.getpid(), len(Y),
+                             lambda test: os._exit(4))
+        previous = signal.signal(signal.SIGALRM, hung)
+        signal.alarm(60)
+        try:
+            with pytest.raises(DataError, match=r"^search worker 1 \(pid \d+\)"
+                                                r" died with exit code 4$"):
+                eb.banded_search([features], Y, small_plan, threads=2)
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
+        assert multiprocessing.active_children() == []
+
     def test_workers_never_outnumber_training_sets(
             self, tiny_recording, small_plan, monkeypatch):
         features, Y, _ = tiny_recording
         seen = []
 
-        class Counted(ridge._Workers):
-            def __init__(self, n, serve):
-                seen.append(n)
-                super().__init__(1, serve)  # the caller alone: no process
+        workers = ridge._workers
 
-        monkeypatch.setattr(ridge, "_Workers", Counted)
+        def counted(n, *fns):
+            seen.append(n)
+            return workers(1, *fns)  # the caller alone: no process
+
+        monkeypatch.setattr(ridge, "_workers", counted)
         for threads in (2, 64):
             fit = eb.banded_search([features], Y, small_plan, threads=threads)
         assert seen == [2, fit.train_sets]
@@ -655,6 +747,36 @@ class TestBandedSearch:
         loaded = eb.load_matrix(tmp_path / "fit" / "test_predictions.bbsm")
         np.testing.assert_array_equal(loaded, fit.test_predictions)
 
+
+@settings(max_examples=10, deadline=None, derandomize=True)
+@given(st.lists(st.integers(3, 5), min_size=6, max_size=9),
+       st.sampled_from([0.1, 1.0, 2.5]), st.integers(0, 3), st.integers(1, 4),
+       st.booleans(), st.integers(0, 2 ** 32 - 1))
+def test_fit_does_not_depend_on_threads(block_rows, sigma, narrow, n_units,
+                                        shuffled, seed):
+    """An OASM fit, beside 0-3 narrow columns, gives the same bytes at
+    ``threads`` 1, 2 and 3, and leaves no process behind."""
+    rng = np.random.default_rng(seed)
+    blocks = np.repeat(np.arange(len(block_rows)), block_rows)
+    n = len(blocks)
+    features = [eb.build_oasm(n, blocks, sigma)]
+    if narrow:
+        features.append(eb.FeatureSpace("N", rng.standard_normal((n, narrow)),
+                                        "narrow"))
+    Y = rng.standard_normal((n, n_units))
+    plan = eb.plan_grouped(blocks, n_outer=3, n_inner=2)
+    if shuffled:
+        plan = eb.shuffle_plan(plan, seed)
+    fits = [eb.banded_search(features, Y, plan, threads=threads)
+            for threads in (1, 2, 3)]
+    assert multiprocessing.active_children() == []
+    for fit in fits[1:]:
+        for name in ("test_predictions", "intercept_predictions",
+                     "chosen_gamma", "chosen_alpha", "validation_r2"):
+            assert getattr(fit, name).tobytes() == \
+                getattr(fits[0], name).tobytes()
+        for name in ("n_random_iterations", "early_stopped", "solver_paths"):
+            assert getattr(fit, name) == getattr(fits[0], name)
 
 
 class TestTrainSetSharing:
